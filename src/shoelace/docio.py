@@ -444,6 +444,8 @@ def load_document(text: str) -> tuple[str, Any]:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentFormatError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise DocumentFormatError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise DocumentFormatError("document must be a JSON object")
     kind = doc.get("kind")

@@ -7,6 +7,7 @@ be compared for exact equality.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -73,6 +74,18 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
+    def _trusted(cls, field: FieldSpec, rows: int, cols: int,
+                 entries: tuple[tuple[int, ...], ...]) -> "Matrix":
+        """Wrap a tuple of row tuples that is already reduced mod p and of
+        shape rows x cols, skipping the checks of the public constructor."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "rows", rows)
+        object.__setattr__(out, "cols", cols)
+        object.__setattr__(out, "entries", entries)
+        return out
+
+    @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
         return cls(field, rows, cols, ((0,) * cols,) * rows)
 
@@ -98,7 +111,8 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.field == other.field and self.rows == other.rows
+        return ((self.field is other.field or self.field == other.field)
+                and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
 
     def __hash__(self) -> int:
@@ -109,7 +123,7 @@ class Matrix:
 
 
 def _check_same_field(a: Matrix, b: Matrix) -> None:
-    if a.field != b.field:
+    if a.field is not b.field and a.field != b.field:
         raise ValueError(f"field mismatch: F_{a.field.p} vs F_{b.field.p}")
 
 
@@ -118,11 +132,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch in mat_mul: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     p = a.field.p
+    mul = operator.mul
     bt = tuple(zip(*b.entries)) if b.entries else ((),) * b.cols
     ent = tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
+        tuple(sum(map(mul, row, col)) % p for col in bt)
         for row in a.entries)
-    return Matrix(a.field, a.rows, b.cols, ent)
+    return Matrix._trusted(a.field, a.rows, b.cols, ent)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

@@ -19,7 +19,7 @@ class Proset:
     so two prosets with the same table and labels are interchangeable.
     """
 
-    __slots__ = ("n", "rel", "labels", "_pairs")
+    __slots__ = ("n", "rel", "labels", "_pairs", "_edges")
 
     def __init__(self, n: int, rel: Sequence[Sequence[bool]],
                  labels: Optional[Sequence[str]] = None):
@@ -35,6 +35,7 @@ class Proset:
         if self.labels is not None and len(self.labels) != n:
             raise ValueError(f"expected {n} labels, got {len(self.labels)}")
         object.__setattr__(self, "_pairs", None)
+        object.__setattr__(self, "_edges", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Proset is immutable")
@@ -55,6 +56,32 @@ class Proset:
                           if self.rel[i][j])
             object.__setattr__(self, "_pairs", pairs)
         return self._pairs
+
+    @property
+    def generating_edges(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (j, k), j != k, j <= k, that generate the relation.
+
+        (j, k) is generating when also k <= j (one iso class), or when no
+        element lies strictly between the classes of j and k in the quotient
+        order.  Every related pair is a path of generating edges, so
+        proset_from_pairs(n, generating_edges) reproduces rel.
+        """
+        if self._edges is None:
+            n, rel = self.n, self.rel
+            up = [sum(1 << k for k in range(n) if rel[j][k]) for j in range(n)]
+            down = [sum(1 << j for j in range(n) if rel[j][k]) for k in range(n)]
+            # above[j]: elements strictly above the class of j
+            above = [up[j] & ~down[j] for j in range(n)]
+            edges = []
+            for j in range(n):
+                beyond = 0
+                for m in range(n):
+                    if above[j] >> m & 1:
+                        beyond |= above[m]
+                gen = (up[j] & down[j] & ~(1 << j)) | (above[j] & ~beyond)
+                edges.extend((j, k) for k in range(n) if gen >> k & 1)
+            object.__setattr__(self, "_edges", tuple(edges))
+        return self._edges
 
     def up(self, i: int) -> tuple[int, ...]:
         return tuple(j for j in range(self.n) if self.rel[i][j])

@@ -3,7 +3,10 @@
 A representation stores a matrix for every related ordered pair, including
 the diagonal.  That is redundant (composites determine most maps) but the
 redundancy is validated rather than trusted: validate_representation checks
-the diagonal identities and every composable triple.
+the diagonal identities and the composition law F(j,k) F(i,j) = F(i,k) for
+every related pair (i, j) and every generating edge (j, k) of the proset.
+Every relation j <= k is a path of generating edges, so by induction along
+the path this gives the law for every composable triple.
 """
 
 from __future__ import annotations
@@ -73,22 +76,34 @@ class Representation:
 def validate_representation(m: Representation) -> Optional[str]:
     """None if functorial, else a report on the first failure.
 
-    Checks identity on every diagonal and the composition equation on every
-    related triple i <= j <= k with i != j and j != k.
+    Checks identity on every diagonal, then the composition equation
+    F(j,k) F(i,j) = F(i,k) for every related pair i <= j with i != j and
+    every generating edge (j, k) of the proset (see
+    Proset.generating_edges): k is isomorphic to j, or its class covers j's
+    in the quotient order.  That suffices, by induction on the number of
+    classes strictly between j and k: if j <= k is not an edge, some m lies
+    strictly between them, both (j, m) and (m, k) have fewer classes between
+    them, and so F(j,k) F(i,j) = F(m,k) F(j,m) F(i,j) = F(m,k) F(i,m)
+    = F(i,k).  The check costs one product per (pair, edge) instead of one
+    per composable triple.
     """
     p = m.proset
+    dims = m.dims
     for i in range(p.n):
-        if m.maps[(i, i)] != Matrix.identity(m.field, m.dims[i]):
+        if m.maps[(i, i)] != Matrix.identity(m.field, dims[i]):
             return f"map at ({p.label(i)}, {p.label(i)}) is not the identity"
-    # pairs with a zero-dimensional end are vacuous: both sides of the
-    # equation are the unique empty-shaped matrix
+    # equations with a zero-dimensional end are vacuous: both sides are the
+    # unique empty-shaped matrix
+    edges_from: list[list[int]] = [[] for _ in range(p.n)]
+    for (j, k) in p.generating_edges:
+        if dims[k] != 0:
+            edges_from[j].append(k)
     for (i, j) in p.related_pairs:
-        if i == j or m.dims[i] == 0:
+        if i == j or dims[i] == 0:
             continue
-        for k in range(p.n):
-            if k == j or m.dims[k] == 0 or not p.rel[j][k]:
-                continue
-            if mat_mul(m.maps[(j, k)], m.maps[(i, j)]) != m.maps[(i, k)]:
+        f_ij = m.maps[(i, j)]
+        for k in edges_from[j]:
+            if mat_mul(m.maps[(j, k)], f_ij) != m.maps[(i, k)]:
                 return (f"composition fails over {p.label(i)} <= {p.label(j)}"
                         f" <= {p.label(k)}")
     return None

@@ -91,7 +91,8 @@ class Ext:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        # a finite Ext equals its int, so it must hash like it
+        return hash(self.value) if self.kind == 0 else hash(self._key())
 
     def __lt__(self, other) -> bool:
         return self._key() < Ext.of(other)._key()
@@ -468,10 +469,7 @@ def barcode(m: Representation, w: Window, boundary: str = "finite") -> Barcode:
 def condition_star(i: Interval, j: Interval, eps: int) -> bool:
     """The overlap disjunction: with i = I[x,y] and j = I[s,t], either
     s-eps <= x <= t-eps <= y or x-eps <= s <= y-eps <= t."""
-    x, y = i.lo, i.hi
-    s, t = j.lo, j.hi
-    first = s - eps <= x and x <= t - eps and t - eps <= y
-    second = x - eps <= s and s <= y - eps and y - eps <= t
+    first, second = _star_disjuncts(i, j, eps)
     return first or second
 
 

@@ -64,6 +64,14 @@ def test_validate_format_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_validate_deeply_nested_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: not valid JSON: nested too deeply\n"
+
+
 def test_validate_validation_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     doc = {"kind": "proset", "version": "1",

@@ -113,6 +113,12 @@ def test_envelope_errors():
         document_dict("cheese", None)
 
 
+def test_deeply_nested_json_is_a_format_error():
+    for text in ("[" * 200_000, '{"a": ' * 200_000):
+        with pytest.raises(DocumentFormatError, match="nested too deeply"):
+            load_document(text)
+
+
 def _doc(kind, payload):
     return json.dumps({"kind": kind, "version": "1", "payload": payload})
 

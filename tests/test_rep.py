@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from shoelace.exactlin import FieldSpec, Matrix, mat_mul
+from shoelace.interleave import pack, unpack
 from shoelace.proset import (
     Translation,
     chain,
@@ -43,7 +44,13 @@ from shoelace.selftest import (
     _rand_rep,
     _rand_translation,
 )
-from shoelace.zed import Interval, Window, interval_to_module, lambda_eps
+from shoelace.zed import (
+    Interval,
+    Window,
+    interval_to_module,
+    lambda_eps,
+    shoelace_window,
+)
 
 F2 = FieldSpec(2)
 F5 = FieldSpec(5)
@@ -419,3 +426,94 @@ def test_direct_sum_projection_recovers_parts(seed):
     assert total.total_dim() == sum(m.total_dim() for m in parts)
     for k, part in enumerate(parts):
         assert project_summand(total, slices, k) == part
+
+
+def _validate_all_triples(m):
+    """Reference functoriality check: identity on every diagonal and the
+    composition equation on every related triple i <= j <= k."""
+    p = m.proset
+    for i in range(p.n):
+        if m.maps[(i, i)] != Matrix.identity(m.field, m.dims[i]):
+            return f"map at ({p.label(i)}, {p.label(i)}) is not the identity"
+    for (i, j) in p.related_pairs:
+        if i == j or m.dims[i] == 0:
+            continue
+        for k in range(p.n):
+            if k == j or m.dims[k] == 0 or not p.rel[j][k]:
+                continue
+            if mat_mul(m.maps[(j, k)], m.maps[(i, j)]) != m.maps[(i, k)]:
+                return (f"composition fails over {p.label(i)} <= {p.label(j)}"
+                        f" <= {p.label(k)}")
+    return None
+
+
+def _generating_edges_by_definition(p):
+    """(j, k), j != k, j <= k, with k <= j or nothing strictly between the
+    classes of j and k."""
+    rel = p.rel
+
+    def strictly_below(a, b):
+        return rel[a][b] and not rel[b][a]
+
+    return tuple(
+        (j, k) for j in range(p.n) for k in range(p.n)
+        if j != k and rel[j][k]
+        and (rel[k][j] or not any(strictly_below(j, m) and strictly_below(m, k)
+                                  for m in range(p.n))))
+
+
+def _rand_rep_family(rng, family):
+    field = FieldSpec(rng.choice((2, 3, 5)))
+    if family == "chain":
+        return _rand_chain_rep(rng, rng.randint(1, 8), field)
+    if family == "closure":
+        return _rand_rep(rng, _rand_proset(rng), field)
+    if rng.random() < 0.3:
+        # window carriers: at eps 0 every {i, i'} is a two-way pair
+        lo = rng.randint(-2, 2)
+        sh, _ = shoelace_window(Window(lo, lo + rng.randint(0, 5)),
+                                rng.randint(0, 3))
+        return _rand_rep(rng, sh, field, max_dim=2)
+    # the identity translation makes every {i, i'} a two-way pair
+    base = _rand_proset(rng, max_n=5)
+    lam = (identity_translation(base) if rng.random() < 0.3
+           else _rand_translation(rng, base))
+    return pack(unpack(_rand_rep(rng, shoelace(base, lam), field, max_dim=2)))
+
+
+def _corrupt_one_map(rng, m):
+    """A copy of m with one entry of one nonempty map moved, or None."""
+    pairs = [(i, j) for (i, j) in m.proset.related_pairs
+             if m.dims[i] and m.dims[j]]
+    if not pairs:
+        return None
+    i, j = rng.choice(pairs)
+    entries = [list(row) for row in m.maps[(i, j)].entries]
+    r, c = rng.randrange(m.dims[j]), rng.randrange(m.dims[i])
+    entries[r][c] += rng.randrange(1, m.field.p)
+    maps = dict(m.maps)
+    maps[(i, j)] = Matrix(m.field, m.dims[j], m.dims[i], entries)
+    return Representation(m.proset, m.field, m.dims, maps)
+
+
+@pytest.mark.parametrize("family", ["chain", "closure", "carrier"])
+def test_generating_edge_check_agrees_with_all_triples(family):
+    outcomes = {"valid": 0, "invalid": 0}
+    two_way = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        m = _rand_rep_family(rng, family)
+        p = m.proset
+        assert p.generating_edges == _generating_edges_by_definition(p)
+        assert proset_from_pairs(p.n, p.generating_edges).rel == p.rel
+        two_way += any(p.rel[k][j] for (j, k) in p.generating_edges)
+        assert validate_representation(m) is None
+        assert _validate_all_triples(m) is None
+        bad = _corrupt_one_map(rng, m)
+        if bad is None:
+            continue
+        got = validate_representation(bad)
+        assert (got is None) == (_validate_all_triples(bad) is None)
+        outcomes["valid" if got is None else "invalid"] += 1
+    assert min(outcomes.values()) > 0
+    assert (two_way > 0) == (family != "chain")

@@ -89,6 +89,13 @@ def test_ext_ordering_and_arithmetic():
         Ext(True)
 
 
+def test_finite_ext_hashes_like_its_int():
+    assert hash(Ext(3)) == hash(3)
+    assert len({Ext(3), 3}) == 1
+    assert {Ext(-2): "x"}[-2] == "x"
+    assert len({NEG_INF, Ext(0), POS_INF, Ext.of("+inf")}) == 3
+
+
 def test_interval_shapes_and_refusals():
     assert str(Interval(0, 3)) == "[0,3]"
     assert str(Interval(NEG_INF, 3)) == "(-inf,3]"
