@@ -35,6 +35,7 @@ from .zed import (
     barcode,
     expand_decomposed,
     find_matching,
+    hall_witness,
     is_essential,
     matching_to_rep,
     rep_to_matching,
@@ -187,6 +188,9 @@ def _cmd_find_matching(args) -> int:
     if s is None:
         print(f"no {'essential ' if args.essential else ''}matching at "
               f"epsilon {args.epsilon}", file=sys.stderr)
+        witness = hall_witness(left, right, args.epsilon,
+                               require_essential=args.essential)
+        print(f"witness: {witness}", file=sys.stderr)
         return 1
     _emit(save_document("matching", s), args.out)
     return 0

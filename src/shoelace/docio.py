@@ -71,6 +71,12 @@ def _need(payload: dict, key: str, kind: str):
     return payload[key]
 
 
+def _as_list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise DocumentFormatError(f"{what} must be a list, got {type(x).__name__}")
+    return x
+
+
 def _as_int(x, what: str) -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise DocumentFormatError(f"{what} must be an integer, got {x!r}")
@@ -111,7 +117,7 @@ def _translation_payload(t: Translation) -> dict:
 
 def _load_translation(payload: dict) -> Translation:
     base = _load_proset(_need(payload, "base", "translation"))
-    mapping = _need(payload, "mapping", "translation")
+    mapping = _as_list(_need(payload, "mapping", "translation"), "mapping")
     try:
         t = Translation(base, mapping)
     except (ValueError, TypeError) as e:
@@ -127,7 +133,7 @@ def _height_payload(p: Proset, h: HeightFunction) -> dict:
 
 def _load_height(payload: dict) -> tuple[Proset, HeightFunction]:
     p = _load_proset(_need(payload, "proset", "height"))
-    raw = _need(payload, "values", "height")
+    raw = _as_list(_need(payload, "values", "height"), "values")
     try:
         h = HeightFunction(Fraction(v) for v in raw)
     except (ValueError, TypeError, ZeroDivisionError) as e:
@@ -170,9 +176,12 @@ def _load_field(payload: dict, kind: str) -> FieldSpec:
 def _load_rep(payload: dict, validate: bool = True) -> Representation:
     field = _load_field(payload, "representation")
     proset = _load_proset(_need(payload, "proset", "representation"))
-    dims = _need(payload, "dims", "representation")
-    raw_maps = _need(payload, "maps", "representation")
+    dims = _as_list(_need(payload, "dims", "representation"), "dims")
+    raw_maps = _as_list(_need(payload, "maps", "representation"), "maps")
     dims = [_as_int(d, "dim") for d in dims]
+    if len(dims) != proset.n:
+        raise DocumentValidationError(
+            f"inconsistent representation: expected {proset.n} dims, got {len(dims)}")
     maps = {}
     for item in raw_maps:
         i = _as_int(_need(item, "src", "representation map"), "src")
@@ -206,7 +215,7 @@ def _load_nattrans(payload: dict) -> NatTrans:
     target = _load_rep(_need(payload, "target", "nattrans"))
     if source.field != field or target.field != field:
         raise DocumentValidationError("nattrans prime differs from its endpoints")
-    raw = _need(payload, "components", "nattrans")
+    raw = _as_list(_need(payload, "components", "nattrans"), "components")
     if len(raw) != source.proset.n:
         raise DocumentFormatError(
             f"expected {source.proset.n} components, got {len(raw)}")
@@ -246,8 +255,8 @@ def _load_interleaving(payload: dict) -> Interleaving:
             "interleaving modules do not live on the translation's proset")
     nl = precompose(n, lam)
     ml = precompose(m, lam)
-    raw_phi = _need(payload, "phi", "interleaving")
-    raw_psi = _need(payload, "psi", "interleaving")
+    raw_phi = _as_list(_need(payload, "phi", "interleaving"), "phi")
+    raw_psi = _as_list(_need(payload, "psi", "interleaving"), "psi")
     if len(raw_phi) != lam.base.n or len(raw_psi) != lam.base.n:
         raise DocumentFormatError("wrong number of interleaving components")
     phi_comps = [_load_matrix(field, nl.dims[i], m.dims[i], raw_phi[i], f"phi {i}")
@@ -285,7 +294,7 @@ def _barcode_payload(b: Barcode) -> dict:
 
 
 def _load_barcode(payload: dict) -> Barcode:
-    raw = _need(payload, "intervals", "barcode")
+    raw = _as_list(_need(payload, "intervals", "barcode"), "barcode intervals")
     bars = []
     for item in raw:
         count = _as_int(_need(item, "count", "barcode interval"), "count")
@@ -312,7 +321,7 @@ def _load_matching(payload: dict) -> Matching:
     source = _load_barcode(_need(payload, "source", "matching"))
     target = _load_barcode(_need(payload, "target", "matching"))
     pairs = []
-    for item in _need(payload, "pairs", "matching"):
+    for item in _as_list(_need(payload, "pairs", "matching"), "matching pairs"):
         pairs.append((_load_interval(_need(item, "left", "matching pair"),
                                      "matching pair"),
                       _load_interval(_need(item, "right", "matching pair"),
@@ -352,7 +361,7 @@ def _load_decomposed(payload: dict) -> DecomposedShoelaceRep:
     w = _load_window(_need(payload, "window", "decomposed_rep"), "decomposed_rep")
     eps = _as_int(_need(payload, "epsilon", "decomposed_rep"), "epsilon")
     summands = []
-    for item in _need(payload, "summands", "decomposed_rep"):
+    for item in _as_list(_need(payload, "summands", "decomposed_rep"), "summands"):
         left = _need(item, "left", "summand")
         right = _need(item, "right", "summand")
         summands.append((
@@ -381,8 +390,9 @@ def _load_window_module(payload: dict) -> tuple[Window, Representation]:
 
     field = _load_field(payload, "window_module")
     w = _load_window(_need(payload, "window", "window_module"), "window_module")
-    dims = [_as_int(d, "dim") for d in _need(payload, "dims", "window_module")]
-    raw_steps = _need(payload, "steps", "window_module")
+    dims = [_as_int(d, "dim")
+            for d in _as_list(_need(payload, "dims", "window_module"), "dims")]
+    raw_steps = _as_list(_need(payload, "steps", "window_module"), "steps")
     if len(dims) != w.size:
         raise DocumentValidationError(
             f"expected {w.size} dims for window [{w.lo}, {w.hi}], got {len(dims)}")

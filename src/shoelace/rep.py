@@ -11,6 +11,7 @@ the path this gives the law for every composable triple.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .exactlin import FieldSpec, Matrix, mat_mul, mat_inverse
@@ -55,7 +56,8 @@ class Representation:
         object.__setattr__(self, "proset", proset)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dims", d)
-        object.__setattr__(self, "maps", store)
+        # read-only, so a cached module cannot be corrupted through its maps
+        object.__setattr__(self, "maps", MappingProxyType(store))
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")

@@ -81,7 +81,6 @@ from .zed import (
     matching_to_rep,
     pack_decomposed,
     rep_to_matching,
-    shift_interval,
     summand_support,
     support_is_interval,
     shoelace_window,
@@ -437,8 +436,8 @@ def _suite_interval_hom_equivalence(rng: random.Random, cases: int) -> int:
                 star = condition_star(i, j, eps)
                 _check(star == (d1 or d2), i=i, j=j, eps=eps,
                        what="star is the disjunction")
-                js = shift_interval(j, eps)
-                ish = shift_interval(i, eps)
+                js = j.shifted(eps)
+                ish = i.shifted(eps)
                 h1 = hom_dimension(i, js, w, field)
                 h2 = hom_dimension(j, ish, w, field)
                 _check((h1 > 0) == d1, i=i, j=j, eps=eps, hom=h1,

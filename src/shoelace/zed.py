@@ -13,6 +13,7 @@ have.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -170,7 +171,9 @@ class Interval:
         return endpoint_distance(self.lo, self.hi)
 
     def is_short(self, eps: int) -> bool:
-        return self.length() < Ext(2 * eps)
+        """length() < 2*eps; a bar with an infinite endpoint is never short."""
+        lo, hi = self.lo, self.hi
+        return lo.kind == 0 and hi.kind == 0 and hi.value - lo.value < 2 * eps
 
     @property
     def sort_key(self) -> tuple[int, int, int, int]:
@@ -603,10 +606,15 @@ def canonical_pair(i: Interval, j: Interval, eps: int, w: Window,
     return f, g
 
 
-def shift_interval(i: Interval, eps: int) -> Interval:
-    """Endpoints lowered by eps; what precomposition with the uniform shift
-    does to an interval away from the window clamp."""
-    return i.shifted(eps)
+def _unpadded_endpoint(bars: Iterable[Interval], w: Window,
+                       eps: int) -> Optional[int]:
+    """First finite endpoint e of the bars without 2*eps padding inside the
+    window, that is with e - 2*eps < w.lo or e + 2*eps > w.hi, or None."""
+    for bar in bars:
+        for e in bar.finite_endpoints():
+            if not (w.lo <= e - 2 * eps and e + 2 * eps <= w.hi):
+                return e
+    return None
 
 
 def matching_to_rep(s: Matching, w: Window, variant: str = "essential_F",
@@ -629,12 +637,11 @@ def matching_to_rep(s: Matching, w: Window, variant: str = "essential_F",
         raise ValueError(
             f"matching is not essential: pair ({bad[0][0]}, {bad[0][1]}) "
             f"violates the overlap condition")
-    for bar in list(s.source) + list(s.target):
-        for e in bar.finite_endpoints():
-            if not (w.lo <= e - 2 * eps and e + 2 * eps <= w.hi):
-                raise ValueError(
-                    f"window too small: endpoint {e} needs 2*eps = {2 * eps} "
-                    f"padding inside [{w.lo}, {w.hi}]")
+    e = _unpadded_endpoint(list(s.source) + list(s.target), w, eps)
+    if e is not None:
+        raise ValueError(
+            f"window too small: endpoint {e} needs 2*eps = {2 * eps} "
+            f"padding inside [{w.lo}, {w.hi}]")
     summands: list[tuple[Optional[Interval], Optional[Interval]]] = []
     for (a, b) in s.pairs:
         if (variant == "nonessential_Fprime" and a.is_short(eps)
@@ -719,13 +726,10 @@ def validate_decomposed(l: DecomposedShoelaceRep) -> Optional[str]:
         return f"epsilon must be a nonnegative integer, got {eps!r}"
     w = l.window
     for idx, (a, b) in enumerate(l.summands):
-        for bar in (a, b):
-            if bar is None:
-                continue
-            for e in bar.finite_endpoints():
-                if not (w.lo <= e - 2 * eps and e + 2 * eps <= w.hi):
-                    return (f"summand {idx}: endpoint {e} needs 2*eps = "
-                            f"{2 * eps} padding inside [{w.lo}, {w.hi}]")
+        e = _unpadded_endpoint((bar for bar in (a, b) if bar is not None), w, eps)
+        if e is not None:
+            return (f"summand {idx}: endpoint {e} needs 2*eps = "
+                    f"{2 * eps} padding inside [{w.lo}, {w.hi}]")
         if a is None and b is None:
             return f"summand {idx} has no sides"
         if a is None or b is None:
@@ -802,12 +806,11 @@ def matching_interleaving(s: Matching, w: Window,
     if err is not None:
         raise ValueError(f"invalid matching: {err}")
     eps = s.epsilon
-    for bar in list(s.source) + list(s.target):
-        for e in bar.finite_endpoints():
-            if not (w.lo <= e - 2 * eps and e + 2 * eps <= w.hi):
-                raise ValueError(
-                    f"window too small: endpoint {e} needs 2*eps = {2 * eps} "
-                    f"padding inside [{w.lo}, {w.hi}]")
+    e = _unpadded_endpoint(list(s.source) + list(s.target), w, eps)
+    if e is not None:
+        raise ValueError(
+            f"window too small: endpoint {e} needs 2*eps = {2 * eps} "
+            f"padding inside [{w.lo}, {w.hi}]")
     p, _ = window_chain(w)
     lam = lambda_eps(w, eps)
     src_bars = list(s.source)
@@ -856,6 +859,19 @@ def matching_interleaving(s: Matching, w: Window,
     return Interleaving(m, n, lam, phi, psi)
 
 
+def pair_ok(a: Interval, b: Interval, eps: int,
+            require_essential: bool = False) -> bool:
+    """Whether a and b may be matched at eps: both endpoint pairs within eps
+    and, under require_essential, Condition (*) when both bars are short."""
+    if endpoint_distance(a.lo, b.lo) > eps:
+        return False
+    if endpoint_distance(a.hi, b.hi) > eps:
+        return False
+    if require_essential and a.is_short(eps) and b.is_short(eps):
+        return condition_star(a, b, eps)
+    return True
+
+
 def iter_matchings(bm: Barcode, bn: Barcode, eps: int,
                    require_essential: bool = False):
     """All valid (optionally essential) eps-matchings between two barcodes,
@@ -865,15 +881,6 @@ def iter_matchings(bm: Barcode, bn: Barcode, eps: int,
         raise ValueError(f"negative epsilon {eps}")
     src = list(bm)
     tgt_counts = Counter(bn)
-
-    def pair_ok(a: Interval, b: Interval) -> bool:
-        if endpoint_distance(a.lo, b.lo) > eps:
-            return False
-        if endpoint_distance(a.hi, b.hi) > eps:
-            return False
-        if require_essential and a.is_short(eps) and b.is_short(eps):
-            return condition_star(a, b, eps)
-        return True
 
     seen: set[frozenset] = set()
     pairs: list[tuple[Interval, Interval]] = []
@@ -900,7 +907,7 @@ def iter_matchings(bm: Barcode, bn: Barcode, eps: int,
             if tgt_counts[b] == 0 or b in tried:
                 continue
             tried.add(b)
-            if not pair_ok(a, b):
+            if not pair_ok(a, b, eps, require_essential):
                 continue
             tgt_counts[b] -= 1
             pairs.append((a, b))
@@ -913,9 +920,215 @@ def iter_matchings(bm: Barcode, bn: Barcode, eps: int,
     yield from rec(0)
 
 
+@dataclass(frozen=True)
+class HallWitness:
+    """Why no eps-matching exists: bars of one side (with multiplicity), each
+    of length >= 2*eps and so unable to stay unmatched, that together have
+    fewer admissible partners (bars of the other side, with multiplicity)
+    than there are bars."""
+
+    side: str
+    bars: tuple[Interval, ...]
+    partners: tuple[Interval, ...]
+
+    def __str__(self) -> str:
+        other = "target" if self.side == "source" else "source"
+        text = (f"{len(self.bars)} {self.side} bar(s) of length >= 2*eps "
+                f"({', '.join(map(str, self.bars))}) have "
+                f"{len(self.partners)} admissible {other} partner(s)")
+        if self.partners:
+            text += f" ({', '.join(map(str, self.partners))})"
+        return text
+
+
+class _MatchingOracle:
+    """Perfect matchings of the diagonal-augmented graph of two barcodes.
+
+    Side 0 holds the source bars 0..n-1 and a diagonal copy n + j of each
+    target bar j; side 1 holds the target bars 0..m-1 and a diagonal copy
+    m + i of each source bar i.  A bar is joined to the bars of the other
+    side that pair_ok admits, to its own copy if it is short, and every copy
+    to every copy of the other side; those last edges stay implicit.  A bar
+    matched to its own copy is left unmatched, so perfect matchings of the
+    graph are the eps-matchings, and removing a matched pair with the two
+    copies it owns leaves the graph of the remaining bars.
+
+    Construction builds one perfect matching, or records a HallWitness when
+    there is none.
+    """
+
+    def __init__(self, bm: Barcode, bn: Barcode, eps: int,
+                 require_essential: bool):
+        if eps < 0:
+            raise ValueError(f"negative epsilon {eps}")
+        src, tgt = bm.intervals, bn.intervals
+        n, m = len(src), len(tgt)
+        self.bars = (src, tgt)
+        self.size = (n, m)
+        self.short = tuple([b.is_short(eps) for b in bars] for bars in self.bars)
+        self.alive = ([True] * n, [True] * m)
+        self.mate = ([-1] * (n + m), [-1] * (m + n))
+        # equal target bars share a group; bars are sorted, so groups are runs
+        self.group = [0] * m
+        starts: list[int] = []
+        for j in range(m):
+            if not starts or tgt[j] != tgt[starts[-1]]:
+                starts.append(j)
+            self.group[j] = len(starts) - 1
+        starts.append(m)
+        self.adj: tuple[list[list[int]], list[list[int]]] = (
+            [[] for _ in range(n)], [[] for _ in range(m)])
+        lo_keys = [tgt[j].sort_key[:2] for j in starts[:-1]]
+        admissible: dict[Interval, list[int]] = {}
+        for i, a in enumerate(src):
+            if a not in admissible:
+                # only groups whose lower end is within eps can qualify
+                first = bisect_left(lo_keys, (a.lo.kind, a.lo.value - eps))
+                last = bisect_right(lo_keys, (a.lo.kind, a.lo.value + eps))
+                admissible[a] = [j for g in range(first, last)
+                                 if pair_ok(a, tgt[starts[g]], eps, require_essential)
+                                 for j in range(starts[g], starts[g + 1])]
+            self.adj[0][i] = admissible[a]
+            for j in admissible[a]:
+                self.adj[1][j].append(i)
+        self.witness: Optional[HallWitness] = None
+        # All source bars go first, then the target bars, while every copy on
+        # their own side is still free: a search that then fails reaches only
+        # long bars of its own side and their admissible partners, one fewer
+        # of them than bars, which is a HallWitness.
+        for k in (0, 1):
+            for x in range(self.size[k]):
+                if self.mate[k][x] < 0:
+                    failed = self._augment(k, x)
+                    if failed is not None:
+                        reached, parent = failed
+                        self.witness = HallWitness(
+                            ("source", "target")[k],
+                            tuple(self.bars[k][y] for y in sorted(reached)),
+                            tuple(self.bars[1 - k][y] for y in sorted(parent)
+                                  if y >= 0))
+                        return
+        # every bar is matched now; the free copies pair off among themselves
+        spare = [m + i for i in range(n) if self.mate[1][m + i] < 0]
+        for x, y in zip([n + j for j in range(m) if self.mate[0][n + j] < 0], spare):
+            self.mate[0][x], self.mate[1][y] = y, x
+
+    def _augment(self, k: int, start: int, blocked: int = -1):
+        """Alternating search from the free vertex start of side k, never
+        entering the other side's vertex blocked.  On reaching a free vertex
+        it flips the path and returns None.  Otherwise it returns the side-k
+        vertices reached and a dict whose keys are the other side's reached
+        vertices (plus blocked)."""
+        o = 1 - k
+        nk, no = self.size[k], self.size[o]
+        adj, short_k, short_o = self.adj[k], self.short[k], self.short[o]
+        alive_k, alive_o = self.alive[k], self.alive[o]
+        mate_k, mate_o = self.mate[k], self.mate[o]
+        parent = {blocked: -1}
+        reached = [start]
+        stack = [start]
+        copies_done = False
+        while stack:
+            x = stack.pop()
+            if x < nk:
+                nbrs = [y for y in adj[x] if alive_o[y]]
+                if short_k[x]:
+                    nbrs.append(no + x)
+            else:
+                j = x - nk
+                nbrs = [j] if short_o[j] else []
+                if not copies_done:
+                    # the copies are all alike, so one visit covers them
+                    copies_done = True
+                    nbrs.extend(no + i for i in range(nk) if alive_k[i])
+            for y in nbrs:
+                if y in parent:
+                    continue
+                parent[y] = x
+                z = mate_o[y]
+                if z < 0:
+                    while True:
+                        x = parent[y]
+                        y_next = mate_k[x]
+                        mate_k[x], mate_o[y] = y, x
+                        if x == start:
+                            return None
+                        y = y_next
+                reached.append(z)
+                stack.append(z)
+        return reached, parent
+
+    def _reroute(self, a: int, v: int) -> bool:
+        """Move the matching onto the edge (a, v) of side-0 bar a if some
+        perfect matching uses it: an alternating path from v's mate back to
+        a's mate that avoids a and v closes a cycle through the edge."""
+        mate0, mate1 = self.mate
+        r, l = mate0[a], mate1[v]
+        mate1[r] = mate0[l] = -1
+        if self._augment(0, l, blocked=v) is None:
+            mate0[a], mate1[v] = v, a
+            return True
+        mate1[r], mate0[l] = a, v
+        return False
+
+    def first_matching(self) -> list[tuple[int, int]]:
+        """Index pairs of the first matching in the order of iter_matchings.
+
+        Each source bar in turn takes the first of its options (the distinct
+        admissible target bars in sort order, then staying unmatched if it
+        is short) that lies in some perfect matching of what is left, so the
+        search never backtracks."""
+        n, m = self.size
+        mate0, mate1 = self.mate
+        group, alive1 = self.group, self.alive[1]
+        pairs = []
+        for a in range(n):
+            mine = mate0[a]
+            chosen = -1
+            last = -1
+            for j in self.adj[0][a]:
+                if not alive1[j] or group[j] == last:
+                    continue
+                last = group[j]
+                if mine < m and group[mine] == last:
+                    chosen = mine
+                elif self._reroute(a, j):
+                    chosen = j
+                if chosen >= 0:
+                    break
+            # a's current mate is one of its options, so when no target was
+            # chosen that mate is a's own copy: a stays unmatched
+            self.alive[0][a] = False
+            if chosen >= 0:
+                pairs.append((a, chosen))
+                alive1[chosen] = False
+                x, y = mate1[m + a], mate0[n + chosen]
+                if x != n + chosen:
+                    mate0[x], mate1[y] = y, x
+        return pairs
+
+
 def find_matching(bm: Barcode, bn: Barcode, eps: int,
                   require_essential: bool = False) -> Optional[Matching]:
-    """First matching from the deterministic search, or None."""
-    for s in iter_matchings(bm, bn, eps, require_essential):
-        return s
-    return None
+    """First matching in the deterministic order of iter_matchings, or None.
+
+    Runs in polynomial time: a perfect matching of the diagonal-augmented
+    bipartite graph (Edelsbrunner & Harer, Computational Topology, ch. VIII)
+    decides feasibility, and each source bar then takes its first option
+    that some perfect matching of the remaining graph uses, found by one
+    alternating-path search per option tried.  hall_witness explains a None.
+    """
+    oracle = _MatchingOracle(bm, bn, eps, require_essential)
+    if oracle.witness is not None:
+        return None
+    src, tgt = oracle.bars
+    return Matching(bm, bn, [(src[a], tgt[b]) for a, b in oracle.first_matching()],
+                    eps)
+
+
+def hall_witness(bm: Barcode, bn: Barcode, eps: int,
+                 require_essential: bool = False) -> Optional[HallWitness]:
+    """None if an eps-matching exists, else a HallWitness: a set of bars
+    that must all be matched but have fewer admissible partners than bars.
+    One always exists by Hall's theorem on one side or the other."""
+    return _MatchingOracle(bm, bn, eps, require_essential).witness

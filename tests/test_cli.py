@@ -316,6 +316,28 @@ def test_find_matching_success_and_failure(tmp_path, capsys):
     assert "no matching at epsilon 0" in capsys.readouterr().err
 
 
+def test_find_matching_failure_names_a_hall_witness(tmp_path, capsys):
+    long = _write(tmp_path, "long.json", "barcode", Barcode([Interval(0, 9)]))
+    empty = _write(tmp_path, "e.json", "barcode", Barcode([]))
+    assert main(["find-matching", "--left", long, "--right", empty,
+                 "--epsilon", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "no matching at epsilon 0\n"
+        "witness: 1 source bar(s) of length >= 2*eps ([0,9]) have 0 "
+        "admissible target partner(s)\n")
+
+
+def test_find_matching_non_list_intervals_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "barcode", "version": "1",
+                               "payload": {"intervals": None}}), encoding="utf-8")
+    empty = _write(tmp_path, "e.json", "barcode", Barcode([]))
+    assert main(["find-matching", "--left", str(bad), "--right", empty,
+                 "--epsilon", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: barcode intervals must be a list, got NoneType\n")
+
+
 def test_find_matching_essential_drops_loose_pairs(tmp_path, capsys):
     left = _write(tmp_path, "l.json", "barcode", Barcode([Interval(0, 0)]))
     right = _write(tmp_path, "r.json", "barcode", Barcode([Interval(1, 1)]))

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from shoelace.docio import (
     KINDS,
@@ -278,3 +280,63 @@ def test_window_module_payload_errors():
     with pytest.raises(DocumentValidationError, match="empty window"):
         load_document(json.dumps(
             {"kind": "window_module", "version": "1", "payload": bad_window}))
+
+
+def test_non_list_fields_are_format_errors():
+    for kind, payload in (
+            ("barcode", {"intervals": None}),
+            ("matching", {"epsilon": 1, "source": {"intervals": 3}}),
+            ("decomposed_rep", {"prime": 2, "window": {"lo": 0, "hi": 4},
+                                "epsilon": 1, "summands": 5}),
+            ("window_module", {"prime": 2, "window": {"lo": 0, "hi": 2},
+                               "dims": 3, "steps": []}),
+            ("window_module", {"prime": 2, "window": {"lo": 0, "hi": 2},
+                               "dims": [1, 1, 1], "steps": 4})):
+        with pytest.raises(DocumentFormatError, match="must be a list"):
+            load_document(_doc(kind, payload))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.sampled_from(
+        ["", "x", "-inf", "+inf", "1/2"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["n", "rel", "labels", "base", "mapping", "proset",
+                         "values", "prime", "dims", "maps", "src", "dst",
+                         "entries", "source", "target", "components",
+                         "translation", "m", "phi", "psi", "intervals", "lo",
+                         "hi", "count", "epsilon", "pairs", "left", "right",
+                         "window", "summands", "steps"]),
+        inner, max_size=4),
+    max_leaves=8)
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    out = dict(node) if isinstance(node, dict) else list(node)
+    out[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(KINDS)), st.data())
+def test_random_payloads_raise_only_document_errors(kind, data):
+    """Random payloads keyed by the real field names, and real payloads of
+    each kind with one field, at a random depth, replaced by random JSON:
+    loading either succeeds or raises one of the two document errors."""
+    if data.draw(st.booleans()):
+        payload = data.draw(_JSON)
+    else:
+        payload = document_dict(kind, _examples()[kind])["payload"]
+        path, node = [], payload
+        while (isinstance(node, (dict, list)) and node
+               and (not path or data.draw(st.booleans()))):
+            key = data.draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))))
+            path.append(key)
+            node = node[key]
+        payload = _replaced(payload, path, data.draw(_JSON))
+    try:
+        load_document(_doc(kind, payload))
+    except (DocumentFormatError, DocumentValidationError):
+        pass

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from shoelace.zed import (
     expand_decomposed,
     expand_summand,
     find_matching,
+    hall_witness,
     hom_dimension,
     interval_to_module,
     is_essential,
@@ -46,8 +48,8 @@ from shoelace.zed import (
     matching_interleaving,
     matching_to_rep,
     pack_decomposed,
+    pair_ok,
     rep_to_matching,
-    shift_interval,
     shoelace_window,
     summand_support,
     support_is_interval,
@@ -399,8 +401,8 @@ def test_star_hom_canonical_equivalence_small_sweep():
     for eps in (0, 1, 2):
         for i in pool:
             for j in pool:
-                h1 = hom_dimension(i, shift_interval(j, eps), w)
-                h2 = hom_dimension(j, shift_interval(i, eps), w)
+                h1 = hom_dimension(i, j.shifted(eps), w)
+                h2 = hom_dimension(j, i.shifted(eps), w)
                 star = condition_star(i, j, eps)
                 assert star == (h1 > 0 or h2 > 0)
                 f, g = canonical_pair(i, j, eps, w)
@@ -547,6 +549,99 @@ def test_find_matching_essential_flag():
     assert is_essential(strict) == []
 
 
+def _small_matching_cases():
+    """Seeded barcode pairs of 0-4 bars per side, drawn with repeats from a
+    pool of finite and infinite bars, at every eps in 0..3 and with and
+    without require_essential."""
+    rng = random.Random(20261018)
+    pool = [Interval(a, a + rng.randint(0, 3)) for a in range(6)]
+    pool += [Interval(rng.randint(0, 2), rng.randint(4, 6)) for _ in range(2)]
+    pool += [Interval(NEG_INF, 2), Interval(1, POS_INF), Interval(NEG_INF, POS_INF)]
+    for _ in range(800):
+        bm = Barcode(rng.choice(pool) for _ in range(rng.randint(0, 4)))
+        bn = Barcode(rng.choice(pool) for _ in range(rng.randint(0, 4)))
+        for eps in range(4):
+            for essential in (False, True):
+                yield bm, bn, eps, essential
+
+
+def test_find_matching_equals_first_exhaustive_matching():
+    found = 0
+    for bm, bn, eps, essential in _small_matching_cases():
+        first = next(iter_matchings(bm, bn, eps, essential), None)
+        assert find_matching(bm, bn, eps, essential) == first, (bm, bn, eps, essential)
+        found += first is not None
+    # of the 6400 cases, both outcomes are well represented
+    assert 1000 < found < 5400
+
+
+def test_hall_witness_on_every_infeasible_small_case():
+    for bm, bn, eps, essential in _small_matching_cases():
+        witness = hall_witness(bm, bn, eps, essential)
+        feasible = next(iter_matchings(bm, bn, eps, essential), None) is not None
+        assert (witness is None) == feasible
+        if witness is None:
+            continue
+        own, other = (bm, bn) if witness.side == "source" else (bn, bm)
+        assert not Counter(witness.bars) - own.counts()
+        assert all(not bar.is_short(eps) for bar in witness.bars)
+
+        def ok(x, y):
+            return (pair_ok(x, y, eps, essential) if witness.side == "source"
+                    else pair_ok(y, x, eps, essential))
+
+        partners = tuple(y for y in other if any(ok(x, y) for x in witness.bars))
+        assert witness.partners == partners
+        assert len(partners) < len(witness.bars)
+
+
+def _infeasible_family(k):
+    """At eps 3: k short bars [i, i+2] against the same bars shifted by 2,
+    plus one long bar nothing can match."""
+    left = Barcode(Interval(i, i + 2) for i in range(k))
+    right = Barcode([Interval(i + 2, i + 4) for i in range(k)] + [Interval(k + 10, k + 30)])
+    return left, right
+
+
+def test_find_matching_infeasible_family():
+    left, right = _infeasible_family(9)
+    assert find_matching(left, right, 3) is None
+    assert find_matching(left, right, 3, require_essential=True) is None
+    witness = hall_witness(left, right, 3)
+    assert witness.side == "target"
+    assert witness.bars == (Interval(19, 39),) and witness.partners == ()
+
+
+def test_find_matching_planted_pair_of_200_bars():
+    rng = random.Random(7)
+    eps = 2
+    left, right = [], []
+    for _ in range(200):
+        a = rng.randint(0, 60)
+        bar = (a, a + rng.randint(0, 12))
+        lo = bar[0] + rng.randint(-eps, eps)
+        right_bar = (lo, max(lo, bar[1] + rng.randint(-eps, eps)))
+        if rng.random() < 0.1:
+            bar, right_bar = (bar[0], POS_INF), (right_bar[0], POS_INF)
+        left.append(Interval(*bar))
+        right.append(Interval(*right_bar))
+    bm, bn = Barcode(left), Barcode(right)
+    s = find_matching(bm, bn, eps)
+    assert s is not None and validate_matching(s) is None
+    assert hall_witness(bm, bn, eps) is None
+
+
+def test_cached_module_maps_are_read_only():
+    w = Window(0, 5)
+    m = interval_to_module(Interval(1, 3), w)
+    before = dict(m.maps)
+    with pytest.raises(TypeError):
+        m.maps[(0, 1)] = Matrix.zeros(F2, 1, 0)
+    again = interval_to_module(Interval(1, 3), w)
+    assert again is m and dict(again.maps) == before
+    assert barcode(again, w) == Barcode([Interval(1, 3)])
+
+
 def test_iter_matchings_deterministic_enumeration():
     bm = Barcode([Interval(0, 1)])
     bn = Barcode([Interval(0, 1), Interval(1, 2)])
@@ -590,10 +685,10 @@ def test_matching_interleaving_refusals():
         matching_interleaving(tight, Window(0, 4))
 
 
-def test_shift_interval():
-    assert shift_interval(Interval(1, 3), 1) == Interval(0, 2)
-    assert shift_interval(Interval(NEG_INF, 3), 2) == Interval(NEG_INF, 1)
-    assert shift_interval(Interval(0, POS_INF), 2) == Interval(-2, POS_INF)
+def test_interval_shifted():
+    assert Interval(1, 3).shifted(1) == Interval(0, 2)
+    assert Interval(NEG_INF, 3).shifted(2) == Interval(NEG_INF, 1)
+    assert Interval(0, POS_INF).shifted(2) == Interval(-2, POS_INF)
 
 
 @settings(max_examples=30, deadline=None)
