@@ -195,6 +195,12 @@ def _load_rep(payload: dict, validate: bool = True) -> Representation:
         m = Representation(proset, field, dims, maps)
     except (ValueError, TypeError) as e:
         raise DocumentValidationError(f"inconsistent representation: {e}") from None
+    # a Representation needs only the generating edges; a document lists all
+    missing = [pair for pair in proset.related_pairs if pair not in maps]
+    if missing:
+        raise DocumentValidationError(
+            f"inconsistent representation: maps must cover exactly the related "
+            f"pairs; missing {missing[:4]}")
     if validate:
         _validated(validate_representation(m), "representation")
     return m

@@ -95,16 +95,6 @@ class Matrix:
                    tuple(tuple(1 if i == j else 0 for j in range(n))
                          for i in range(n)))
 
-    @classmethod
-    def of(cls, field: FieldSpec, entries: Sequence[Sequence[int]]) -> "Matrix":
-        """Build from a rectangular list of lists, inferring the shape.
-
-        An empty list means a 0x0 matrix; use zeros() for 0xN or Nx0.
-        """
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        return cls(field, rows, cols, entries)
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
@@ -140,30 +130,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._trusted(a.field, a.rows, b.cols, ent)
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    _check_same_field(a, b)
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError(f"shape mismatch in mat_add: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    p = a.field.p
-    return Matrix(a.field, a.rows, a.cols,
-                  tuple(tuple((x + y) % p for x, y in zip(ra, rb))
-                        for ra, rb in zip(a.entries, b.entries)))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return mat_add(a, mat_scale(-1, b))
-
-
 def mat_scale(c: int, a: Matrix) -> Matrix:
     p = a.field.p
     c %= p
     return Matrix(a.field, a.rows, a.cols,
                   tuple(tuple((c * x) % p for x in row) for row in a.entries))
-
-
-def mat_transpose(a: Matrix) -> Matrix:
-    ent = tuple(zip(*a.entries)) if a.entries else ((),) * a.cols
-    return Matrix(a.field, a.cols, a.rows, ent)
 
 
 def _rref(field: FieldSpec, rows: list[list[int]], width: int) -> tuple[int, list[int]]:

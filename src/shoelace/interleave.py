@@ -7,9 +7,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .exactlin import Matrix, mat_mul, mat_inverse, mat_scale
+from .exactlin import mat_mul, mat_inverse, mat_scale
 from .proset import (
-    Proset,
     ShoelaceProset,
     Translation,
     compare_translations,
@@ -22,7 +21,6 @@ from .rep import (
     Representation,
     precompose,
     restrict,
-    unit_whisker,
 )
 
 
@@ -159,11 +157,10 @@ def pack(x: Interleaving) -> Representation:
     if err is not None:
         raise ValueError(f"invalid interleaving: {err}")
     sh = shoelace(x.m.proset, x.lam)
-    n0 = x.m.proset.n
     lam = x.lam.mapping
     dims = tuple(x.m.dims) + tuple(x.n.dims)
     maps = {}
-    for (a, b) in sh.related_pairs:
+    for (a, b) in sh.generating_edges:
         (i, ip) = sh.origin(a)
         (j, jp) = sh.origin(b)
         if not ip and not jp:
@@ -238,7 +235,6 @@ def square_interleave(a: Interleaving, b: Interleaving) -> Interleaving:
     w = pack(b)
     sh = v.proset
     lt = induced_translation(sh, a.lam, twist=True)
-    n0 = a.m.proset.n
     phi = NatTrans(v, precompose(w, lt),
                    tuple(a.phi.components) + tuple(b.psi.components))
     psi = NatTrans(w, precompose(v, lt),

@@ -19,7 +19,7 @@ class Proset:
     so two prosets with the same table and labels are interchangeable.
     """
 
-    __slots__ = ("n", "rel", "labels", "_pairs", "_edges")
+    __slots__ = ("n", "rel", "labels", "_pairs", "_edges", "_covers")
 
     def __init__(self, n: int, rel: Sequence[Sequence[bool]],
                  labels: Optional[Sequence[str]] = None):
@@ -36,12 +36,10 @@ class Proset:
             raise ValueError(f"expected {n} labels, got {len(self.labels)}")
         object.__setattr__(self, "_pairs", None)
         object.__setattr__(self, "_edges", None)
+        object.__setattr__(self, "_covers", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Proset is immutable")
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.rel[i][j]
 
     def label(self, i: int) -> str:
         if self.labels is None:
@@ -83,8 +81,22 @@ class Proset:
             object.__setattr__(self, "_edges", tuple(edges))
         return self._edges
 
-    def up(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n) if self.rel[i][j])
+    def path_step(self, i: int, k: int) -> int:
+        """The element before k on the fixed path of generating edges from i
+        to k, for k strictly above the class of i: the first j >= i whose
+        class k's class covers.  Steps go strictly down until they reach
+        the class of i, each element of which is one edge from i."""
+        if self._covers is None:
+            covers: list[list[int]] = [[] for _ in range(self.n)]
+            for (a, b) in self.generating_edges:
+                if not self.rel[b][a]:
+                    covers[b].append(a)
+            object.__setattr__(self, "_covers", covers)
+        rel_i = self.rel[i]
+        for j in self._covers[k]:
+            if rel_i[j]:
+                return j
+        raise ValueError(f"{self.label(k)} is not strictly above {self.label(i)}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Proset):
@@ -252,12 +264,6 @@ class ShoelaceProset(Proset):
         super().__init__(n, rel, labels)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "lam", lam)
-
-    def plain(self, i: int) -> int:
-        return i
-
-    def primed(self, i: int) -> int:
-        return self.base.n + i
 
     def origin(self, k: int) -> tuple[int, bool]:
         """Base element and primed flag for a carrier element."""

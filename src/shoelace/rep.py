@@ -1,29 +1,76 @@
 """Representations of finite prosets and natural transformations between them.
 
-A representation stores a matrix for every related ordered pair, including
-the diagonal.  That is redundant (composites determine most maps) but the
-redundancy is validated rather than trusted: validate_representation checks
-the diagonal identities and the composition law F(j,k) F(i,j) = F(i,k) for
-every related pair (i, j) and every generating edge (j, k) of the proset.
-Every relation j <= k is a path of generating edges, so by induction along
-the path this gives the law for every composable triple.
+A representation is fixed by its maps on the generating edges of its proset
+(Proset.generating_edges), so it stores only the maps it is given, which
+must include every generating edge.  Of the other related pairs, a missing
+diagonal is the identity and any other pair is the product along one fixed
+path of generating edges (Proset.path_step), built on first use and cached.
+validate_representation checks that the maps do not depend on the path.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from collections.abc import Mapping
+from typing import Optional, Sequence
 
-from .exactlin import FieldSpec, Matrix, mat_mul, mat_inverse
-from .proset import Proset, ShoelaceProset, Translation
+from .exactlin import FieldSpec, Matrix, mat_mul
+from .proset import Proset, ShoelaceProset, Translation, chain
+
+
+class _Maps(Mapping):
+    """Read-only structure maps keyed by every related pair (see above)."""
+
+    __slots__ = ("_proset", "_field", "_dims", "_given", "_known")
+
+    def __init__(self, proset: Proset, field: FieldSpec, dims: tuple[int, ...],
+                 given: dict[tuple[int, int], Matrix]):
+        self._proset = proset
+        self._field = field
+        self._dims = dims
+        self._given = given
+        self._known = dict(given)
+
+    def __getitem__(self, key: tuple[int, int]) -> Matrix:
+        known = self._known
+        got = known.get(key)
+        if got is not None:
+            return got
+        if key not in self:
+            raise KeyError(key)
+        i, k = key
+        if i == k:
+            got = known[key] = Matrix.identity(self._field, self._dims[i])
+            return got
+        # a loop, as paths can be as long as the proset; edges are always
+        # known, so the walk back stops before it reaches i
+        path, x = [], k
+        while (i, x) not in known:
+            path.append(x)
+            x = self._proset.path_step(i, x)
+        got = known[(i, x)]
+        for y in reversed(path):
+            got = known[(i, y)] = mat_mul(known[(x, y)], got)
+            x = y
+        return got
+
+    def __contains__(self, key) -> bool:
+        i, k = key
+        n = self._proset.n
+        return 0 <= i < n and 0 <= k < n and self._proset.rel[i][k]
+
+    def __iter__(self):
+        return iter(self._proset.related_pairs)
+
+    def __len__(self) -> int:
+        return len(self._proset.related_pairs)
 
 
 class Representation:
     """Functor from a proset to finite-dimensional F_p vector spaces.
 
     dims[i] is the dimension at element i; maps[(i, j)] is the dims[j] x
-    dims[i] matrix of the structure map i <= j.  The key set must be exactly
-    the proset's related pairs.
+    dims[i] matrix of the structure map i <= j.  The given maps must be keyed
+    by related pairs and include every generating edge.
     """
 
     __slots__ = ("proset", "field", "dims", "maps")
@@ -35,14 +82,14 @@ class Representation:
             raise ValueError(f"expected {proset.n} dims, got {len(d)}")
         if any(x < 0 for x in d):
             raise ValueError("negative dimension")
-        expected = set(proset.related_pairs)
-        got = set(maps.keys())
-        if got != expected:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
+        n, rel = proset.n, proset.rel
+        extra = sorted((i, j) for (i, j) in maps
+                       if not (0 <= i < n and 0 <= j < n and rel[i][j]))
+        missing = [e for e in proset.generating_edges if e not in maps]
+        if missing or extra:
             raise ValueError(
-                f"maps must cover exactly the related pairs; "
-                f"missing {missing[:4]}, unexpected {extra[:4]}")
+                f"maps must cover every generating edge and only related "
+                f"pairs; missing {missing[:4]}, unexpected {extra[:4]}")
         store = {}
         for (i, j), m in maps.items():
             if m.field != field:
@@ -57,19 +104,19 @@ class Representation:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dims", d)
         # read-only, so a cached module cannot be corrupted through its maps
-        object.__setattr__(self, "maps", MappingProxyType(store))
+        object.__setattr__(self, "maps", _Maps(proset, field, d, store))
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
 
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Representation):
             return NotImplemented
+        # pairs neither side was given are the same path products on both
+        a, b = self.maps, other.maps
         return (self.proset == other.proset and self.field == other.field
-                and self.dims == other.dims and self.maps == other.maps)
+                and self.dims == other.dims
+                and all(a[key] == b[key] for key in a._given.keys() | b._given.keys()))
 
     def __repr__(self) -> str:
         return f"Representation(p={self.field.p}, dims={self.dims})"
@@ -78,21 +125,22 @@ class Representation:
 def validate_representation(m: Representation) -> Optional[str]:
     """None if functorial, else a report on the first failure.
 
-    Checks identity on every diagonal, then the composition equation
-    F(j,k) F(i,j) = F(i,k) for every related pair i <= j with i != j and
-    every generating edge (j, k) of the proset (see
-    Proset.generating_edges): k is isomorphic to j, or its class covers j's
-    in the quotient order.  That suffices, by induction on the number of
-    classes strictly between j and k: if j <= k is not an edge, some m lies
+    Checks that given diagonals are identities, then F(j,k) F(i,j) = F(i,k)
+    for every related pair i <= j, i != j, and generating edge (j, k),
+    except where it holds by definition: (i, k) was not given and j is the
+    step before k on its path from i.  So only given maps off the edges and
+    edges off the paths cost a product; a chain built from its steps has
+    none.  The equations suffice, by induction on the number of classes
+    strictly between j and k: if j <= k is not an edge, some m lies
     strictly between them, both (j, m) and (m, k) have fewer classes between
     them, and so F(j,k) F(i,j) = F(m,k) F(j,m) F(i,j) = F(m,k) F(i,m)
-    = F(i,k).  The check costs one product per (pair, edge) instead of one
-    per composable triple.
+    = F(i,k).
     """
     p = m.proset
     dims = m.dims
+    given = m.maps._given
     for i in range(p.n):
-        if m.maps[(i, i)] != Matrix.identity(m.field, dims[i]):
+        if (i, i) in given and given[(i, i)] != Matrix.identity(m.field, dims[i]):
             return f"map at ({p.label(i)}, {p.label(i)}) is not the identity"
     # equations with a zero-dimensional end are vacuous: both sides are the
     # unique empty-shaped matrix
@@ -103,9 +151,10 @@ def validate_representation(m: Representation) -> Optional[str]:
     for (i, j) in p.related_pairs:
         if i == j or dims[i] == 0:
             continue
-        f_ij = m.maps[(i, j)]
         for k in edges_from[j]:
-            if mat_mul(m.maps[(j, k)], f_ij) != m.maps[(i, k)]:
+            if k != i and (i, k) not in given and p.path_step(i, k) == j:
+                continue
+            if mat_mul(m.maps[(j, k)], m.maps[(i, j)]) != m.maps[(i, k)]:
                 return (f"composition fails over {p.label(i)} <= {p.label(j)}"
                         f" <= {p.label(k)}")
     return None
@@ -113,7 +162,7 @@ def validate_representation(m: Representation) -> Optional[str]:
 
 def zero_representation(proset: Proset, field: FieldSpec) -> Representation:
     dims = (0,) * proset.n
-    maps = {pair: Matrix.zeros(field, 0, 0) for pair in proset.related_pairs}
+    maps = dict.fromkeys(proset.generating_edges, Matrix.zeros(field, 0, 0))
     return Representation(proset, field, dims, maps)
 
 
@@ -122,27 +171,19 @@ def chain_representation(proset: Proset, field: FieldSpec,
                          steps: Sequence[Matrix]) -> Representation:
     """Build a representation of a total chain from its consecutive maps.
 
-    steps[i] sends dims[i] to dims[i + 1]; longer maps are the composites, so
-    the result is functorial by construction.
+    steps[i] sends dims[i] to dims[i + 1]; the steps are the generating
+    maps, so the result is functorial by construction.
     """
     n = proset.n
-    for i in range(n):
-        for j in range(n):
-            if proset.rel[i][j] != (i <= j):
-                raise ValueError("proset is not a total chain in index order")
+    if proset.rel != chain(n).rel:
+        raise ValueError("proset is not a total chain in index order")
     if len(steps) != max(n - 1, 0):
         raise ValueError(f"expected {n - 1} step maps, got {len(steps)}")
     for i, s in enumerate(steps):
         if s.rows != dims[i + 1] or s.cols != dims[i]:
             raise ValueError(f"step {i} has shape {s.rows}x{s.cols},"
                              f" expected {dims[i + 1]}x{dims[i]}")
-    maps = {}
-    for i in range(n):
-        acc = Matrix.identity(field, dims[i])
-        maps[(i, i)] = acc
-        for j in range(i + 1, n):
-            acc = mat_mul(steps[j - 1], acc)
-            maps[(i, j)] = acc
+    maps = {(i, i + 1): s for i, s in enumerate(steps)}
     return Representation(proset, field, dims, maps)
 
 
@@ -185,13 +226,18 @@ class NatTrans:
 
 
 def validate_nat_trans(t: NatTrans) -> Optional[str]:
+    """None if natural, else a report on the first failing square.
+
+    Source and target must be functorial: then the squares of the generating
+    edges paste into the square of every related pair.
+    """
     p = t.source.proset
     src_dims = t.source.dims
     tgt_dims = t.target.dims
-    for (i, j) in p.related_pairs:
+    for (i, j) in p.generating_edges:
         # both sides have shape target.dims[j] x source.dims[i]; when either
         # is 0 the equation is vacuous
-        if i == j or src_dims[i] == 0 or tgt_dims[j] == 0:
+        if src_dims[i] == 0 or tgt_dims[j] == 0:
             continue
         lhs = mat_mul(t.target.maps[(i, j)], t.components[i])
         rhs = mat_mul(t.components[j], t.source.maps[(i, j)])
@@ -210,19 +256,6 @@ def zero_nat(source: Representation, target: Representation) -> NatTrans:
                           for i in range(source.proset.n)))
 
 
-def compose_nats(g: NatTrans, f: NatTrans) -> NatTrans:
-    if f.target != g.source:
-        raise ValueError("nat trans composition mismatch")
-    return NatTrans(f.source, g.target,
-                    tuple(mat_mul(a, b) for a, b in zip(g.components, f.components)))
-
-
-def scale_nat(c: int, t: NatTrans) -> NatTrans:
-    from .exactlin import mat_scale
-    return NatTrans(t.source, t.target,
-                    tuple(mat_scale(c, x) for x in t.components))
-
-
 def precompose(m: Representation, lam: Translation) -> Representation:
     """The representation M after lam: point i carries M(lam(i))."""
     if lam.base != m.proset:
@@ -230,7 +263,7 @@ def precompose(m: Representation, lam: Translation) -> Representation:
     p = m.proset
     dims = tuple(m.dims[lam.mapping[i]] for i in range(p.n))
     maps = {(i, j): m.maps[(lam.mapping[i], lam.mapping[j])]
-            for (i, j) in p.related_pairs}
+            for (i, j) in p.generating_edges}
     return Representation(p, m.field, dims, maps)
 
 
@@ -240,14 +273,6 @@ def unit_whisker(m: Representation, lam: Translation) -> NatTrans:
         raise ValueError("translation is not defined on this representation's proset")
     comps = tuple(m.maps[(i, lam.mapping[i])] for i in range(m.proset.n))
     return NatTrans(m, precompose(m, lam), comps)
-
-
-def post_whisker(t: NatTrans, lam: Translation) -> NatTrans:
-    """Reindex a nat trans by lam: component at i is t's component at lam(i)."""
-    if lam.base != t.source.proset:
-        raise ValueError("translation is not defined on this nat trans's proset")
-    comps = tuple(t.components[lam.mapping[i]] for i in range(t.source.proset.n))
-    return NatTrans(precompose(t.source, lam), precompose(t.target, lam), comps)
 
 
 def direct_sum(parts: Sequence[Representation],
@@ -279,29 +304,16 @@ def direct_sum(parts: Sequence[Representation],
             offs[i] += m.dims[i]
         slices.append(row)
     maps = {}
-    for (i, j) in proset.related_pairs:
+    for (i, j) in proset.generating_edges:
         ent = [[0] * dims[i] for _ in range(dims[j])]
         for k, m in enumerate(parts):
             (ri, _), (rj, _) = slices[k][i], slices[k][j]
             block = m.maps[(i, j)]
             for r in range(block.rows):
                 ent[rj + r][ri:ri + block.cols] = block.entries[r]
-        maps[(i, j)] = Matrix(field, dims[j], dims[i], ent)
+        maps[(i, j)] = Matrix._trusted(field, dims[j], dims[i],
+                                       tuple(map(tuple, ent)))
     return Representation(proset, field, dims, maps), slices
-
-
-def project_summand(total: Representation, slices: Sequence[Sequence[tuple[int, int]]],
-                    k: int) -> Representation:
-    """Extract block k of a direct sum built with the given slices."""
-    p = total.proset
-    sl = slices[k]
-    dims = tuple(stop - start for (start, stop) in sl)
-    maps = {}
-    for (i, j) in p.related_pairs:
-        (ci, di), (cj, dj) = sl[i], sl[j]
-        block = tuple(row[ci:di] for row in total.maps[(i, j)].entries[cj:dj])
-        maps[(i, j)] = Matrix(total.field, dims[j], dims[i], block)
-    return Representation(p, total.field, dims, maps)
 
 
 def permutation_iso(parts: Sequence[Representation], order: Sequence[int],
@@ -342,7 +354,7 @@ def restrict(m: Representation, side: str) -> Representation:
     base = sh.base
     off = 0 if side == "left" else base.n
     dims = tuple(m.dims[off + i] for i in range(base.n))
-    maps = {(i, j): m.maps[(off + i, off + j)] for (i, j) in base.related_pairs}
+    maps = {(i, j): m.maps[(off + i, off + j)] for (i, j) in base.generating_edges}
     return Representation(base, m.field, dims, maps)
 
 
@@ -359,12 +371,5 @@ def subrelation_transfer(m: Representation, q: Proset) -> Representation:
         if not p.rel[i][j]:
             raise ValueError(
                 f"target relation is not a subrelation: ({i}, {j}) missing")
-    maps = {(i, j): m.maps[(i, j)] for (i, j) in q.related_pairs}
+    maps = {(i, j): m.maps[(i, j)] for (i, j) in q.generating_edges}
     return Representation(q, m.field, m.dims, maps)
-
-
-def invert_iso(t: NatTrans) -> NatTrans:
-    """Inverse of a pointwise-invertible nat trans.  Raises if any component
-    is singular."""
-    comps = tuple(mat_inverse(c) for c in t.components)
-    return NatTrans(t.target, t.source, comps)

@@ -65,10 +65,6 @@ class Ext:
         object.__setattr__(out, "value", 0)
         return out
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == 0
-
     def _key(self) -> tuple[int, int]:
         return (self.kind, self.value)
 
@@ -248,9 +244,15 @@ class Barcode:
         return f"Barcode({', '.join(str(i) for i in self.intervals)})"
 
 
+MAX_WINDOW_POINTS = 1024
+
+
 @dataclass(frozen=True)
 class Window:
-    """Finite integer range [lo, hi] serving as the carrier for the chain."""
+    """Finite integer range [lo, hi] serving as the carrier for the chain.
+
+    Carrier tables grow with the square of the width, so a window has at
+    most MAX_WINDOW_POINTS points."""
 
     lo: int
     hi: int
@@ -258,6 +260,10 @@ class Window:
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError(f"empty window [{self.lo}, {self.hi}]")
+        if self.size > MAX_WINDOW_POINTS:
+            raise ValueError(
+                f"window [{self.lo}, {self.hi}] has {self.size} points, "
+                f"more than the limit of {MAX_WINDOW_POINTS}")
 
     @property
     def size(self) -> int:
@@ -416,7 +422,7 @@ def interval_to_module(i: Interval, w: Window,
     p, _ = window_chain(w)
     dims = tuple(1 if i.contains(w.value(k)) else 0 for k in range(w.size))
     maps = {}
-    for (a, b) in p.related_pairs:
+    for (a, b) in p.generating_edges:
         if dims[a] and dims[b]:
             maps[(a, b)] = Matrix.identity(field, 1)
         else:
@@ -535,19 +541,19 @@ def is_essential(s: Matching) -> list[tuple[Interval, Interval]]:
 def hom_dimension(i: Interval, j: Interval, w: Window,
                   field: FieldSpec = FieldSpec(2)) -> int:
     """Dimension of the natural-transformation space between the two
-    interval modules, via the homogeneous solver over all naturality
-    constraints."""
-    m = interval_to_module(i, w, field)
-    n = interval_to_module(j, w, field)
-    shapes = [(n.dims[a], m.dims[a]) for a in range(w.size)]
-    constraints = []
-    for (a, b) in m.proset.related_pairs:
-        if a == b:
-            continue
-        if m.dims[a] == 0 or n.dims[b] == 0:
-            continue
-        constraints.append((n.maps[(a, b)], a, m.maps[(a, b)], b))
-    dim, _ = mat_solve_homogeneous(field, shapes, constraints)
+    interval modules."""
+    return _hom_dimension(interval_to_module(i, w, field),
+                          interval_to_module(j, w, field))
+
+
+def _hom_dimension(m: Representation, n: Representation) -> int:
+    """Dimension of the natural transformations m -> n: the squares of the
+    generating edges imply the rest (see validate_nat_trans)."""
+    shapes = [(n.dims[a], m.dims[a]) for a in range(m.proset.n)]
+    constraints = [(n.maps[(a, b)], a, m.maps[(a, b)], b)
+                   for (a, b) in m.proset.generating_edges
+                   if m.dims[a] and n.dims[b]]
+    dim, _ = mat_solve_homogeneous(m.field, shapes, constraints)
     return dim
 
 

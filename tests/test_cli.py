@@ -291,6 +291,32 @@ def test_match_to_rep_bad_window(tmp_path, capsys):
     assert "bad window" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_wide_window_in_one_line(tmp_path, capsys):
+    # small and valid but for its width, which at 3001 points used to cost
+    # seconds and hundreds of MiB
+    doc = {"kind": "decomposed_rep", "version": "1",
+           "payload": {"prime": 2, "window": {"lo": 0, "hi": 1024}, "epsilon": 1,
+                       "summands": [{"left": {"lo": 2, "hi": 3},
+                                     "right": {"lo": 2, "hi": 3}}]}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: window [0, 1024] has 1025 points, "
+                   "more than the limit of 1024\n")
+
+
+def test_match_to_rep_rejects_a_wide_window_flag(tmp_path, capsys):
+    i01 = Interval(0, 1)
+    s = Matching(Barcode([i01]), Barcode([i01]), [(i01, i01)], 0)
+    s_path = _write(tmp_path, "s.json", "matching", s)
+    assert main(["match-to-rep", "--matching", s_path,
+                 "--window", "0:100000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad window '0:100000'")
+    assert err.count("\n") == 1
+
+
 def test_window_flag_needs_equals_for_negative_lo(tmp_path):
     i01 = Interval(0, 1)
     s = Matching(Barcode([i01]), Barcode([i01]), [(i01, i01)], 0)

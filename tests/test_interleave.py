@@ -146,7 +146,7 @@ def test_pack_overlap_example():
     v = pack(x)
     assert validate_representation(v) is None
     assert v.proset.n == 12
-    assert v.total_dim() == 6
+    assert sum(v.dims) == 6
     assert restrict(v, "left") == x.m
     assert restrict(v, "right") == x.n
     # the lacing map at value 0 carries phi(0), which is the identity here

@@ -29,8 +29,8 @@ from shoelace.proset import (
 def test_chain_is_valid():
     p = chain(4)
     assert validate_proset(p) is None
-    assert p.leq(0, 3)
-    assert not p.leq(3, 0)
+    assert p.rel[0][3]
+    assert not p.rel[3][0]
     assert len(p.related_pairs) == 10
 
 
@@ -52,12 +52,12 @@ def test_reflexivity_violation_reported():
 def test_two_cycle_is_a_valid_proset():
     p = proset_from_pairs(2, [(0, 1), (1, 0)])
     assert validate_proset(p) is None
-    assert p.leq(0, 1) and p.leq(1, 0)
+    assert p.rel[0][1] and p.rel[1][0]
 
 
 def test_closure_fills_in_composites():
     p = proset_from_pairs(3, [(0, 1), (1, 2)])
-    assert p.leq(0, 2)
+    assert p.rel[0][2]
     assert validate_proset(p) is None
 
 

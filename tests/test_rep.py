@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from shoelace.exactlin import FieldSpec, Matrix, mat_mul
-from shoelace.interleave import pack, unpack
+from shoelace.exactlin import FieldSpec, Matrix, mat_mul, mat_solve_homogeneous
+from shoelace.interleave import Interleaving, pack, unpack
 from shoelace.proset import (
     Translation,
     chain,
@@ -19,16 +19,11 @@ from shoelace.rep import (
     NatTrans,
     Representation,
     chain_representation,
-    compose_nats,
     direct_sum,
     identity_nat,
-    invert_iso,
     permutation_iso,
-    post_whisker,
     precompose,
-    project_summand,
     restrict,
-    scale_nat,
     subrelation_transfer,
     unit_whisker,
     validate_nat_trans,
@@ -37,9 +32,7 @@ from shoelace.rep import (
     zero_representation,
 )
 from shoelace.selftest import (
-    _conjugate,
     _rand_chain_rep,
-    _rand_invertible,
     _rand_proset,
     _rand_rep,
     _rand_translation,
@@ -47,6 +40,8 @@ from shoelace.selftest import (
 from shoelace.zed import (
     Interval,
     Window,
+    _hom_dimension,
+    canonical_pair,
     interval_to_module,
     lambda_eps,
     shoelace_window,
@@ -65,7 +60,7 @@ def _ones_chain(n, field):
 def test_constant_chain_rep_is_valid():
     m = _ones_chain(4, F2)
     assert validate_representation(m) is None
-    assert m.total_dim() == 4
+    assert sum(m.dims) == 4
 
 
 def test_stored_composite_zero_reports_triple():
@@ -140,8 +135,8 @@ def test_inconsistent_scaling_breaks_naturality():
     assert report is not None
     assert "0 <= 1" in report
     # uniform scaling commutes with everything
-    s = scale_nat(2, identity_nat(m))
-    assert validate_nat_trans(s) is None
+    two = Matrix(F5, 1, 1, [[2]])
+    assert validate_nat_trans(NatTrans(m, m, (two, two))) is None
 
 
 def test_nat_trans_constructor_rejects_mismatches():
@@ -159,18 +154,6 @@ def test_nat_trans_constructor_rejects_mismatches():
         NatTrans(m, m, (Matrix.identity(F2, 1), Matrix.zeros(F2, 2, 1)))
     with pytest.raises(ValueError, match="wrong field"):
         NatTrans(m, m, (Matrix.identity(F2, 1), Matrix(F5, 1, 1, [[1]])))
-
-
-def test_compose_nats_checks_endpoints():
-    m = _ones_chain(2, F2)
-    n = zero_representation(chain(2), F2)
-    f = zero_nat(m, n)
-    g = zero_nat(m, n)
-    with pytest.raises(ValueError, match="mismatch"):
-        compose_nats(g, f)
-    h = compose_nats(zero_nat(n, m), f)
-    assert h.source == m and h.target == m
-    assert h == zero_nat(m, m)
 
 
 def test_chain_representation_rejects_bad_input():
@@ -211,8 +194,6 @@ def test_precompose_requires_matching_proset():
         precompose(m, lam)
     with pytest.raises(ValueError, match="not defined"):
         unit_whisker(m, lam)
-    with pytest.raises(ValueError, match="not defined"):
-        post_whisker(identity_nat(m), lam)
 
 
 def test_unit_whisker_of_identity_translation():
@@ -238,20 +219,26 @@ def test_double_unit_equals_composite_of_whiskers():
     m = interval_to_module(Interval(0, 3), w, F5)
     lam = lambda_eps(w, 1)
     u = unit_whisker(m, lam)
-    doubled = compose_nats(post_whisker(u, lam), u)
-    assert doubled == unit_whisker(m, compose_translations(lam, lam))
+    doubled = unit_whisker(m, compose_translations(lam, lam))
+    # u followed by u reindexed along lam has component u(lam(i)) u(i) at i
+    for i in range(m.proset.n):
+        assert (mat_mul(u.components[lam.mapping[i]], u.components[i])
+                == doubled.components[i])
 
 
-def test_post_whisker_identity_and_zero():
-    m = _ones_chain(3, F5)
-    n = zero_representation(chain(3), F5)
-    t = zero_nat(m, n)
-    assert post_whisker(t, identity_translation(chain(3))) == t
-    lam = Translation(chain(3), (1, 2, 2))
-    pw = post_whisker(t, lam)
-    assert pw == zero_nat(precompose(m, lam), precompose(n, lam))
-    again = post_whisker(post_whisker(t, lam), lam)
-    assert again == post_whisker(t, compose_translations(lam, lam))
+def _block(mat, rows, cols):
+    """Entries of mat in the row range rows and the column range cols."""
+    (r0, r1), (c0, c1) = rows, cols
+    return tuple(row[c0:c1] for row in mat.entries[r0:r1])
+
+
+def _assert_summand(total, slices, k, part):
+    """Block k of the direct sum total is part, at every point and pair."""
+    p = total.proset
+    assert [stop - start for (start, stop) in slices[k]] == list(part.dims)
+    for (i, j) in p.related_pairs:
+        assert (_block(total.maps[(i, j)], slices[k][j], slices[k][i])
+                == part.maps[(i, j)].entries)
 
 
 def test_direct_sum_of_one_is_the_part():
@@ -271,8 +258,8 @@ def test_direct_sum_of_two_intervals():
     assert total.maps[(0, 1)] == Matrix(F2, 2, 1, [[1], [0]])
     assert total.maps[(1, 2)] == Matrix(F2, 1, 2, [[0, 1]])
     assert total.maps[(0, 2)] == Matrix.zeros(F2, 1, 1)
-    assert project_summand(total, slices, 0) == a
-    assert project_summand(total, slices, 1) == b
+    _assert_summand(total, slices, 0, a)
+    _assert_summand(total, slices, 1, b)
 
 
 def test_empty_direct_sum_is_zero():
@@ -303,19 +290,19 @@ def test_permutation_iso_round_trip():
     assert validate_nat_trans(t) is None
     assert t.source == direct_sum(parts)[0]
     assert t.target == direct_sum([parts[2], parts[0], parts[1]])[0]
-    inv = invert_iso(t)
-    assert compose_nats(inv, t) == identity_nat(t.source)
-    assert compose_nats(t, inv) == identity_nat(t.target)
+    src_slices = direct_sum(parts)[1]
+    tgt_slices = direct_sum([parts[2], parts[0], parts[1]])[1]
+    for i, c in enumerate(t.components):
+        # a permutation matrix: an identity block from each part to its slot
+        # and zeros elsewhere, so an isomorphism
+        assert sum(map(sum, c.entries)) == c.rows == c.cols
+        for slot, k in enumerate((2, 0, 1)):
+            assert (_block(c, tgt_slices[slot][i], src_slices[k][i])
+                    == Matrix.identity(F2, parts[k].dims[i]).entries)
     trivial = permutation_iso(parts, (0, 1, 2))
     assert trivial == identity_nat(t.source)
     with pytest.raises(ValueError, match="not a permutation"):
         permutation_iso(parts, (0, 0, 1))
-
-
-def test_invert_iso_rejects_singular_components():
-    m = _ones_chain(2, F2)
-    with pytest.raises(ValueError):
-        invert_iso(zero_nat(m, m))
 
 
 def test_restrict_picks_out_each_copy():
@@ -406,12 +393,6 @@ def test_whisker_outputs_are_always_natural(seed):
     assert validate_nat_trans(u) is None
     assert u.source == m
     assert u.target == precompose(m, lam)
-    us = [_rand_invertible(rng, field, d) for d in m.dims]
-    m2, t = _conjugate(m, us)
-    pw = post_whisker(t, lam)
-    assert validate_nat_trans(pw) is None
-    assert pw.source == precompose(m, lam)
-    assert pw.target == precompose(m2, lam)
 
 
 @settings(max_examples=40, deadline=None)
@@ -423,9 +404,9 @@ def test_direct_sum_projection_recovers_parts(seed):
              for _ in range(rng.randint(0, 3))]
     total, slices = direct_sum(parts, proset=p, field=F5)
     assert validate_representation(total) is None
-    assert total.total_dim() == sum(m.total_dim() for m in parts)
+    assert sum(total.dims) == sum(sum(m.dims) for m in parts)
     for k, part in enumerate(parts):
-        assert project_summand(total, slices, k) == part
+        _assert_summand(total, slices, k, part)
 
 
 def _validate_all_triples(m):
@@ -517,3 +498,123 @@ def test_generating_edge_check_agrees_with_all_triples(family):
         outcomes["valid" if got is None else "invalid"] += 1
     assert min(outcomes.values()) > 0
     assert (two_way > 0) == (family != "chain")
+
+
+def _stored(m):
+    """Number of matrices the representation holds as given."""
+    return len(m.maps._given)
+
+
+def test_objects_built_from_edges_store_one_map_per_edge():
+    m = _rand_chain_rep(random.Random(3), 40, FieldSpec(2 ** 31 - 1))
+    assert _stored(m) == 39
+    w = Window(-6, 12)
+    assert _stored(interval_to_module(Interval(0, 5), w)) == w.size - 1
+    # pack on the eps-3 carrier of the window
+    i, j = Interval(0, 5), Interval(1, 6)
+    f, g = canonical_pair(i, j, 3, w)
+    v = pack(Interleaving(interval_to_module(i, w), interval_to_module(j, w),
+                          lambda_eps(w, 3), f, g))
+    assert len(v.proset.related_pairs) == 658
+    assert _stored(v) == len(v.proset.generating_edges) == 70
+
+
+def test_validating_a_chain_from_its_steps_multiplies_nothing(monkeypatch):
+    import shoelace.rep as rep_module
+
+    m = _rand_chain_rep(random.Random(5), 40, FieldSpec(2 ** 31 - 1), max_dim=6)
+    calls = []
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(rep_module, "mat_mul", counting_mul)
+    assert validate_representation(m) is None
+    assert calls == []
+
+
+def test_long_composite_needs_no_recursion():
+    n = 500
+    one = Matrix(F5, 1, 1, [[2]])
+    m = chain_representation(chain(n), F5, (1,) * n, [one] * (n - 1))
+    assert m.maps[(0, n - 1)] == Matrix(F5, 1, 1, [[pow(2, n - 1, 5)]])
+    assert m.maps[(0, 0)] == Matrix.identity(F5, 1)
+    with pytest.raises(KeyError):
+        m.maps[(1, 0)]
+
+
+def test_equality_compares_every_pair_either_side_was_given():
+    p = chain(3)
+    one, zero = Matrix(F2, 1, 1, [[1]]), Matrix(F2, 1, 1, [[0]])
+    steps = Representation(p, F2, (1, 1, 1), {(0, 1): one, (1, 2): one})
+    full = {pair: one for pair in p.related_pairs}
+    assert steps == Representation(p, F2, (1, 1, 1), full)
+    # a given composite that differs from the path product
+    full[(0, 2)] = zero
+    lying = Representation(p, F2, (1, 1, 1), full)
+    assert steps != lying and lying != steps
+    assert dict(steps.maps) != dict(lying.maps)
+
+
+def _random_path_product(rng, m, i, k):
+    """F(i <= k) as the product along a random path of generating edges."""
+    p = m.proset
+    out = [[] for _ in range(p.n)]
+    for (x, y) in p.generating_edges:
+        out[x].append(y)
+    acc = Matrix.identity(m.field, m.dims[i])
+    seen, x = {i}, i
+    while x != k:
+        # an unseen edge towards k always exists: a cover towards k's class,
+        # or the edge to k itself once x is in that class
+        y = rng.choice([y for y in out[x] if p.rel[y][k] and y not in seen])
+        acc = mat_mul(m.maps[(x, y)], acc)
+        seen.add(y)
+        x = y
+    return acc
+
+
+def _natural_on_all_pairs(t):
+    return all(mat_mul(t.target.maps[(i, j)], t.components[i])
+               == mat_mul(t.components[j], t.source.maps[(i, j)])
+               for (i, j) in t.source.proset.related_pairs)
+
+
+def _hom_space_on_all_pairs(m, n):
+    shapes = [(n.dims[a], m.dims[a]) for a in range(m.proset.n)]
+    constraints = [(n.maps[(a, b)], a, m.maps[(a, b)], b)
+                   for (a, b) in m.proset.related_pairs if a != b]
+    return mat_solve_homogeneous(m.field, shapes, constraints)
+
+
+@pytest.mark.parametrize("family", ["chain", "closure", "carrier"])
+def test_generating_edges_agree_with_all_pairs(family):
+    """Lazy composites, naturality on generating edges and hom dimensions
+    from generating edges, each against its all-pairs reference."""
+    natural = {True: 0, False: 0}
+    for seed in range(80):
+        rng = random.Random(seed)
+        m = _rand_rep_family(rng, family)
+        p = m.proset
+        lazy = Representation(p, m.field, m.dims,
+                              {e: m.maps[e] for e in p.generating_edges})
+        for (i, k) in p.related_pairs:
+            assert lazy.maps[(i, k)] == m.maps[(i, k)]
+            assert lazy.maps[(i, k)] == _random_path_product(rng, m, i, k)
+        n = _rand_rep(rng, p, m.field, max_dim=2)
+        dim, basis = _hom_space_on_all_pairs(m, n)
+        assert _hom_dimension(m, n) == dim
+        for comps in basis[:3]:
+            t = NatTrans(m, n, comps)
+            assert validate_nat_trans(t) is None
+            bad = list(comps)
+            a = rng.choice([a for a in range(p.n) if bad[a].rows and bad[a].cols])
+            entries = [list(row) for row in bad[a].entries]
+            entries[rng.randrange(bad[a].rows)][rng.randrange(bad[a].cols)] += 1
+            bad[a] = Matrix(m.field, bad[a].rows, bad[a].cols, entries)
+            t = NatTrans(m, n, bad)
+            got = validate_nat_trans(t) is None
+            assert got == _natural_on_all_pairs(t)
+            natural[got] += 1
+    assert min(natural.values()) > 0

@@ -164,6 +164,9 @@ def test_window_basics():
         w.index(4)
     with pytest.raises(ValueError, match="empty window"):
         Window(1, 0)
+    assert Window(0, 1023).size == 1024
+    with pytest.raises(ValueError, match="1025 points, more than the limit of 1024"):
+        Window(0, 1024)
 
 
 def test_window_chain_labels_and_heights():
