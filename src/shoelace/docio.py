@@ -32,6 +32,8 @@ from .rep import (
 )
 from .interleave import Interleaving, validate_interleaving
 from .zed import (
+    MAX_BARCODE_BARS,
+    MAX_POINT_DIM,
     Barcode,
     DecomposedShoelaceRep,
     Interval,
@@ -42,19 +44,6 @@ from .zed import (
 )
 
 VERSION = "1"
-
-KINDS = (
-    "proset",
-    "translation",
-    "height",
-    "representation",
-    "nattrans",
-    "interleaving",
-    "barcode",
-    "matching",
-    "decomposed_rep",
-    "window_module",
-)
 
 
 class DocumentFormatError(Exception):
@@ -81,6 +70,16 @@ def _as_int(x, what: str) -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise DocumentFormatError(f"{what} must be an integer, got {x!r}")
     return x
+
+
+def _load_dims(payload: dict, kind: str) -> list[int]:
+    dims = [_as_int(d, "dim") for d in _as_list(_need(payload, "dims", kind), "dims")]
+    for k, d in enumerate(dims):
+        if d > MAX_POINT_DIM:
+            raise DocumentValidationError(
+                f"{kind} dimension {d} at point {k} is more than the limit "
+                f"of {MAX_POINT_DIM}")
+    return dims
 
 
 def _validated(report: Optional[str], kind: str):
@@ -173,12 +172,11 @@ def _load_field(payload: dict, kind: str) -> FieldSpec:
         raise DocumentValidationError(str(e)) from None
 
 
-def _load_rep(payload: dict, validate: bool = True) -> Representation:
+def _load_rep(payload: dict) -> Representation:
     field = _load_field(payload, "representation")
     proset = _load_proset(_need(payload, "proset", "representation"))
-    dims = _as_list(_need(payload, "dims", "representation"), "dims")
+    dims = _load_dims(payload, "representation")
     raw_maps = _as_list(_need(payload, "maps", "representation"), "maps")
-    dims = [_as_int(d, "dim") for d in dims]
     if len(dims) != proset.n:
         raise DocumentValidationError(
             f"inconsistent representation: expected {proset.n} dims, got {len(dims)}")
@@ -201,8 +199,7 @@ def _load_rep(payload: dict, validate: bool = True) -> Representation:
         raise DocumentValidationError(
             f"inconsistent representation: maps must cover exactly the related "
             f"pairs; missing {missing[:4]}")
-    if validate:
-        _validated(validate_representation(m), "representation")
+    _validated(validate_representation(m), "representation")
     return m
 
 
@@ -306,6 +303,10 @@ def _load_barcode(payload: dict) -> Barcode:
         count = _as_int(_need(item, "count", "barcode interval"), "count")
         if count < 1:
             raise DocumentValidationError(f"barcode multiplicity {count} < 1")
+        if len(bars) + count > MAX_BARCODE_BARS:
+            raise DocumentValidationError(
+                f"barcode has at least {len(bars) + count} bars, more than "
+                f"the limit of {MAX_BARCODE_BARS}")
         bars.extend([_load_interval(item, "barcode")] * count)
     return Barcode(bars)
 
@@ -396,8 +397,7 @@ def _load_window_module(payload: dict) -> tuple[Window, Representation]:
 
     field = _load_field(payload, "window_module")
     w = _load_window(_need(payload, "window", "window_module"), "window_module")
-    dims = [_as_int(d, "dim")
-            for d in _as_list(_need(payload, "dims", "window_module"), "dims")]
+    dims = _load_dims(payload, "window_module")
     raw_steps = _as_list(_need(payload, "steps", "window_module"), "steps")
     if len(dims) != w.size:
         raise DocumentValidationError(
@@ -419,15 +419,15 @@ def _load_window_module(payload: dict) -> tuple[Window, Representation]:
 
 
 _SAVERS = {
-    "proset": lambda obj: _proset_payload(obj),
-    "translation": lambda obj: _translation_payload(obj),
+    "proset": _proset_payload,
+    "translation": _translation_payload,
     "height": lambda obj: _height_payload(*obj),
-    "representation": lambda obj: _rep_payload(obj),
-    "nattrans": lambda obj: _nattrans_payload(obj),
-    "interleaving": lambda obj: _interleaving_payload(obj),
-    "barcode": lambda obj: _barcode_payload(obj),
-    "matching": lambda obj: _matching_payload(obj),
-    "decomposed_rep": lambda obj: _decomposed_payload(obj),
+    "representation": _rep_payload,
+    "nattrans": _nattrans_payload,
+    "interleaving": _interleaving_payload,
+    "barcode": _barcode_payload,
+    "matching": _matching_payload,
+    "decomposed_rep": _decomposed_payload,
     "window_module": lambda obj: _window_module_payload(*obj),
 }
 
@@ -443,6 +443,8 @@ _LOADERS = {
     "decomposed_rep": _load_decomposed,
     "window_module": _load_window_module,
 }
+
+KINDS = tuple(_LOADERS)
 
 
 def document_dict(kind: str, obj: Any) -> dict:

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 
+@lru_cache(maxsize=128)
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

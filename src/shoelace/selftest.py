@@ -84,6 +84,7 @@ from .zed import (
     summand_support,
     support_is_interval,
     shoelace_window,
+    short_pair_fails_star,
     validate_decomposed,
     validate_matching,
     window_chain,
@@ -216,8 +217,7 @@ def _rand_essential_matching(rng: random.Random, max_eps: int = 3,
                     if lo.kind == 0 and hi.kind == 0 and lo.value > hi.value:
                         continue
                     cand = Interval(lo, hi)
-                    if (a.is_short(eps) and cand.is_short(eps)
-                            and not condition_star(a, cand, eps)):
+                    if short_pair_fails_star(a, cand, eps):
                         continue
                     b = cand
                     break

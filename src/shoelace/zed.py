@@ -26,7 +26,6 @@ from .proset import (
     ShoelaceProset,
     Translation,
     chain,
-    shoelace,
 )
 from .rep import (
     NatTrans,
@@ -34,7 +33,6 @@ from .rep import (
     direct_sum,
     precompose,
     subrelation_transfer,
-    zero_nat,
     zero_representation,
 )
 from .interleave import Interleaving, pack
@@ -245,6 +243,11 @@ class Barcode:
 
 
 MAX_WINDOW_POINTS = 1024
+# Limits the document loaders check before they build anything: the
+# dimension at one point (barcode builds and ranks identities of that size)
+# and the bars of one barcode with multiplicity (a count costs no bytes).
+MAX_POINT_DIM = 256
+MAX_BARCODE_BARS = 4096
 
 
 @dataclass(frozen=True)
@@ -490,6 +493,13 @@ def _star_disjuncts(i: Interval, j: Interval, eps: int) -> tuple[bool, bool]:
     return first, second
 
 
+def short_pair_fails_star(a: Interval, b: Interval, eps: int) -> bool:
+    """Whether a and b are both short at eps and fail Condition (*): the
+    pairs an essential matching may not contain, and whose canonical maps
+    vanish."""
+    return a.is_short(eps) and b.is_short(eps) and not condition_star(a, b, eps)
+
+
 def validate_matching(s: Matching) -> Optional[str]:
     """None if s is a valid eps-matching, else the first violation.
 
@@ -530,12 +540,8 @@ def is_essential(s: Matching) -> list[tuple[Interval, Interval]]:
     err = validate_matching(s)
     if err is not None:
         raise ValueError(f"invalid matching: {err}")
-    eps = s.epsilon
-    out = []
-    for (a, b) in s.pairs:
-        if a.is_short(eps) and b.is_short(eps) and not condition_star(a, b, eps):
-            out.append((a, b))
-    return out
+    return [(a, b) for (a, b) in s.pairs
+            if short_pair_fails_star(a, b, s.epsilon)]
 
 
 def hom_dimension(i: Interval, j: Interval, w: Window,
@@ -623,6 +629,14 @@ def _unpadded_endpoint(bars: Iterable[Interval], w: Window,
     return None
 
 
+def _require_padding(bars: Iterable[Interval], w: Window, eps: int) -> None:
+    e = _unpadded_endpoint(bars, w, eps)
+    if e is not None:
+        raise ValueError(
+            f"window too small: endpoint {e} needs 2*eps = {2 * eps} "
+            f"padding inside [{w.lo}, {w.hi}]")
+
+
 def matching_to_rep(s: Matching, w: Window, variant: str = "essential_F",
                     field: FieldSpec = FieldSpec(2)) -> DecomposedShoelaceRep:
     """Turn a matching into a decomposition certificate.
@@ -634,24 +648,16 @@ def matching_to_rep(s: Matching, w: Window, variant: str = "essential_F",
     """
     if variant not in ("essential_F", "nonessential_Fprime"):
         raise ValueError(f"unknown variant {variant!r}")
-    err = validate_matching(s)
-    if err is not None:
-        raise ValueError(f"invalid matching: {err}")
     eps = s.epsilon
     bad = is_essential(s)
     if variant == "essential_F" and bad:
         raise ValueError(
             f"matching is not essential: pair ({bad[0][0]}, {bad[0][1]}) "
             f"violates the overlap condition")
-    e = _unpadded_endpoint(list(s.source) + list(s.target), w, eps)
-    if e is not None:
-        raise ValueError(
-            f"window too small: endpoint {e} needs 2*eps = {2 * eps} "
-            f"padding inside [{w.lo}, {w.hi}]")
+    _require_padding(list(s.source) + list(s.target), w, eps)
     summands: list[tuple[Optional[Interval], Optional[Interval]]] = []
     for (a, b) in s.pairs:
-        if (variant == "nonessential_Fprime" and a.is_short(eps)
-                and b.is_short(eps) and not condition_star(a, b, eps)):
+        if variant == "nonessential_Fprime" and short_pair_fails_star(a, b, eps):
             summands.append((a, None))
             summands.append((None, b))
         else:
@@ -750,8 +756,7 @@ def validate_decomposed(l: DecomposedShoelaceRep) -> Optional[str]:
             if endpoint_distance(a.hi, b.hi) > eps:
                 return (f"summand {idx}: right endpoints of ({a}, {b}) differ "
                         f"by more than {eps}")
-            if (a.is_short(eps) and b.is_short(eps)
-                    and not condition_star(a, b, eps)):
+            if short_pair_fails_star(a, b, eps):
                 return (f"summand {idx}: short pair ({a}, {b}) fails the "
                         f"overlap condition")
     sh, _ = shoelace_window(w, eps)
@@ -761,35 +766,66 @@ def validate_decomposed(l: DecomposedShoelaceRep) -> Optional[str]:
     return None
 
 
-def expand_summand(s: tuple[Optional[Interval], Optional[Interval]],
-                   w: Window, eps: int, field: FieldSpec) -> Representation:
-    """One summand as a concrete representation of shoelace(chain, lambda_eps),
-    the packable clamped carrier."""
+def _sum_interleaving(lefts: Sequence[Optional[Interval]],
+                      rights: Sequence[Optional[Interval]],
+                      blocks: Iterable[tuple[int, int]], w: Window, eps: int,
+                      field: FieldSpec) -> Interleaving:
+    """The interleaving between the direct sums M of the left and N of the
+    right interval modules on the window chain, in list order, a None being
+    the zero module.  phi and psi are zero but for the canonical_pair blocks
+    of each (ks, kt) in blocks, which pair lefts[ks] with rights[kt]; a short
+    pair that fails Condition (*) keeps zero blocks, as its canonical maps
+    vanish."""
     p, _ = window_chain(w)
     lam = lambda_eps(w, eps)
-    a, b = s
-    m = interval_to_module(a, w, field) if a is not None else zero_representation(p, field)
-    n = interval_to_module(b, w, field) if b is not None else zero_representation(p, field)
-    if a is not None and b is not None:
+    zero = zero_representation(p, field)
+
+    def total(bars: Sequence[Optional[Interval]]):
+        return direct_sum([zero if bar is None else interval_to_module(bar, w, field)
+                           for bar in bars], proset=p, field=field)
+
+    m, m_slices = total(lefts)
+    n, n_slices = total(rights)
+    nl = precompose(n, lam)
+    ml = precompose(m, lam)
+    phi_ent = [[[0] * m.dims[a] for _ in range(nl.dims[a])] for a in range(p.n)]
+    psi_ent = [[[0] * n.dims[a] for _ in range(ml.dims[a])] for a in range(p.n)]
+    for (ks, kt) in blocks:
+        a, b = lefts[ks], rights[kt]
+        if short_pair_fails_star(a, b, eps):
+            continue
         f, g = canonical_pair(a, b, eps, w, field)
-    else:
-        f = zero_nat(m, precompose(n, lam))
-        g = zero_nat(n, precompose(m, lam))
-    return pack(Interleaving(m, n, lam, f, g))
+        for idx in range(p.n):
+            li = lam.mapping[idx]
+            for ent, t, (r0, _), (c0, c1) in (
+                    (phi_ent, f, n_slices[kt][li], m_slices[ks][idx]),
+                    (psi_ent, g, m_slices[ks][li], n_slices[kt][idx])):
+                for r, row in enumerate(t.components[idx].entries):
+                    ent[idx][r0 + r][c0:c1] = row
+    phi = NatTrans(m, nl, tuple(
+        Matrix(field, nl.dims[a], m.dims[a], phi_ent[a]) for a in range(p.n)))
+    psi = NatTrans(n, ml, tuple(
+        Matrix(field, ml.dims[a], n.dims[a], psi_ent[a]) for a in range(p.n)))
+    return Interleaving(m, n, lam, phi, psi)
 
 
 def pack_decomposed(l: DecomposedShoelaceRep) -> Representation:
     """Whole certificate on the clamped carrier shoelace(chain, lambda_eps),
-    where unpack can take it apart again."""
+    where unpack can take it apart again.
+
+    This is pack of one block-sum interleaving, slot k holding summand k.
+    It equals, entry for entry, the direct sum of the packs of the
+    summands' own interleavings in the same slot order: every cross map
+    N(lam(i) <= j) . phi(i) of the sum is block-diagonal, with the summands'
+    cross maps as its blocks."""
     err = validate_decomposed(l)
     if err is not None:
         raise ValueError(f"invalid decomposed representation: {err}")
-    p, _ = window_chain(l.window)
-    lam = lambda_eps(l.window, l.epsilon)
-    carrier = shoelace(p, lam)
-    parts = [expand_summand(s, l.window, l.epsilon, l.field) for s in l.summands]
-    total, _ = direct_sum(parts, proset=carrier, field=l.field)
-    return total
+    blocks = [(k, k) for k, (a, b) in enumerate(l.summands)
+              if a is not None and b is not None]
+    return pack(_sum_interleaving([a for a, _ in l.summands],
+                                  [b for _, b in l.summands], blocks,
+                                  l.window, l.epsilon, l.field))
 
 
 def expand_decomposed(l: DecomposedShoelaceRep) -> Representation:
@@ -811,21 +847,9 @@ def matching_interleaving(s: Matching, w: Window,
     err = validate_matching(s)
     if err is not None:
         raise ValueError(f"invalid matching: {err}")
-    eps = s.epsilon
-    e = _unpadded_endpoint(list(s.source) + list(s.target), w, eps)
-    if e is not None:
-        raise ValueError(
-            f"window too small: endpoint {e} needs 2*eps = {2 * eps} "
-            f"padding inside [{w.lo}, {w.hi}]")
-    p, _ = window_chain(w)
-    lam = lambda_eps(w, eps)
     src_bars = list(s.source)
     tgt_bars = list(s.target)
-    m_parts = [interval_to_module(bar, w, field) for bar in src_bars]
-    n_parts = [interval_to_module(bar, w, field) for bar in tgt_bars]
-    m, m_slices = direct_sum(m_parts, proset=p, field=field)
-    n, n_slices = direct_sum(n_parts, proset=p, field=field)
-
+    _require_padding(src_bars + tgt_bars, w, s.epsilon)
     src_free = list(range(len(src_bars)))
     tgt_free = list(range(len(tgt_bars)))
 
@@ -835,34 +859,9 @@ def matching_interleaving(s: Matching, w: Window,
                 return pool.pop(pos)
         raise ValueError(f"bar {bar} not available; matching is inconsistent")
 
-    nl = precompose(n, lam)
-    ml = precompose(m, lam)
-    phi_ent = [[[0] * m.dims[a] for _ in range(nl.dims[a])] for a in range(p.n)]
-    psi_ent = [[[0] * n.dims[a] for _ in range(ml.dims[a])] for a in range(p.n)]
-    for (a, b) in s.pairs:
-        ks = take(src_free, src_bars, a)
-        kt = take(tgt_free, tgt_bars, b)
-        if a.is_short(eps) and b.is_short(eps) and not condition_star(a, b, eps):
-            continue
-        f, g = canonical_pair(a, b, eps, w, field)
-        for idx in range(p.n):
-            block = f.components[idx]
-            (r0, _) = n_slices[kt][lam.mapping[idx]]
-            (c0, _) = m_slices[ks][idx]
-            for r in range(block.rows):
-                for c in range(block.cols):
-                    phi_ent[idx][r0 + r][c0 + c] = block.entries[r][c]
-            block = g.components[idx]
-            (r0, _) = m_slices[ks][lam.mapping[idx]]
-            (c0, _) = n_slices[kt][idx]
-            for r in range(block.rows):
-                for c in range(block.cols):
-                    psi_ent[idx][r0 + r][c0 + c] = block.entries[r][c]
-    phi = NatTrans(m, nl, tuple(
-        Matrix(field, nl.dims[a], m.dims[a], phi_ent[a]) for a in range(p.n)))
-    psi = NatTrans(n, ml, tuple(
-        Matrix(field, ml.dims[a], n.dims[a], psi_ent[a]) for a in range(p.n)))
-    return Interleaving(m, n, lam, phi, psi)
+    blocks = [(take(src_free, src_bars, a), take(tgt_free, tgt_bars, b))
+              for (a, b) in s.pairs]
+    return _sum_interleaving(src_bars, tgt_bars, blocks, w, s.epsilon, field)
 
 
 def pair_ok(a: Interval, b: Interval, eps: int,
@@ -873,9 +872,7 @@ def pair_ok(a: Interval, b: Interval, eps: int,
         return False
     if endpoint_distance(a.hi, b.hi) > eps:
         return False
-    if require_essential and a.is_short(eps) and b.is_short(eps):
-        return condition_star(a, b, eps)
-    return True
+    return not (require_essential and short_pair_fails_star(a, b, eps))
 
 
 def iter_matchings(bm: Barcode, bn: Barcode, eps: int,

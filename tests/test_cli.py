@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -17,6 +19,8 @@ from shoelace.proset import Translation, chain, induced_translation, iso_pairs, 
 from shoelace.rep import chain_representation
 from shoelace.exactlin import Matrix
 from shoelace.zed import (
+    MAX_BARCODE_BARS,
+    MAX_POINT_DIM,
     Barcode,
     Interval,
     Matching,
@@ -280,6 +284,60 @@ def test_match_to_rep_fprime_variant(tmp_path):
         "decomposed_rep", expected)
 
 
+# sha256 of each output of the README pipeline below, fixed before the
+# certificate builders were merged; any change to these bytes is a format
+# change
+GOLDEN_PIPELINE = {
+    "s_plain": "e3faf13b38adee3e0ad5340bba027e2e19ce61b594756dad00daa01c684120ac",
+    "s_ess": "c0ac489a6b889294a75fbde805beed9cf11fa85bbe7e657fee51cb36af9f2c2f",
+    "l_F_2": "64db8fa7f1756973bd585da5382b8cfb58a12b8aabad5c8ffa1db8c23c49adf3",
+    "l_F_2147483647": "e8585d2d664ccfef4bcd547372cfdcbe5e578284872dda904cd2d3b73c4d44cc",
+    "v_F_2": "2f139bb03dba9c0181b0005a1c8758f3ab8151ef7d937a231950b6a42ccbfdba",
+    "v_F_2147483647": "f4de83c1263e14437ba5cbc2ab93ec7274cbcd629687f02f09720429d32e1a13",
+    "back_F_2": "c0ac489a6b889294a75fbde805beed9cf11fa85bbe7e657fee51cb36af9f2c2f",
+    "back_F_2147483647": "c0ac489a6b889294a75fbde805beed9cf11fa85bbe7e657fee51cb36af9f2c2f",
+    "l_Fprime_2": "64db8fa7f1756973bd585da5382b8cfb58a12b8aabad5c8ffa1db8c23c49adf3",
+    "l_Fprime_2147483647": "e8585d2d664ccfef4bcd547372cfdcbe5e578284872dda904cd2d3b73c4d44cc",
+    "v_Fprime_2": "2f139bb03dba9c0181b0005a1c8758f3ab8151ef7d937a231950b6a42ccbfdba",
+    "v_Fprime_2147483647": "f4de83c1263e14437ba5cbc2ab93ec7274cbcd629687f02f09720429d32e1a13",
+    "back_Fprime_2": "c0ac489a6b889294a75fbde805beed9cf11fa85bbe7e657fee51cb36af9f2c2f",
+    "back_Fprime_2147483647": "c0ac489a6b889294a75fbde805beed9cf11fa85bbe7e657fee51cb36af9f2c2f",
+}
+
+
+def test_readme_pipeline_golden_bytes(tmp_path):
+    # infinite bars on both ends, a short pair that satisfies (*) and one,
+    # [0,0] with [1,1] at eps 2, that fails it: the essential search leaves
+    # that pair unmatched, and Fprime splits it when the plain search pairs it
+    left = Barcode([Interval(0, 0), Interval(1, 6), Interval("-inf", 3),
+                    Interval(3, "+inf"), Interval(7, 8)])
+    right = Barcode([Interval(1, 1), Interval(2, 5), Interval("-inf", 4),
+                     Interval(4, "+inf"), Interval(8, 9)])
+    a = _write(tmp_path, "a.json", "barcode", left)
+    b = _write(tmp_path, "b.json", "barcode", right)
+    out = {}
+
+    def run(name, args):
+        path = tmp_path / name
+        assert main(args + ["--out", str(path)]) == 0
+        out[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        return str(path)
+
+    s = {"F": run("s_ess", ["find-matching", "--left", a, "--right", b,
+                            "--epsilon", "2", "--essential"]),
+         "Fprime": run("s_plain", ["find-matching", "--left", a, "--right", b,
+                                   "--epsilon", "2"])}
+    for p in (2, 2**31 - 1):
+        for variant in ("F", "Fprime"):
+            tag = f"{variant}_{p}"
+            l_path = run(f"l_{tag}", ["match-to-rep", "--matching", s[variant],
+                                      "--window=-4:13", "--variant", variant,
+                                      "--prime", str(p)])
+            run(f"v_{tag}", ["expand", "--decomposed", l_path])
+            run(f"back_{tag}", ["rep-to-match", "--decomposed", l_path])
+    assert out == GOLDEN_PIPELINE
+
+
 def test_match_to_rep_bad_window(tmp_path, capsys):
     i01 = Interval(0, 1)
     s = Matching(Barcode([i01]), Barcode([i01]), [(i01, i01)], 0)
@@ -304,6 +362,40 @@ def test_validate_rejects_a_wide_window_in_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("error: window [0, 1024] has 1025 points, "
                    "more than the limit of 1024\n")
+
+
+@pytest.mark.parametrize("window, dims, steps, message", [
+    ({"lo": 0, "hi": 0}, [3000], [],
+     "window_module dimension 3000 at point 0"),
+    ({"lo": 0, "hi": 1}, [10**6, 0], [[]],
+     "window_module dimension 1000000 at point 0"),
+])
+def test_barcode_rejects_a_huge_dimension_in_one_line(tmp_path, capsys, window,
+                                                      dims, steps, message):
+    # about 100 bytes each; barcode used to build a dims x dims identity
+    doc = {"kind": "window_module", "version": "1",
+           "payload": {"prime": 2, "window": window, "dims": dims, "steps": steps}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["barcode", "--module", str(path)]) == 1
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (
+        f"error: {message} is more than the limit of {MAX_POINT_DIM}\n")
+
+
+def test_validate_rejects_a_huge_bar_count_in_one_line(tmp_path, capsys):
+    # 100 bytes that used to expand to three million bars
+    doc = {"kind": "barcode", "version": "1",
+           "payload": {"intervals": [{"lo": 0, "hi": 1, "count": 3_000_000}]}}
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == 1
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (
+        f"error: barcode has at least 3000000 bars, more than the limit of "
+        f"{MAX_BARCODE_BARS}\n")
 
 
 def test_match_to_rep_rejects_a_wide_window_flag(tmp_path, capsys):

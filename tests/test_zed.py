@@ -8,19 +8,24 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from shoelace.exactlin import FieldSpec, Matrix
-from shoelace.interleave import unpack, validate_interleaving
+from shoelace.interleave import Interleaving, pack, unpack, validate_interleaving
 from shoelace.proset import (
     TranslationHeight,
     iso_pairs,
+    shoelace,
     translation_height,
     validate_proset,
 )
 from shoelace.rep import (
     chain_representation,
     direct_sum,
+    precompose,
     restrict,
+    subrelation_transfer,
     validate_nat_trans,
     validate_representation,
+    zero_nat,
+    zero_representation,
 )
 from shoelace.selftest import _conjugate, _rand_invertible
 from shoelace.zed import (
@@ -37,7 +42,6 @@ from shoelace.zed import (
     condition_star,
     endpoint_distance,
     expand_decomposed,
-    expand_summand,
     find_matching,
     hall_witness,
     hom_dimension,
@@ -51,6 +55,7 @@ from shoelace.zed import (
     pair_ok,
     rep_to_matching,
     shoelace_window,
+    short_pair_fails_star,
     summand_support,
     support_is_interval,
     validate_decomposed,
@@ -292,6 +297,11 @@ def test_condition_star_examples():
         assert condition_star(i, i, 0)
     # the disjunction is symmetric in the two intervals
     assert condition_star(Interval(1, 2), Interval(0, 1), 1)
+    # the pairs an essential matching may not hold: both short, (*) fails
+    assert short_pair_fails_star(Interval(0, 0), Interval(2, 2), 1)
+    assert not condition_star(Interval(0, 0), Interval(2, 2), 0)
+    assert not short_pair_fails_star(Interval(0, 0), Interval(2, 2), 0)
+    assert not short_pair_fails_star(Interval(0, 1), Interval(1, 2), 1)
 
 
 def test_validate_matching_infinite_conventions():
@@ -495,17 +505,153 @@ def test_summand_support_and_interval_check():
 
 def test_expand_summand_is_thin():
     w = Window(-2, 5)
-    e = expand_summand((Interval(0, 2), Interval(1, 3)), w, 1, F2)
+    pair = (Interval(0, 2), Interval(1, 3))
+    e = pack_decomposed(DecomposedShoelaceRep(w, 1, F2, [pair]))
     assert validate_representation(e) is None
     assert all(d <= 1 for d in e.dims)
     assert restrict(e, "left") == interval_to_module(Interval(0, 2), w)
     assert restrict(e, "right") == interval_to_module(Interval(1, 3), w)
     support = frozenset(k for k, d in enumerate(e.dims) if d)
-    assert support == summand_support((Interval(0, 2), Interval(1, 3)), w, 1)
+    assert support == summand_support(pair, w, 1)
     sh, _ = shoelace_window(w, 1)
     assert support_is_interval(sh, support)
-    single = expand_summand((Interval(5, 5), None), Window(-2, 7), 1, F2)
+    single = pack_decomposed(
+        DecomposedShoelaceRep(Window(-2, 7), 1, F2, [(Interval(5, 5), None)]))
     assert validate_representation(single) is None
+
+
+def _per_summand_pack(l):
+    """The certificate packed summand by summand, each summand's own
+    interleaving on its own carrier, then summed on an explicit carrier: the
+    reference for pack_decomposed."""
+    w, eps, field = l.window, l.epsilon, l.field
+    p, _ = window_chain(w)
+    lam = lambda_eps(w, eps)
+    zero = zero_representation(p, field)
+    parts = []
+    for a, b in l.summands:
+        m = interval_to_module(a, w, field) if a is not None else zero
+        n = interval_to_module(b, w, field) if b is not None else zero
+        if a is not None and b is not None:
+            f, g = canonical_pair(a, b, eps, w, field)
+        else:
+            f = zero_nat(m, precompose(n, lam))
+            g = zero_nat(n, precompose(m, lam))
+        parts.append(pack(Interleaving(m, n, lam, f, g)))
+    total, _ = direct_sum(parts, proset=shoelace(p, lam), field=field)
+    return total
+
+
+def _rand_bar(rng):
+    lo = "-inf" if rng.random() < 0.15 else rng.randint(0, 6)
+    if rng.random() < 0.15:
+        return Interval(lo, "+inf")
+    return Interval(lo, (0 if lo == "-inf" else lo) + rng.randint(0, 5))
+
+
+def _rand_certificates(rng, field, eps):
+    """Certificates of both variants from the first matching and the first
+    essential matching of two random barcodes, the right one mostly jittered
+    copies of the left one."""
+    left = [_rand_bar(rng) for _ in range(rng.randint(0, 4))]
+    right = []
+    for bar in left:
+        if rng.random() < 0.8:
+            lo, hi = (e if e.kind else e + rng.randint(-eps, eps)
+                      for e in (bar.lo, bar.hi))
+            right.append(Interval(lo, max(lo, hi)))
+    right += [_rand_bar(rng) for _ in range(rng.randint(0, 1))]
+    bm, bn = Barcode(left), Barcode(right)
+    ends = [e for bar in left + right for e in bar.finite_endpoints()] or [0]
+    w = Window(min(ends) - 2 * eps, max(ends) + 2 * eps)
+    for variant, essential in (("essential_F", True), ("nonessential_Fprime", False)):
+        s = find_matching(bm, bn, eps, require_essential=essential)
+        if s is not None:
+            yield variant, s, matching_to_rep(s, w, variant, field)
+
+
+def test_pack_decomposed_matches_per_summand_packs():
+    rng = random.Random(5)
+    seen = Counter()
+    for field in (F2, F5, FieldSpec(2**31 - 1)):
+        for eps in range(4):
+            empty = Matching(Barcode([]), Barcode([]), [], eps)
+            certs = [("empty", empty, matching_to_rep(empty, Window(0, 0), field=field))]
+            for _ in range(8):
+                certs += _rand_certificates(rng, field, eps)
+            for variant, s, l in certs:
+                ref = _per_summand_pack(l)
+                assert pack_decomposed(l) == ref
+                sh, _ = shoelace_window(l.window, eps)
+                assert expand_decomposed(l) == subrelation_transfer(ref, sh)
+                seen[variant] += 1
+                seen["single"] += sum(None in summand for summand in l.summands)
+                seen["infinite"] += sum(len(bar.finite_endpoints()) < 2
+                                        for bar in list(s.source) + list(s.target))
+                seen["split"] += variant == "nonessential_Fprime" and bool(is_essential(s))
+    assert min(seen.values()) > 0, seen
+
+
+def _per_pair_comparison_maps(s, w, field):
+    """phi and psi entries between the interval sums of the two barcodes,
+    assembled pair by pair: the canonical pair of each matched pair at the
+    slots of the first unused equal bars, the reference for
+    matching_interleaving.  canonical_pair itself gives the zero blocks of a
+    pair that fails (*)."""
+    p, _ = window_chain(w)
+    lam = lambda_eps(w, s.epsilon).mapping
+    src, tgt = list(s.source), list(s.target)
+    m, ms = direct_sum([interval_to_module(bar, w, field) for bar in src],
+                       proset=p, field=field)
+    n, ns = direct_sum([interval_to_module(bar, w, field) for bar in tgt],
+                       proset=p, field=field)
+    phi = [[[0] * m.dims[i] for _ in range(n.dims[lam[i]])] for i in range(p.n)]
+    psi = [[[0] * n.dims[i] for _ in range(m.dims[lam[i]])] for i in range(p.n)]
+    free_s, free_t = list(range(len(src))), list(range(len(tgt)))
+    for a, b in s.pairs:
+        ks = free_s.pop(next(pos for pos, k in enumerate(free_s) if src[k] == a))
+        kt = free_t.pop(next(pos for pos, k in enumerate(free_t) if tgt[k] == b))
+        f, g = canonical_pair(a, b, s.epsilon, w, field)
+        for i in range(p.n):
+            for out, t, rows, cols in ((phi, f, ns[kt][lam[i]], ms[ks][i]),
+                                       (psi, g, ms[ks][lam[i]], ns[kt][i])):
+                for r, row in enumerate(t.components[i].entries):
+                    out[i][rows[0] + r][cols[0]:cols[1]] = row
+    return phi, psi
+
+
+def test_matching_interleaving_matches_per_pair_blocks():
+    rng = random.Random(6)
+    for field in (F2, F5, FieldSpec(2**31 - 1)):
+        for eps in range(4):
+            for _ in range(8):
+                for _variant, s, l in _rand_certificates(rng, field, eps):
+                    x = matching_interleaving(s, l.window, field)
+                    phi, psi = _per_pair_comparison_maps(s, l.window, field)
+                    assert [list(map(list, c.entries)) for c in x.phi.components] == phi
+                    assert [list(map(list, c.entries)) for c in x.psi.components] == psi
+
+
+def test_pack_decomposed_packs_once(monkeypatch):
+    import shoelace.interleave as interleave_mod
+    import shoelace.zed as zed_mod
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(zed_mod, "pack", counted("pack", zed_mod.pack))
+    monkeypatch.setattr(interleave_mod, "shoelace",
+                        counted("shoelace", interleave_mod.shoelace))
+    i02, i13, i55 = Interval(0, 2), Interval(1, 3), Interval(5, 5)
+    cert = DecomposedShoelaceRep(Window(-2, 7), 1, F2,
+                                 [(i02, i13), (i55, None), (None, i55)])
+    expand_decomposed(cert)
+    assert calls == {"pack": 1, "shoelace": 1}
 
 
 def test_expand_decomposed_restriction_barcodes():
