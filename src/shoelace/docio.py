@@ -39,7 +39,6 @@ from .zed import (
     Interval,
     Matching,
     Window,
-    validate_decomposed,
     validate_matching,
 )
 
@@ -375,9 +374,11 @@ def _load_decomposed(payload: dict) -> DecomposedShoelaceRep:
             _load_interval(left, "summand") if left is not None else None,
             _load_interval(right, "summand") if right is not None else None,
         ))
-    l = DecomposedShoelaceRep(w, eps, field, summands)
-    _validated(validate_decomposed(l), "decomposed_rep")
-    return l
+    try:
+        return DecomposedShoelaceRep(w, eps, field, summands)
+    except ValueError as e:
+        report = str(e).removeprefix("invalid decomposed representation: ")
+        raise DocumentValidationError(f"invalid decomposed_rep: {report}") from None
 
 
 def _window_module_payload(w: Window, m: Representation) -> dict:

@@ -10,7 +10,7 @@ validate_representation checks that the maps do not depend on the path.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from typing import Optional, Sequence
 
 from .exactlin import FieldSpec, Matrix, mat_mul
@@ -161,8 +161,18 @@ def validate_representation(m: Representation) -> Optional[str]:
 
 
 def zero_representation(proset: Proset, field: FieldSpec) -> Representation:
-    dims = (0,) * proset.n
-    maps = dict.fromkeys(proset.generating_edges, Matrix.zeros(field, 0, 0))
+    return indicator_module(proset, (), field)
+
+
+def indicator_module(proset: Proset, support: Collection[int],
+                     field: FieldSpec) -> Representation:
+    """Dimension 1 on support, the 1x1 identity on the generating edges
+    inside it, zero elsewhere; functorial when support is convex."""
+    dims = tuple(1 if k in support else 0 for k in range(proset.n))
+    # matrices are immutable, so the edges share one of each shape
+    shared = {(1, 1): Matrix.identity(field, 1), (0, 0): Matrix.zeros(field, 0, 0),
+              (0, 1): Matrix.zeros(field, 0, 1), (1, 0): Matrix.zeros(field, 1, 0)}
+    maps = {(a, b): shared[(dims[b], dims[a])] for (a, b) in proset.generating_edges}
     return Representation(proset, field, dims, maps)
 
 

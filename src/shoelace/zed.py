@@ -31,8 +31,8 @@ from .rep import (
     NatTrans,
     Representation,
     direct_sum,
+    indicator_module,
     precompose,
-    subrelation_transfer,
     zero_representation,
 )
 from .interleave import Interleaving, pack
@@ -331,27 +331,20 @@ class Matching:
 class DecomposedShoelaceRep:
     """Certificate that a windowed shoelace representation splits into
     interval-shaped summands, each a (left bar, right bar) pair with at
-    least one side present."""
+    least one side present.  Valid by construction: the constructor takes
+    any iterable of summands and raises ValueError on the report of
+    validate_decomposed, its one check."""
 
     window: Window
     epsilon: int
     field: FieldSpec
     summands: tuple[tuple[Optional[Interval], Optional[Interval]], ...]
 
-    def __init__(self, window: Window, epsilon: int, field: FieldSpec,
-                 summands: Iterable[Sequence[Optional[Interval]]]):
-        norm = []
-        for s in summands:
-            l, r = s[0], s[1]
-            for side in (l, r):
-                if side is not None and not isinstance(side, Interval):
-                    raise ValueError(f"summand side must be an Interval or None, "
-                                     f"got {side!r}")
-            norm.append((l, r))
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "summands", tuple(norm))
+    def __post_init__(self):
+        object.__setattr__(self, "summands", tuple((s[0], s[1]) for s in self.summands))
+        err = validate_decomposed(self)
+        if err is not None:
+            raise ValueError(f"invalid decomposed representation: {err}")
 
     def canonical(self) -> "DecomposedShoelaceRep":
         return DecomposedShoelaceRep(
@@ -423,14 +416,8 @@ def interval_to_module(i: Interval, w: Window,
                 f"finite endpoint {e} of {i} lies outside window "
                 f"[{w.lo}, {w.hi}]; refusing a lossy clamp")
     p, _ = window_chain(w)
-    dims = tuple(1 if i.contains(w.value(k)) else 0 for k in range(w.size))
-    maps = {}
-    for (a, b) in p.generating_edges:
-        if dims[a] and dims[b]:
-            maps[(a, b)] = Matrix.identity(field, 1)
-        else:
-            maps[(a, b)] = Matrix.zeros(field, dims[b], dims[a])
-    return Representation(p, field, dims, maps)
+    return indicator_module(
+        p, {k for k in range(w.size) if i.contains(w.value(k))}, field)
 
 
 def barcode(m: Representation, w: Window, boundary: str = "finite") -> Barcode:
@@ -662,25 +649,17 @@ def matching_to_rep(s: Matching, w: Window, variant: str = "essential_F",
             summands.append((None, b))
         else:
             summands.append((a, b))
-    for bar, cnt in sorted(s.unmatched_source().items(),
-                           key=lambda kv: kv[0].sort_key):
-        summands.extend([(bar, None)] * cnt)
-    for bar, cnt in sorted(s.unmatched_target().items(),
-                           key=lambda kv: kv[0].sort_key):
-        summands.extend([(None, bar)] * cnt)
-    return DecomposedShoelaceRep(w, eps, field, summands).canonical()
+    summands += [(bar, None) for bar in s.unmatched_source().elements()]
+    summands += [(None, bar) for bar in s.unmatched_target().elements()]
+    return DecomposedShoelaceRep(w, eps, field, sorted(summands, key=_summand_key))
 
 
 def rep_to_matching(l: DecomposedShoelaceRep) -> Matching:
     """Read the matching back off a decomposition certificate: two-sided
     summands become matched pairs, single-sided ones unmatched bars."""
-    err = validate_decomposed(l)
-    if err is not None:
-        raise ValueError(f"invalid decomposed representation: {err}")
     source = Barcode(s[0] for s in l.summands if s[0] is not None)
     target = Barcode(s[1] for s in l.summands if s[1] is not None)
-    pairs = [(s[0], s[1]) for s in l.summands
-             if s[0] is not None and s[1] is not None]
+    pairs = [s for s in l.summands if None not in s]
     return Matching(source, target, pairs, l.epsilon)
 
 
@@ -689,19 +668,13 @@ def summand_support(s: tuple[Optional[Interval], Optional[Interval]],
     """Carrier elements of shoelace_window(w, eps) where the summand's
     expansion is nonzero: the left bar on the plain copy, the right bar on
     the primed copy."""
-    out = set()
-    for k in range(w.size):
-        v = w.value(k)
-        if s[0] is not None and s[0].contains(v):
-            out.add(k)
-        if s[1] is not None and s[1].contains(v):
-            out.add(w.size + k)
-    return frozenset(out)
+    return frozenset(off + k for off, bar in ((0, s[0]), (w.size, s[1]))
+                     if bar is not None for k in range(w.size) if bar.contains(w.value(k)))
 
 
 def support_is_interval(p: Proset, support: frozenset[int]) -> bool:
     """Connected in the comparability graph and convex (closed under
-    in-betweenness)."""
+    in-betweenness): the general form of validate_decomposed's support rule."""
     if not support:
         return False
     start = min(support)
@@ -726,18 +699,23 @@ def support_is_interval(p: Proset, support: frozenset[int]) -> bool:
 
 
 def validate_decomposed(l: DecomposedShoelaceRep) -> Optional[str]:
-    """None if the certificate satisfies all structural rules.
+    """None if the certificate satisfies all structural rules, else the
+    first violation; DecomposedShoelaceRep runs it on construction.
 
-    Checks the window padding, per-summand side presence, single-sided
+    Checks side types, window padding, side presence, single-sided
     shortness, two-sided endpoint distances and the overlap condition for
-    short-short pairs, and connectedness/convexity of each summand's
-    support on the windowed shoelace carrier.
+    short-short pairs, then that every support is connected and convex
+    (support_is_interval) in closed form: it is, unless the window has at
+    most eps points.  Then the padding leaves only two-sided (-inf,+inf)
+    pairs, and as i + eps <= j never holds, their supports fall apart.
     """
     eps = l.epsilon
     if not isinstance(eps, int) or isinstance(eps, bool) or eps < 0:
         return f"epsilon must be a nonnegative integer, got {eps!r}"
     w = l.window
     for idx, (a, b) in enumerate(l.summands):
+        if not all(side is None or isinstance(side, Interval) for side in (a, b)):
+            return f"summand {idx}: sides must be an Interval or None, got {(a, b)!r}"
         e = _unpadded_endpoint((bar for bar in (a, b) if bar is not None), w, eps)
         if e is not None:
             return (f"summand {idx}: endpoint {e} needs 2*eps = "
@@ -759,10 +737,8 @@ def validate_decomposed(l: DecomposedShoelaceRep) -> Optional[str]:
             if short_pair_fails_star(a, b, eps):
                 return (f"summand {idx}: short pair ({a}, {b}) fails the "
                         f"overlap condition")
-    sh, _ = shoelace_window(w, eps)
-    for idx, s in enumerate(l.summands):
-        if not support_is_interval(sh, summand_support(s, w, eps)):
-            return f"summand {idx}: support is not connected and convex"
+    if l.summands and w.size <= eps:
+        return "summand 0: support is not connected and convex"
     return None
 
 
@@ -818,9 +794,6 @@ def pack_decomposed(l: DecomposedShoelaceRep) -> Representation:
     summands' own interleavings in the same slot order: every cross map
     N(lam(i) <= j) . phi(i) of the sum is block-diagonal, with the summands'
     cross maps as its blocks."""
-    err = validate_decomposed(l)
-    if err is not None:
-        raise ValueError(f"invalid decomposed representation: {err}")
     blocks = [(k, k) for k, (a, b) in enumerate(l.summands)
               if a is not None and b is not None]
     return pack(_sum_interleaving([a for a, _ in l.summands],
@@ -829,10 +802,23 @@ def pack_decomposed(l: DecomposedShoelaceRep) -> Representation:
 
 
 def expand_decomposed(l: DecomposedShoelaceRep) -> Representation:
-    """Whole certificate as a concrete representation of the unclamped
-    windowed shoelace carrier."""
-    sh, _ = shoelace_window(l.window, l.epsilon)
-    return subrelation_transfer(pack_decomposed(l), sh)
+    """Whole certificate on the unclamped windowed shoelace carrier: by the
+    paper's last theorem, the direct sum in summand order of the indicator
+    modules of the summands' supports (pack_decomposed, moved to this
+    carrier, gives the same maps).  An expansion with dimension above
+    MAX_POINT_DIM at some point is refused before any matrix is built, so
+    every expansion loads back."""
+    w, eps = l.window, l.epsilon
+    sh, _ = shoelace_window(w, eps)
+    supports = [summand_support(s, w, eps) for s in l.summands]
+    dims = Counter(k for support in supports for k in support)
+    over = sorted(k for k, d in dims.items() if d > MAX_POINT_DIM)
+    if over:
+        raise ValueError(
+            f"expansion has dimension {dims[over[0]]} at carrier point "
+            f"{sh.label(over[0])}, more than the limit of {MAX_POINT_DIM}")
+    return direct_sum([indicator_module(sh, support, l.field) for support in supports],
+                      proset=sh, field=l.field)[0]
 
 
 def matching_interleaving(s: Matching, w: Window,

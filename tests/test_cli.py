@@ -384,6 +384,34 @@ def test_barcode_rejects_a_huge_dimension_in_one_line(tmp_path, capsys, window,
         f"error: {message} is more than the limit of {MAX_POINT_DIM}\n")
 
 
+def _whole_line_pairs(tmp_path, count, hi):
+    """A certificate of count two-sided (-inf,+inf) pairs on window 0:hi at
+    eps 1: its expansion has dimension count at every carrier point."""
+    whole = {"lo": "-inf", "hi": "+inf"}
+    doc = {"kind": "decomposed_rep", "version": "1",
+           "payload": {"prime": 2, "window": {"lo": 0, "hi": hi}, "epsilon": 1,
+                       "summands": [{"left": whole, "right": whole}] * count}}
+    path = tmp_path / f"pairs{count}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_expand_refuses_a_dimension_above_the_limit(tmp_path, capsys):
+    over = _whole_line_pairs(tmp_path, MAX_POINT_DIM + 1, 7)
+    start = time.perf_counter()
+    assert main(["expand", "--decomposed", over]) == 1
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (
+        f"error: expansion has dimension {MAX_POINT_DIM + 1} at carrier point 0, "
+        f"more than the limit of {MAX_POINT_DIM}\n")
+    # at the limit the expansion loads back; a two-point window keeps its
+    # document, which lists a dense map for every related pair, near 8 MB
+    at = _whole_line_pairs(tmp_path, MAX_POINT_DIM, 1)
+    out = str(tmp_path / "v.json")
+    assert main(["expand", "--decomposed", at, "--out", out]) == 0
+    assert main(["validate", out]) == 0
+
+
 def test_validate_rejects_a_huge_bar_count_in_one_line(tmp_path, capsys):
     # 100 bytes that used to expand to three million bars
     doc = {"kind": "barcode", "version": "1",

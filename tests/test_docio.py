@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,30 @@ def test_infinite_matching_round_trips():
     assert '"+inf"' in text
     _, loaded = load_document(text)
     assert loaded == s
+
+
+def test_mutated_documents_raise_only_document_errors():
+    """Seeded character edits of a valid document of each kind: loading
+    either succeeds or raises one of the two document errors."""
+    rng = random.Random(0)
+    alphabet = '0123456789-+" {}[],:.eE/infatrulsd\\'
+    for kind, obj in sorted(_examples().items()):
+        text = json.dumps(document_dict(kind, obj))
+        for _ in range(1000):
+            chars = list(text)
+            for _ in range(rng.randint(1, 3)):
+                pos = rng.randrange(len(chars))
+                op = rng.random()
+                if op < 0.4:
+                    chars[pos] = rng.choice(alphabet)
+                elif op < 0.7:
+                    chars.insert(pos, rng.choice(alphabet))
+                else:
+                    del chars[pos]
+            try:
+                load_document("".join(chars))
+            except (DocumentFormatError, DocumentValidationError):
+                pass
 
 
 def test_envelope_errors():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from shoelace.docio import load_document, save_document
 from shoelace.exactlin import FieldSpec, Matrix
 from shoelace.interleave import Interleaving, pack, unpack, validate_interleaving
 from shoelace.proset import (
@@ -476,16 +477,15 @@ def test_validate_decomposed_violations():
     w = Window(-4, 9)
     ok_long = DecomposedShoelaceRep(w, 1, F2, [(Interval(0, 6), Interval(1, 5))])
     assert validate_decomposed(ok_long) is None
-    no_sides = DecomposedShoelaceRep(w, 1, F2, [(None, None)])
-    assert "no sides" in validate_decomposed(no_sides)
-    long_single = DecomposedShoelaceRep(w, 1, F2, [(Interval(0, 5), None)])
-    assert "not < 2" in validate_decomposed(long_single)
-    far_apart = DecomposedShoelaceRep(w, 1, F2, [(Interval(0, 0), Interval(2, 2))])
-    assert "differ" in validate_decomposed(far_apart)
-    star_fail = DecomposedShoelaceRep(w, 2, F2, [(Interval(0, 0), Interval(1, 1))])
-    assert "overlap condition" in validate_decomposed(star_fail)
-    cramped = DecomposedShoelaceRep(Window(0, 3), 1, F2, [(Interval(0, 1), None)])
-    assert "padding" in validate_decomposed(cramped)
+    for window, eps, summand, message in (
+            (w, 1, (None, None), "no sides"),
+            (w, 1, (Interval(0, 5), None), "not < 2"),
+            (w, 1, (Interval(0, 0), Interval(2, 2)), "differ"),
+            (w, 2, (Interval(0, 0), Interval(1, 1)), "overlap condition"),
+            (Window(0, 3), 1, (Interval(0, 1), None), "padding")):
+        with pytest.raises(ValueError,
+                           match=f"invalid decomposed representation: .*{message}"):
+            DecomposedShoelaceRep(window, eps, F2, [summand])
     with pytest.raises(ValueError, match="Interval or None"):
         DecomposedShoelaceRep(w, 1, F2, [((0, 1), None)])
 
@@ -632,26 +632,84 @@ def test_matching_interleaving_matches_per_pair_blocks():
                     assert [list(map(list, c.entries)) for c in x.psi.components] == psi
 
 
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_pack_decomposed_packs_once(monkeypatch):
     import shoelace.interleave as interleave_mod
     import shoelace.zed as zed_mod
 
     calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(zed_mod, "pack", counted("pack", zed_mod.pack))
+    monkeypatch.setattr(zed_mod, "pack", _counted(calls, "pack", zed_mod.pack))
     monkeypatch.setattr(interleave_mod, "shoelace",
-                        counted("shoelace", interleave_mod.shoelace))
+                        _counted(calls, "shoelace", interleave_mod.shoelace))
     i02, i13, i55 = Interval(0, 2), Interval(1, 3), Interval(5, 5)
     cert = DecomposedShoelaceRep(Window(-2, 7), 1, F2,
                                  [(i02, i13), (i55, None), (None, i55)])
-    expand_decomposed(cert)
+    pack_decomposed(cert)
     assert calls == {"pack": 1, "shoelace": 1}
+
+
+def test_certificate_is_validated_once_and_expanded_without_pack(monkeypatch):
+    import shoelace.rep as rep_mod
+    import shoelace.zed as zed_mod
+
+    calls = Counter()
+    monkeypatch.setattr(DecomposedShoelaceRep, "__init__",
+                        _counted(calls, "built", DecomposedShoelaceRep.__init__))
+    for name in ("validate_decomposed", "pack", "canonical_pair"):
+        monkeypatch.setattr(zed_mod, name, _counted(calls, name, getattr(zed_mod, name)))
+    monkeypatch.setattr(rep_mod, "subrelation_transfer",
+                        _counted(calls, "subrelation_transfer",
+                                 rep_mod.subrelation_transfer))
+    i02, i13, i55 = Interval(0, 2), Interval(1, 3), Interval(5, 5)
+    s = Matching(Barcode([i02, i55]), Barcode([i13, i55]), [(i02, i13)], 1)
+    cert = matching_to_rep(s, Window(-2, 7))
+    _, loaded = load_document(save_document("decomposed_rep", cert))
+    expand_decomposed(loaded)
+    assert rep_to_matching(loaded) == s
+    assert calls == {"built": 2, "validate_decomposed": 2}
+
+
+def _bars(lo, hi):
+    """Every bar whose finite endpoints lie in [lo, hi], infinite ends
+    included."""
+    ends = range(lo, hi + 1)
+    return [Interval(a, b) for a in ["-inf", *ends] for b in [*ends, "+inf"]
+            if a == "-inf" or b == "+inf" or a <= b]
+
+
+def test_support_rule_matches_the_general_check():
+    """validate_decomposed's closed-form support rule agrees with
+    support_is_interval on every summand that passes the endpoint rules, at
+    eps 0..5 on windows of 1..eps+2 and 4eps+1..4eps+9 points."""
+    verdicts = Counter()
+    for eps in range(6):
+        for size in set(range(1, eps + 3)) | set(range(4 * eps + 1, 4 * eps + 10)):
+            w = Window(0, size - 1)
+            sh, _ = shoelace_window(w, eps)
+            # a finite endpoint outside [2*eps, size-1-2*eps] fails the padding rule
+            bars = _bars(2 * eps, size - 1 - 2 * eps)
+            for summand in ([(a, None) for a in bars] + [(None, b) for b in bars]
+                            + [(a, b) for a in bars for b in bars]):
+                try:
+                    DecomposedShoelaceRep(w, eps, F2, [summand])
+                    ok = True
+                except ValueError as e:
+                    if "support is not connected and convex" not in str(e):
+                        continue
+                    ok = False
+                assert ok == support_is_interval(
+                    sh, summand_support(summand, w, eps)), (summand, w, eps)
+                verdicts[ok] += 1
+    assert verdicts == {True: 12594, False: 15}
+    both = (Interval("-inf", "+inf"),) * 2
+    with pytest.raises(ValueError, match="summand 0: support is not connected"):
+        DecomposedShoelaceRep(Window(0, 1), 2, F2, [both, both])
 
 
 def test_expand_decomposed_restriction_barcodes():
@@ -668,9 +726,8 @@ def test_expand_decomposed_restriction_barcodes():
     pv = pack_decomposed(cert)
     x = unpack(pv)
     assert validate_interleaving(x) is None
-    broken = DecomposedShoelaceRep(w, 1, F2, [(Interval(0, 5), None)])
     with pytest.raises(ValueError, match="invalid decomposed"):
-        pack_decomposed(broken)
+        DecomposedShoelaceRep(w, 1, F2, [(Interval(0, 5), None)])
 
 
 def test_find_matching_examples():
