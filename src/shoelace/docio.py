@@ -289,7 +289,7 @@ def _load_interval(raw, what: str) -> Interval:
 
 def _barcode_payload(b: Barcode) -> dict:
     items = []
-    for bar, count in sorted(b.counts().items(), key=lambda kv: kv[0].sort_key):
+    for bar, count in sorted(b.counts().items(), key=lambda kv: kv[0].ends):
         items.append({"lo": bar.lo.to_json(), "hi": bar.hi.to_json(),
                       "count": count})
     return {"intervals": items}

@@ -13,6 +13,7 @@ have.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -39,10 +40,13 @@ from .interleave import Interleaving, pack
 
 
 class Ext:
-    """Integer extended with symbolic -inf / +inf endpoints.
+    """Endpoint at the parse and format boundary: an integer, or the
+    symbolic -inf / +inf.
 
-    Distances follow the convention |+-inf - (-+inf)| = inf,
-    |+-inf - (+-inf)| = 0, |+-inf - x| = inf for finite x.
+    Intervals hold their endpoints plainly (see Interval); Ext turns
+    argument and document values into endpoints (of) and endpoints back
+    into text (str, to_json).  A finite Ext equals its int and hashes like
+    it.
     """
 
     __slots__ = ("kind", "value")
@@ -63,53 +67,27 @@ class Ext:
         object.__setattr__(out, "value", 0)
         return out
 
-    def _key(self) -> tuple[int, int]:
-        return (self.kind, self.value)
-
     @staticmethod
     def of(x: Union["Ext", int, str]) -> "Ext":
         if isinstance(x, Ext):
             return x
-        if isinstance(x, str):
-            if x == "-inf":
-                return NEG_INF
-            if x == "+inf":
-                return POS_INF
-            raise ValueError(f"not an extended integer: {x!r}")
+        if x in ("-inf", "+inf"):
+            return NEG_INF if x == "-inf" else POS_INF
         if isinstance(x, int) and not isinstance(x, bool):
             return Ext(x)
-        raise ValueError(f"not an extended integer: {x!r}")
+        # the type tells a JSON -Infinity or 1.0 apart from "-inf" or 1
+        raise ValueError(f"not an extended integer: {x!r} ({type(x).__name__})")
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (Ext, int)):
-            return self._key() == Ext.of(other)._key()
+        if isinstance(other, Ext):
+            return self.kind == other.kind and self.value == other.value
+        if isinstance(other, int):
+            return self.kind == 0 and self.value == other
         return NotImplemented
 
     def __hash__(self) -> int:
         # a finite Ext equals its int, so it must hash like it
-        return hash(self.value) if self.kind == 0 else hash(self._key())
-
-    def __lt__(self, other) -> bool:
-        return self._key() < Ext.of(other)._key()
-
-    def __le__(self, other) -> bool:
-        return self._key() <= Ext.of(other)._key()
-
-    def __gt__(self, other) -> bool:
-        return self._key() > Ext.of(other)._key()
-
-    def __ge__(self, other) -> bool:
-        return self._key() >= Ext.of(other)._key()
-
-    def __add__(self, other: int) -> "Ext":
-        if self.kind != 0:
-            return self
-        return Ext(self.value + other)
-
-    def __sub__(self, other: int) -> "Ext":
-        if self.kind != 0:
-            return self
-        return Ext(self.value - other)
+        return hash(self.value) if self.kind == 0 else hash((self.kind, self.value))
 
     def __str__(self) -> str:
         if self.kind < 0:
@@ -128,77 +106,99 @@ class Ext:
 NEG_INF = Ext._make_inf(-1)
 POS_INF = Ext._make_inf(1)
 
+Endpoint = Union[int, float]
 
-def endpoint_distance(a: Union[Ext, int, str], b: Union[Ext, int, str]) -> Ext:
-    a = Ext.of(a)
-    b = Ext.of(b)
-    if a.kind != 0 or b.kind != 0:
-        return Ext(0) if a.kind == b.kind else POS_INF
-    return Ext(abs(a.value - b.value))
+
+def _ext(e: Endpoint) -> Ext:
+    """The Ext of a plain endpoint, for messages and documents."""
+    return NEG_INF if e == -math.inf else POS_INF if e == math.inf else Ext(e)
+
+
+def endpoint_distance(a: Endpoint, b: Endpoint) -> Endpoint:
+    """|a - b| on plain endpoints, with |+-inf - (+-inf)| = 0 and math.inf
+    whenever exactly one side is infinite or they are opposite infinities."""
+    return 0 if a == b else abs(a - b)
 
 
 class Interval:
     """Closed integer interval, possibly unbounded on either side.
 
     The four shapes are [x,y], (-inf,y], [x,+inf), and (-inf,+inf); finite
-    endpoints are always closed.
+    endpoints are always closed.  The one slot ends = (lo, hi) holds the
+    endpoints plainly: ints, with -math.inf and math.inf for the infinite
+    ends.  An int compares with a float exactly and math.inf - eps is
+    math.inf, so ordering (ends is the sort key), shifting and the overlap
+    tests are plain expressions.  Interval(lo, hi) parses each end through
+    Ext.of, so no float comes in from outside, and refuses a finite end
+    beyond +-MAX_ENDPOINT; lo and hi give the ends back as Ext.
     """
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("ends",)
 
     def __init__(self, lo: Union[Ext, int, str], hi: Union[Ext, int, str]):
-        lo = Ext.of(lo)
-        hi = Ext.of(hi)
-        if lo.kind > 0:
+        lo, hi = (e.value if e.kind == 0 else e.kind * math.inf
+                  for e in (Ext.of(lo), Ext.of(hi)))
+        if lo == math.inf:
             raise ValueError("interval cannot start at +inf")
-        if hi.kind < 0:
+        if hi == -math.inf:
             raise ValueError("interval cannot end at -inf")
         if hi < lo:
             raise ValueError(f"empty interval [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        if any(MAX_ENDPOINT < abs(e) < math.inf for e in (lo, hi)):
+            raise ValueError("an endpoint lies beyond the limit of +-10**300")
+        object.__setattr__(self, "ends", (lo, hi))
+
+    @classmethod
+    def _trusted(cls, lo: Endpoint, hi: Endpoint) -> "Interval":
+        """An interval on plain ends known to satisfy the constructor's
+        rules."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "ends", (lo, hi))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Interval is immutable")
 
-    def length(self) -> Ext:
-        return endpoint_distance(self.lo, self.hi)
+    @property
+    def lo(self) -> Ext:
+        return _ext(self.ends[0])
+
+    @property
+    def hi(self) -> Ext:
+        return _ext(self.ends[1])
+
+    def length(self) -> Endpoint:
+        return endpoint_distance(*self.ends)
 
     def is_short(self, eps: int) -> bool:
         """length() < 2*eps; a bar with an infinite endpoint is never short."""
-        lo, hi = self.lo, self.hi
-        return lo.kind == 0 and hi.kind == 0 and hi.value - lo.value < 2 * eps
-
-    @property
-    def sort_key(self) -> tuple[int, int, int, int]:
-        return (self.lo.kind, self.lo.value, self.hi.kind, self.hi.value)
+        lo, hi = self.ends
+        return hi - lo < 2 * eps
 
     def contains(self, v: int) -> bool:
-        return self.lo <= v and Ext.of(v) <= self.hi
+        lo, hi = self.ends
+        return lo <= v <= hi
 
     def shifted(self, eps: int) -> "Interval":
         """Both endpoints lowered by eps; infinite endpoints stay put."""
-        return Interval(self.lo - eps, self.hi - eps)
+        lo, hi = self.ends
+        return Interval._trusted(lo - eps, hi - eps)
 
     def finite_endpoints(self) -> tuple[int, ...]:
-        out = []
-        if self.lo.kind == 0:
-            out.append(self.lo.value)
-        if self.hi.kind == 0:
-            out.append(self.hi.value)
-        return tuple(out)
+        return tuple(e for e in self.ends if -math.inf < e < math.inf)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Interval):
             return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
+        return self.ends == other.ends
 
     def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
+        return hash(self.ends)
 
     def __str__(self) -> str:
-        left = "(-inf" if self.lo.kind < 0 else f"[{self.lo}"
-        right = "+inf)" if self.hi.kind > 0 else f"{self.hi}]"
+        lo, hi = self.ends
+        left = "(-inf" if lo == -math.inf else f"[{lo}"
+        right = "+inf)" if hi == math.inf else f"{hi}]"
         return f"{left},{right}"
 
     def __repr__(self) -> str:
@@ -215,7 +215,7 @@ class Barcode:
         for i in items:
             if not isinstance(i, Interval):
                 raise ValueError(f"not an interval: {i!r}")
-        items = tuple(sorted(items, key=lambda i: i.sort_key))
+        items = tuple(sorted(items, key=lambda i: i.ends))
         object.__setattr__(self, "intervals", items)
 
     def __setattr__(self, name, value):
@@ -243,6 +243,9 @@ class Barcode:
 
 
 MAX_WINDOW_POINTS = 1024
+# Bound on finite endpoints and window values.  An int meeting math.inf in
+# arithmetic is converted to float, which raises OverflowError from 2**1024.
+MAX_ENDPOINT = 10 ** 300
 # Limits the document loaders check before they build anything: the
 # dimension at one point (barcode builds and ranks identities of that size)
 # and the bars of one barcode with multiplicity (a count costs no bytes).
@@ -255,7 +258,8 @@ class Window:
     """Finite integer range [lo, hi] serving as the carrier for the chain.
 
     Carrier tables grow with the square of the width, so a window has at
-    most MAX_WINDOW_POINTS points."""
+    most MAX_WINDOW_POINTS points; like a finite endpoint, each value lies
+    within +-MAX_ENDPOINT."""
 
     lo: int
     hi: int
@@ -263,6 +267,8 @@ class Window:
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError(f"empty window [{self.lo}, {self.hi}]")
+        if max(-self.lo, self.hi) > MAX_ENDPOINT:
+            raise ValueError("a window value lies beyond the limit of +-10**300")
         if self.size > MAX_WINDOW_POINTS:
             raise ValueError(
                 f"window [{self.lo}, {self.hi}] has {self.size} points, "
@@ -280,6 +286,10 @@ class Window:
     def value(self, i: int) -> int:
         return self.lo + i
 
+    def indices(self, lo: Endpoint, hi: Endpoint) -> range:
+        """Indices of the window values v with lo <= v <= hi."""
+        return range(max(lo, self.lo) - self.lo, min(hi, self.hi) - self.lo + 1)
+
 
 class Matching:
     """Partial bijection between barcode instances at a given epsilon.
@@ -295,7 +305,7 @@ class Matching:
         if not isinstance(epsilon, int) or isinstance(epsilon, bool) or epsilon < 0:
             raise ValueError(f"epsilon must be a nonnegative integer, got {epsilon!r}")
         ps = tuple(sorted(((a, b) for (a, b) in pairs),
-                          key=lambda ab: (ab[0].sort_key, ab[1].sort_key)))
+                          key=lambda ab: (ab[0].ends, ab[1].ends)))
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "pairs", ps)
@@ -354,8 +364,8 @@ class DecomposedShoelaceRep:
 
 def _summand_key(s: tuple[Optional[Interval], Optional[Interval]]):
     l, r = s
-    return (0 if l is not None else 1, l.sort_key if l is not None else (),
-            0 if r is not None else 1, r.sort_key if r is not None else ())
+    return (0 if l is not None else 1, l.ends if l is not None else (),
+            0 if r is not None else 1, r.ends if r is not None else ())
 
 
 @lru_cache(maxsize=1024)
@@ -416,8 +426,7 @@ def interval_to_module(i: Interval, w: Window,
                 f"finite endpoint {e} of {i} lies outside window "
                 f"[{w.lo}, {w.hi}]; refusing a lossy clamp")
     p, _ = window_chain(w)
-    return indicator_module(
-        p, {k for k in range(w.size) if i.contains(w.value(k))}, field)
+    return indicator_module(p, w.indices(*i.ends), field)
 
 
 def barcode(m: Representation, w: Window, boundary: str = "finite") -> Barcode:
@@ -454,14 +463,10 @@ def barcode(m: Representation, w: Window, boundary: str = "finite") -> Barcode:
                     f"module is not functorial")
             if mult == 0:
                 continue
-            lo: Union[int, Ext] = w.value(a)
-            hi: Union[int, Ext] = w.value(b)
-            if boundary == "infinite":
-                if a == 0:
-                    lo = NEG_INF
-                if b == n - 1:
-                    hi = POS_INF
-            bars.extend([Interval(lo, hi)] * mult)
+            infinite = boundary == "infinite"
+            lo = -math.inf if infinite and a == 0 else w.value(a)
+            hi = math.inf if infinite and b == n - 1 else w.value(b)
+            bars.extend([Interval._trusted(lo, hi)] * mult)
     return Barcode(bars)
 
 
@@ -473,11 +478,8 @@ def condition_star(i: Interval, j: Interval, eps: int) -> bool:
 
 
 def _star_disjuncts(i: Interval, j: Interval, eps: int) -> tuple[bool, bool]:
-    x, y = i.lo, i.hi
-    s, t = j.lo, j.hi
-    first = s - eps <= x and x <= t - eps and t - eps <= y
-    second = x - eps <= s and s <= y - eps and y - eps <= t
-    return first, second
+    (x, y), (s, t) = i.ends, j.ends
+    return s - eps <= x <= t - eps <= y, x - eps <= s <= y - eps <= t
 
 
 def short_pair_fails_star(a: Interval, b: Interval, eps: int) -> bool:
@@ -505,18 +507,17 @@ def validate_matching(s: Matching) -> Optional[str]:
         bad = next(iter(right_used - s.target.counts()))
         return f"pair uses {bad} more times than the target barcode provides"
     for (a, b) in s.pairs:
-        if endpoint_distance(a.lo, b.lo) > eps:
-            return (f"matched pair ({a}, {b}): left endpoints differ by "
-                    f"{endpoint_distance(a.lo, b.lo)} > {eps}")
-        if endpoint_distance(a.hi, b.hi) > eps:
-            return (f"matched pair ({a}, {b}): right endpoints differ by "
-                    f"{endpoint_distance(a.hi, b.hi)} > {eps}")
+        for side, k in (("left", 0), ("right", 1)):
+            d = endpoint_distance(a.ends[k], b.ends[k])
+            if d > eps:
+                return (f"matched pair ({a}, {b}): {side} endpoints differ by "
+                        f"{_ext(d)} > {eps}")
     for side, counter in (("source", s.unmatched_source()),
                           ("target", s.unmatched_target())):
         for bar, cnt in counter.items():
             if cnt and not bar.is_short(eps):
                 return (f"unmatched {side} interval {bar} has length "
-                        f"{bar.length()}, not < {2 * eps}")
+                        f"{_ext(bar.length())}, not < {2 * eps}")
     return None
 
 
@@ -551,10 +552,8 @@ def _hom_dimension(m: Representation, n: Representation) -> int:
 
 
 def _headroom(i: Interval, w: Window, eps: int) -> bool:
-    u = i.hi
-    if u.kind != 0:
-        return True
-    return u.value < w.hi or u.value + 2 * eps <= w.hi
+    u = i.ends[1]
+    return u == math.inf or u < w.hi or u + 2 * eps <= w.hi
 
 
 def canonical_pair(i: Interval, j: Interval, eps: int, w: Window,
@@ -588,20 +587,14 @@ def canonical_pair(i: Interval, j: Interval, eps: int, w: Window,
     ml = precompose(m, lam)
     d1, d2 = _star_disjuncts(i, j, eps)
 
-    def build(src, tgt, active, lo: Ext, hi_minus: Ext):
-        comps = []
-        for a in range(w.size):
-            v = w.value(a)
-            on = (active and lo <= v and Ext.of(v) <= hi_minus
-                  and src.dims[a] == 1 and tgt.dims[a] == 1)
-            if on:
-                comps.append(Matrix.identity(field, 1))
-            else:
-                comps.append(Matrix.zeros(field, tgt.dims[a], src.dims[a]))
-        return NatTrans(src, tgt, comps)
+    def build(src, tgt, active, lo: Endpoint, hi_minus: Endpoint):
+        on = w.indices(lo, hi_minus) if active else range(0)
+        return NatTrans(src, tgt, [
+            Matrix.identity(field, 1) if a in on and src.dims[a] == tgt.dims[a] == 1
+            else Matrix.zeros(field, tgt.dims[a], src.dims[a]) for a in range(w.size)])
 
-    f = build(m, nl, d1, i.lo, j.hi - eps)
-    g = build(n, ml, d2, j.lo, i.hi - eps)
+    f = build(m, nl, d1, i.ends[0], j.ends[1] - eps)
+    g = build(n, ml, d2, j.ends[0], i.ends[1] - eps)
     return f, g
 
 
@@ -669,7 +662,7 @@ def summand_support(s: tuple[Optional[Interval], Optional[Interval]],
     expansion is nonzero: the left bar on the plain copy, the right bar on
     the primed copy."""
     return frozenset(off + k for off, bar in ((0, s[0]), (w.size, s[1]))
-                     if bar is not None for k in range(w.size) if bar.contains(w.value(k)))
+                     if bar is not None for k in w.indices(*bar.ends))
 
 
 def support_is_interval(p: Proset, support: frozenset[int]) -> bool:
@@ -726,14 +719,12 @@ def validate_decomposed(l: DecomposedShoelaceRep) -> Optional[str]:
             bar = a if a is not None else b
             if not bar.is_short(eps):
                 return (f"summand {idx}: single-sided bar {bar} has length "
-                        f"{bar.length()}, not < {2 * eps}")
+                        f"{_ext(bar.length())}, not < {2 * eps}")
         else:
-            if endpoint_distance(a.lo, b.lo) > eps:
-                return (f"summand {idx}: left endpoints of ({a}, {b}) differ "
-                        f"by more than {eps}")
-            if endpoint_distance(a.hi, b.hi) > eps:
-                return (f"summand {idx}: right endpoints of ({a}, {b}) differ "
-                        f"by more than {eps}")
+            for side, k in (("left", 0), ("right", 1)):
+                if endpoint_distance(a.ends[k], b.ends[k]) > eps:
+                    return (f"summand {idx}: {side} endpoints of ({a}, {b}) "
+                            f"differ by more than {eps}")
             if short_pair_fails_star(a, b, eps):
                 return (f"summand {idx}: short pair ({a}, {b}) fails the "
                         f"overlap condition")
@@ -854,9 +845,8 @@ def pair_ok(a: Interval, b: Interval, eps: int,
             require_essential: bool = False) -> bool:
     """Whether a and b may be matched at eps: both endpoint pairs within eps
     and, under require_essential, Condition (*) when both bars are short."""
-    if endpoint_distance(a.lo, b.lo) > eps:
-        return False
-    if endpoint_distance(a.hi, b.hi) > eps:
+    (alo, ahi), (blo, bhi) = a.ends, b.ends
+    if endpoint_distance(alo, blo) > eps or endpoint_distance(ahi, bhi) > eps:
         return False
     return not (require_essential and short_pair_fails_star(a, b, eps))
 
@@ -892,7 +882,7 @@ def iter_matchings(bm: Barcode, bn: Barcode, eps: int,
             return
         a = src[idx]
         tried = set()
-        for b in sorted(tgt_counts, key=lambda x: x.sort_key):
+        for b in sorted(tgt_counts, key=lambda x: x.ends):
             if tgt_counts[b] == 0 or b in tried:
                 continue
             tried.add(b)
@@ -967,13 +957,16 @@ class _MatchingOracle:
         starts.append(m)
         self.adj: tuple[list[list[int]], list[list[int]]] = (
             [[] for _ in range(n)], [[] for _ in range(m)])
-        lo_keys = [tgt[j].sort_key[:2] for j in starts[:-1]]
+        lo_keys = [tgt[j].ends[0] for j in starts[:-1]]
         admissible: dict[Interval, list[int]] = {}
         for i, a in enumerate(src):
             if a not in admissible:
-                # only groups whose lower end is within eps can qualify
-                first = bisect_left(lo_keys, (a.lo.kind, a.lo.value - eps))
-                last = bisect_right(lo_keys, (a.lo.kind, a.lo.value + eps))
+                # only groups whose lower end is within eps can qualify; for
+                # -inf that is -inf alone, whatever the size of eps
+                lo = a.ends[0]
+                band = (lo, lo) if lo == -math.inf else (lo - eps, lo + eps)
+                first = bisect_left(lo_keys, band[0])
+                last = bisect_right(lo_keys, band[1])
                 admissible[a] = [j for g in range(first, last)
                                  if pair_ok(a, tgt[starts[g]], eps, require_essential)
                                  for j in range(starts[g], starts[g + 1])]

@@ -426,6 +426,33 @@ def test_validate_rejects_a_huge_bar_count_in_one_line(tmp_path, capsys):
         f"{MAX_BARCODE_BARS}\n")
 
 
+@pytest.mark.parametrize("end, shown", [
+    (float("-inf"), "-inf (float)"), (float("nan"), "nan (float)"),
+    (1.0, "1.0 (float)"), (True, "True (bool)"), (-10 ** 301, "+-10**300")],
+    ids=["-Infinity", "NaN", "1.0", "true", "beyond-the-limit"])
+def test_validate_refuses_non_integer_endpoints_in_one_line(tmp_path, capsys,
+                                                            end, shown):
+    # json writes the floats as -Infinity, NaN and 1.0; none is an endpoint,
+    # and a float infinity must not pass for the string "-inf"
+    doc = {"kind": "barcode", "version": "1",
+           "payload": {"intervals": [{"lo": end, "hi": 5, "count": 1}]}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad interval in barcode: ") and shown in err
+    assert err.count("\n") == 1
+
+
+def test_find_matching_takes_an_epsilon_beyond_float_range(tmp_path, capsys):
+    # an infinite lower end meets eps in the search; eps must not become a float
+    whole = _write(tmp_path, "a.json", "barcode", Barcode([Interval("-inf", "+inf")]))
+    assert main(["find-matching", "--left", whole, "--right", whole,
+                 "--epsilon", str(10 ** 400)]) == 0
+    _, s = load_document(capsys.readouterr().out)
+    assert s.epsilon == 10 ** 400 and len(s.pairs) == 1
+
+
 def test_match_to_rep_rejects_a_wide_window_flag(tmp_path, capsys):
     i01 = Interval(0, 1)
     s = Matching(Barcode([i01]), Barcode([i01]), [(i01, i01)], 0)

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -34,6 +35,7 @@ from shoelace.zed import (
     DecomposedShoelaceRep,
     Ext,
     Interval,
+    MAX_ENDPOINT,
     Matching,
     NEG_INF,
     POS_INF,
@@ -69,32 +71,126 @@ F5 = FieldSpec(5)
 
 
 def test_endpoint_distance_conventions():
-    assert endpoint_distance(POS_INF, POS_INF) == Ext(0)
-    assert endpoint_distance(NEG_INF, NEG_INF) == Ext(0)
-    assert endpoint_distance(POS_INF, NEG_INF) == POS_INF
-    assert endpoint_distance(NEG_INF, POS_INF) == POS_INF
-    assert endpoint_distance(POS_INF, 5) == POS_INF
-    assert endpoint_distance(5, NEG_INF) == POS_INF
-    assert endpoint_distance(3, 7) == Ext(4)
-    assert endpoint_distance("-inf", "-inf") == Ext(0)
+    inf = math.inf
+    # equal infinities are at distance 0, not at inf - inf, which is NaN
+    assert endpoint_distance(inf, inf) == 0
+    assert endpoint_distance(-inf, -inf) == 0
+    assert endpoint_distance(inf, -inf) == inf
+    assert endpoint_distance(-inf, inf) == inf
+    assert endpoint_distance(inf, 5) == inf
+    assert endpoint_distance(5, -inf) == inf
+    assert endpoint_distance(3, 7) == 4
+    assert endpoint_distance(2 ** 60 + 1, 2 ** 60) == 1
 
 
-def test_ext_ordering_and_arithmetic():
-    assert NEG_INF < Ext(-10 ** 9) < Ext(0) < Ext(10 ** 9) < POS_INF
+def test_ext_parses_and_formats():
     assert Ext(3) == 3
-    assert Ext(3) <= 3 and Ext(3) >= 3
-    assert POS_INF + 5 == POS_INF
-    assert NEG_INF - 5 == NEG_INF
-    assert Ext(2) + 3 == Ext(5)
-    assert Ext(2) - 3 == Ext(-1)
     assert str(NEG_INF) == "-inf" and str(POS_INF) == "+inf"
-    assert Ext.of("+inf") is POS_INF
+    assert Ext.of("+inf") is POS_INF and Ext.of("-inf") is NEG_INF
+    assert [e.to_json() for e in (NEG_INF, Ext(3), POS_INF)] == ["-inf", 3, "+inf"]
     with pytest.raises(ValueError, match="not an extended integer"):
         Ext.of("infinity")
     with pytest.raises(ValueError, match="not an extended integer"):
         Ext.of(1.5)
     with pytest.raises(ValueError):
         Ext(True)
+    # endpoints are compared and shifted as plain values, never as Ext
+    for name in ("_key", "__lt__", "__le__", "__gt__", "__ge__", "__add__", "__sub__"):
+        assert name not in Ext.__dict__, name
+    assert not hasattr(Interval, "sort_key")
+
+
+def _ref(e):
+    """An endpoint's order key under the former Ext: (kind, value), with kind
+    -1, 0 or 1 for -inf, finite and +inf."""
+    return (-1, 0) if e == "-inf" else (1, 0) if e == "+inf" else (0, e)
+
+
+def _ref_plain(k):
+    return k[0] * math.inf if k[0] else k[1]
+
+
+def _ref_minus(k, eps):
+    return k if k[0] else (0, k[1] - eps)
+
+
+def _ref_dist(a, b):
+    if a[0] or b[0]:
+        return (0, 0) if a[0] == b[0] else (1, 0)
+    return (0, abs(a[1] - b[1]))
+
+
+def _ref_short(k, eps):
+    (lo, hi) = k
+    return lo[0] == hi[0] == 0 and hi[1] - lo[1] < 2 * eps
+
+
+def _ref_star(i, j, eps):
+    (x, y), (s, t) = i, j
+    m = _ref_minus
+    return m(s, eps) <= x <= m(t, eps) <= y or m(x, eps) <= s <= m(y, eps) <= t
+
+
+_ENDS = (st.sampled_from(["-inf", "+inf"]) | st.integers(-8, 8)
+         | st.integers(2 ** 60, 2 ** 60 + 8))
+_BARS = st.tuples(_ENDS, _ENDS).filter(
+    lambda e: e[0] != "+inf" and e[1] != "-inf" and _ref(e[0]) <= _ref(e[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_BARS, min_size=1, max_size=6), st.integers(0, 4),
+       st.integers(-10, 10) | st.integers(2 ** 60, 2 ** 60 + 8))
+def test_plain_endpoints_agree_with_the_ext_reference(raw, eps, v):
+    """Intervals on plain ends order, shift, measure and match exactly as
+    under the former Ext (kind, value) keys, kept here as the reference.
+    Ends past 2**53 check that no end is rounded through a float."""
+    keys = [(_ref(lo), _ref(hi)) for lo, hi in raw]
+    bars = [Interval(lo, hi) for lo, hi in raw]
+    assert (sorted(range(len(bars)), key=lambda n: bars[n].ends)
+            == sorted(range(len(keys)), key=lambda n: keys[n]))
+    for (lo, hi), bar, k in zip(raw, bars, keys):
+        assert bar.ends == tuple(map(_ref_plain, k))
+        assert bar.shifted(eps).ends == tuple(_ref_plain(_ref_minus(e, eps)) for e in k)
+        assert bar.is_short(eps) == _ref_short(k, eps)
+        assert bar.contains(v) == (k[0] <= (0, v) <= k[1])
+        again = Interval(Ext.of(lo), Ext.of(hi))
+        assert again == bar and hash(again) == hash(bar)
+    for a, ka in zip(bars, keys):
+        for b, kb in zip(bars, keys):
+            dists = [_ref_dist(ka[e], kb[e]) for e in (0, 1)]
+            for e in (0, 1):
+                assert endpoint_distance(a.ends[e], b.ends[e]) == _ref_plain(dists[e])
+            star = _ref_star(ka, kb, eps)
+            assert condition_star(a, b, eps) == star
+            within = all(d <= (0, eps) for d in dists)
+            fails = _ref_short(ka, eps) and _ref_short(kb, eps) and not star
+            assert pair_ok(a, b, eps) == within
+            assert pair_ok(a, b, eps, require_essential=True) == (within and not fails)
+            assert (a == b) == (ka == kb)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+def test_interval_refuses_floats_bools_and_nan():
+    """The parse boundary admits ints and the two strings only: a float
+    infinity would be a valid plain end, so it must not slip in."""
+    for lo, hi in ((math.inf, 3), (1.0, 2), (True, 2), (0, float("nan"))):
+        with pytest.raises(ValueError, match="not an extended integer"):
+            Interval(lo, hi)
+    with pytest.raises(ValueError, match=r"-inf \(float\)"):
+        Interval(-math.inf, 3)
+
+
+def test_endpoints_and_windows_stay_within_the_limit():
+    """Ends up to MAX_ENDPOINT meet math.inf without an OverflowError."""
+    top = Interval(MAX_ENDPOINT, "+inf")
+    assert not top.is_short(1) and not Interval("-inf", -MAX_ENDPOINT).is_short(1)
+    assert endpoint_distance(-MAX_ENDPOINT, math.inf) == math.inf
+    assert Window(MAX_ENDPOINT - 1, MAX_ENDPOINT).indices(*top.ends) == range(1, 2)
+    with pytest.raises(ValueError, match="beyond the limit"):
+        Interval(-MAX_ENDPOINT - 1, 0)
+    with pytest.raises(ValueError, match="beyond the limit"):
+        Window(MAX_ENDPOINT, MAX_ENDPOINT + 1)
 
 
 def test_finite_ext_hashes_like_its_int():
@@ -120,9 +216,9 @@ def test_interval_shapes_and_refusals():
 
 
 def test_interval_length_and_shortness():
-    assert Interval(0, 3).length() == Ext(3)
-    assert Interval(0, POS_INF).length() == POS_INF
-    assert Interval(NEG_INF, POS_INF).length() == POS_INF
+    assert Interval(0, 3).length() == 3
+    assert Interval(0, POS_INF).length() == math.inf
+    assert Interval(NEG_INF, POS_INF).length() == math.inf
     assert Interval(0, 0).is_short(1)
     assert not Interval(0, 0).is_short(0)
     assert not Interval(0, 2).is_short(1)
@@ -557,9 +653,9 @@ def _rand_certificates(rng, field, eps):
     right = []
     for bar in left:
         if rng.random() < 0.8:
-            lo, hi = (e if e.kind else e + rng.randint(-eps, eps)
-                      for e in (bar.lo, bar.hi))
-            right.append(Interval(lo, max(lo, hi)))
+            lo, hi = (e if math.isinf(e) else e + rng.randint(-eps, eps)
+                      for e in bar.ends)
+            right.append(Interval._trusted(lo, max(lo, hi)))
     right += [_rand_bar(rng) for _ in range(rng.randint(0, 1))]
     bm, bn = Barcode(left), Barcode(right)
     ends = [e for bar in left + right for e in bar.finite_endpoints()] or [0]
