@@ -34,9 +34,8 @@ from .zed import (
     Window,
     barcode,
     expand_decomposed,
-    find_matching,
-    hall_witness,
     is_essential,
+    match_or_witness,
     matching_to_rep,
     rep_to_matching,
 )
@@ -183,13 +182,11 @@ def _cmd_expand(args) -> int:
 def _cmd_find_matching(args) -> int:
     _, left = _load(args.left, "barcode")
     _, right = _load(args.right, "barcode")
-    s = find_matching(left, right, args.epsilon,
-                      require_essential=args.essential)
+    s, witness = match_or_witness(left, right, args.epsilon,
+                                  require_essential=args.essential)
     if s is None:
         print(f"no {'essential ' if args.essential else ''}matching at "
               f"epsilon {args.epsilon}", file=sys.stderr)
-        witness = hall_witness(left, right, args.epsilon,
-                               require_essential=args.essential)
         print(f"witness: {witness}", file=sys.stderr)
         return 1
     _emit(save_document("matching", s), args.out)

@@ -14,13 +14,14 @@ have.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
-from .exactlin import FieldSpec, Matrix, mat_rank, mat_solve_homogeneous
+from .exactlin import FieldSpec, Matrix, mat_solve_homogeneous
 from .proset import (
     HeightFunction,
     Proset,
@@ -114,6 +115,12 @@ def _ext(e: Endpoint) -> Ext:
     return NEG_INF if e == -math.inf else POS_INF if e == math.inf else Ext(e)
 
 
+def _lowered(e: Endpoint, eps: int) -> Endpoint:
+    """e - eps, an infinite e staying as it is: math.inf - eps would turn
+    eps into a float, which overflows from 2**1024 on."""
+    return e - eps if -math.inf < e < math.inf else e
+
+
 def endpoint_distance(a: Endpoint, b: Endpoint) -> Endpoint:
     """|a - b| on plain endpoints, with |+-inf - (+-inf)| = 0 and math.inf
     whenever exactly one side is infinite or they are opposite infinities."""
@@ -182,7 +189,7 @@ class Interval:
     def shifted(self, eps: int) -> "Interval":
         """Both endpoints lowered by eps; infinite endpoints stay put."""
         lo, hi = self.ends
-        return Interval._trusted(lo - eps, hi - eps)
+        return Interval._trusted(_lowered(lo, eps), _lowered(hi, eps))
 
     def finite_endpoints(self) -> tuple[int, ...]:
         return tuple(e for e in self.ends if -math.inf < e < math.inf)
@@ -247,7 +254,7 @@ MAX_WINDOW_POINTS = 1024
 # arithmetic is converted to float, which raises OverflowError from 2**1024.
 MAX_ENDPOINT = 10 ** 300
 # Limits the document loaders check before they build anything: the
-# dimension at one point (barcode builds and ranks identities of that size)
+# dimension at one point (each step of the barcode sweep costs its cube)
 # and the bars of one barcode with multiplicity (a count costs no bytes).
 MAX_POINT_DIM = 256
 MAX_BARCODE_BARS = 4096
@@ -432,42 +439,82 @@ def interval_to_module(i: Interval, w: Window,
 def barcode(m: Representation, w: Window, boundary: str = "finite") -> Barcode:
     """Interval decomposition multiset of a module on the window chain.
 
-    Uses the rank inclusion-exclusion formula
-    m[a,b] = r(a,b) - r(a-1,b) - r(a,b+1) + r(a-1,b+1), with r zero outside
-    the window.  boundary="infinite" reports bars touching the window edges
-    with infinite endpoints instead of the edge values.
+    One left-to-right sweep over the steps V_k -> V_(k+1), by the elder
+    rule (Zomorodian & Carlsson 2005).  A basis of V_k is kept whose
+    vectors carry their birth index, oldest first, so that the vectors
+    born at or before a span the image of V_a.  The images of the basis
+    under the step are reduced in that order.  A vector whose image lies in
+    the span of the images before it ends the bar [birth, k]; the others go
+    on, reduced, with their births, and unit vectors born at k + 1 complete
+    them to a basis of V_(k+1).  The vectors alive after the last point end
+    their bars there.  So r(a, b) - r(a-1, b) - r(a, b+1) + r(a-1, b+1)
+    bars run from a to b, r being the rank of V_a -> V_b: the multiplicities
+    of the rank inclusion-exclusion formula, at a cost of O(n d^3) for n
+    points of dimension at most d.  Each vector is packed into one int, so
+    the inner loops are big-int arithmetic.
+
+    Only the steps m.maps[(k, k+1)] are read, so the module must be
+    functorial; every document loader validates that.  boundary="infinite"
+    reports bars touching the window edges with infinite endpoints instead
+    of the edge values.
     """
     if boundary not in ("finite", "infinite"):
         raise ValueError(f"boundary must be 'finite' or 'infinite', got {boundary!r}")
     n = w.size
     if m.proset.n != n:
         raise ValueError(f"module has {m.proset.n} points, window has {n}")
-
-    ranks = {}
-    for a in range(n):
-        for b in range(a, n):
-            ranks[(a, b)] = mat_rank(m.maps[(a, b)])
-
-    def r(a: int, b: int) -> int:
-        if a < 0 or b >= n or a > b:
-            return 0
-        return ranks[(a, b)]
-
-    bars = []
-    for a in range(n):
-        for b in range(a, n):
-            mult = r(a, b) - r(a - 1, b) - r(a, b + 1) + r(a - 1, b + 1)
-            if mult < 0:
-                raise ValueError(
-                    f"negative multiplicity at [{w.value(a)}, {w.value(b)}]; "
-                    f"module is not functorial")
-            if mult == 0:
+    if m.proset.rel != window_chain(w)[0].rel:
+        raise ValueError("module does not live on the chain of the window")
+    p, dims = m.field.p, m.dims
+    mul, lshift = operator.mul, operator.lshift
+    # A vector of V_(k+1) is packed into one int, entry i in the bits from
+    # i * width on.  An image adds up at most dims[k] products below p**2
+    # and its reduction at most dims[k+1] more, so an entry read mod p has
+    # not carried into the next.
+    width = ((2 * max(dims) + 1) * p * p).bit_length()
+    mask = (1 << width) - 1
+    ends: Counter = Counter()
+    # (birth, entries) for a basis of V_k, oldest first
+    alive = [(0, e) for e in _unit_vectors(dims[0])]
+    for k in range(n - 1):
+        shifts = range(0, dims[k + 1] * width, width)
+        cols = [sum(map(lshift, col, shifts))
+                for col in zip(*m.maps[(k, k + 1)].entries)]
+        survivors: list[tuple[int, list[int]]] = []
+        # (pivot shift, packed -r) for each surviving reduced image r, r
+        # being 1 at its pivot and 0 at the pivots before it
+        reducers: list[tuple[int, int]] = []
+        pivots = set()
+        for birth, v in alive:
+            u = sum(map(mul, v, cols))
+            for s, neg in reducers:
+                f = (u >> s & mask) % p
+                if f:
+                    u += f * neg
+            e = [(u >> s & mask) % p for s in shifts]
+            c = next((c for c, x in enumerate(e) if x), -1)
+            if c < 0:
+                ends[(birth, k)] += 1
                 continue
-            infinite = boundary == "infinite"
-            lo = -math.inf if infinite and a == 0 else w.value(a)
-            hi = math.inf if infinite and b == n - 1 else w.value(b)
-            bars.extend([Interval._trusted(lo, hi)] * mult)
+            inv = pow(e[c], p - 2, p)
+            r = [x * inv % p for x in e]
+            survivors.append((birth, r))
+            reducers.append((shifts[c], sum(map(lshift, [-x % p for x in r], shifts))))
+            pivots.add(c)
+        alive = survivors + [(k + 1, e) for c, e in enumerate(_unit_vectors(dims[k + 1]))
+                             if c not in pivots]
+    ends.update((birth, n - 1) for birth, _ in alive)
+    infinite = boundary == "infinite"
+    bars = []
+    for (a, b), mult in ends.items():
+        lo = -math.inf if infinite and a == 0 else w.value(a)
+        hi = math.inf if infinite and b == n - 1 else w.value(b)
+        bars.extend([Interval._trusted(lo, hi)] * mult)
     return Barcode(bars)
+
+
+def _unit_vectors(d: int) -> list[list[int]]:
+    return [[int(i == j) for i in range(d)] for j in range(d)]
 
 
 def condition_star(i: Interval, j: Interval, eps: int) -> bool:
@@ -479,7 +526,8 @@ def condition_star(i: Interval, j: Interval, eps: int) -> bool:
 
 def _star_disjuncts(i: Interval, j: Interval, eps: int) -> tuple[bool, bool]:
     (x, y), (s, t) = i.ends, j.ends
-    return s - eps <= x <= t - eps <= y, x - eps <= s <= y - eps <= t
+    return (_lowered(s, eps) <= x <= _lowered(t, eps) <= y,
+            _lowered(x, eps) <= s <= _lowered(y, eps) <= t)
 
 
 def short_pair_fails_star(a: Interval, b: Interval, eps: int) -> bool:
@@ -593,8 +641,8 @@ def canonical_pair(i: Interval, j: Interval, eps: int, w: Window,
             Matrix.identity(field, 1) if a in on and src.dims[a] == tgt.dims[a] == 1
             else Matrix.zeros(field, tgt.dims[a], src.dims[a]) for a in range(w.size)])
 
-    f = build(m, nl, d1, i.ends[0], j.ends[1] - eps)
-    g = build(n, ml, d2, j.ends[0], i.ends[1] - eps)
+    f = build(m, nl, d1, i.ends[0], _lowered(j.ends[1], eps))
+    g = build(n, ml, d2, j.ends[0], _lowered(i.ends[1], eps))
     return f, g
 
 
@@ -1100,12 +1148,7 @@ def find_matching(bm: Barcode, bn: Barcode, eps: int,
     that some perfect matching of the remaining graph uses, found by one
     alternating-path search per option tried.  hall_witness explains a None.
     """
-    oracle = _MatchingOracle(bm, bn, eps, require_essential)
-    if oracle.witness is not None:
-        return None
-    src, tgt = oracle.bars
-    return Matching(bm, bn, [(src[a], tgt[b]) for a, b in oracle.first_matching()],
-                    eps)
+    return match_or_witness(bm, bn, eps, require_essential)[0]
 
 
 def hall_witness(bm: Barcode, bn: Barcode, eps: int,
@@ -1114,3 +1157,16 @@ def hall_witness(bm: Barcode, bn: Barcode, eps: int,
     that must all be matched but have fewer admissible partners than bars.
     One always exists by Hall's theorem on one side or the other."""
     return _MatchingOracle(bm, bn, eps, require_essential).witness
+
+
+def match_or_witness(bm: Barcode, bn: Barcode, eps: int,
+                     require_essential: bool = False
+                     ) -> tuple[Optional[Matching], Optional[HallWitness]]:
+    """(find_matching, None) when a matching exists, else (None,
+    hall_witness), both from one search."""
+    oracle = _MatchingOracle(bm, bn, eps, require_essential)
+    if oracle.witness is not None:
+        return None, oracle.witness
+    src, tgt = oracle.bars
+    return Matching(bm, bn, [(src[a], tgt[b]) for a, b in oracle.first_matching()],
+                    eps), None

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from shoelace import selftest
+from shoelace import selftest, zed
 from shoelace.cli import main
 from shoelace.docio import load_document, save_document
 from shoelace.exactlin import FieldSpec
@@ -498,6 +498,35 @@ def test_find_matching_failure_names_a_hall_witness(tmp_path, capsys):
         "no matching at epsilon 0\n"
         "witness: 1 source bar(s) of length >= 2*eps ([0,9]) have 0 "
         "admissible target partner(s)\n")
+
+
+def test_find_matching_runs_one_search_on_either_path(tmp_path, capsys,
+                                                     monkeypatch):
+    built = []
+    init = zed._MatchingOracle.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(zed._MatchingOracle, "__init__", counting)
+    long = _write(tmp_path, "long.json", "barcode",
+                  Barcode([Interval(0, 9), Interval(2, 4)]))
+    short = _write(tmp_path, "short.json", "barcode", Barcode([Interval(1, 3)]))
+    for flags, word in (([], ""), (["--essential"], "essential ")):
+        built.clear()
+        assert main(["find-matching", "--left", long, "--right", short,
+                     "--epsilon", "1", *flags]) == 1
+        assert capsys.readouterr() == ("", (
+            f"no {word}matching at epsilon 1\n"
+            "witness: 1 source bar(s) of length >= 2*eps ([0,9]) have 0 "
+            "admissible target partner(s)\n"))
+        assert len(built) == 1
+    built.clear()
+    assert main(["find-matching", "--left", short, "--right", short,
+                 "--epsilon", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(built) == 1
 
 
 def test_find_matching_non_list_intervals_exits_two(tmp_path, capsys):

@@ -993,6 +993,32 @@ def test_interval_shifted():
     assert Interval(0, POS_INF).shifted(2) == Interval(-2, POS_INF)
 
 
+def test_an_epsilon_beyond_float_range_leaves_infinite_ends_infinite():
+    # math.inf - 10**400 would need 10**400 as a float; at 10**300 + 1, just
+    # past the endpoint limit, every comparison on these bars comes out alike
+    huge, big = 10 ** 400, 10 ** 300 + 1
+    ends = ("-inf", -3, 0, 2, "+inf")
+    bars = [Interval(a, b) for a in ends[:-1] for b in ends[1:]
+            if Interval(a, "+inf").ends[0] <= Interval("-inf", b).ends[1]]
+    assert len(bars) == 13
+    w = Window(-5, 5)
+    for i in bars:
+        shifted = i.shifted(huge).ends
+        assert shifted == tuple(e if e in (-math.inf, math.inf) else e - huge
+                                for e in i.ends)
+        assert [e in (-math.inf, math.inf) for e in shifted] == [
+            e in (-math.inf, math.inf) for e in i.shifted(big).ends]
+        for j in bars:
+            for fn in (condition_star, short_pair_fails_star, pair_ok):
+                assert fn(i, j, huge) == fn(i, j, big), (fn.__name__, i, j)
+            assert pair_ok(i, j, huge, True) == pair_ok(i, j, big, True)
+            assert canonical_pair(i, j, huge, w) == canonical_pair(i, j, big, w)
+    # both outcomes come up, among them pairs with infinite ends only
+    star = Counter(condition_star(i, j, huge) for i in bars for j in bars)
+    assert star[True] and star[False]
+    assert condition_star(Interval("-inf", 0), Interval("-inf", 2), huge)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_barcode_survives_random_scrambles(seed):
