@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .exactlin import FieldSpec, Matrix, mat_solve_homogeneous
 from .proset import (
@@ -28,6 +28,7 @@ from .proset import (
     ShoelaceProset,
     Translation,
     chain,
+    shoelace,
 )
 from .rep import (
     NatTrans,
@@ -35,9 +36,8 @@ from .rep import (
     direct_sum,
     indicator_module,
     precompose,
-    zero_representation,
 )
-from .interleave import Interleaving, pack
+from .interleave import Interleaving
 
 
 class Ext:
@@ -123,8 +123,14 @@ def _lowered(e: Endpoint, eps: int) -> Endpoint:
 
 def endpoint_distance(a: Endpoint, b: Endpoint) -> Endpoint:
     """|a - b| on plain endpoints, with |+-inf - (+-inf)| = 0 and math.inf
-    whenever exactly one side is infinite or they are opposite infinities."""
-    return 0 if a == b else abs(a - b)
+    whenever exactly one side is infinite or they are opposite infinities.
+    An int never meets an infinity in arithmetic, which would turn it into a
+    float and overflow beyond float range."""
+    if a == b:
+        return 0
+    if a in (-math.inf, math.inf) or b in (-math.inf, math.inf):
+        return math.inf
+    return abs(a - b)
 
 
 class Interval:
@@ -180,7 +186,7 @@ class Interval:
     def is_short(self, eps: int) -> bool:
         """length() < 2*eps; a bar with an infinite endpoint is never short."""
         lo, hi = self.ends
-        return hi - lo < 2 * eps
+        return -math.inf < lo and hi < math.inf and hi - lo < 2 * eps
 
     def contains(self, v: int) -> bool:
         lo, hi = self.ends
@@ -604,15 +610,26 @@ def _headroom(i: Interval, w: Window, eps: int) -> bool:
     return u == math.inf or u < w.hi or u + 2 * eps <= w.hi
 
 
+def _canonical_ranges(i: Interval, j: Interval, eps: int,
+                      w: Window) -> tuple[range, range]:
+    """The window indices where the canonical maps f: M(i) -> M(j) shifted
+    and g: M(j) -> M(i) shifted are the identity: f on [i.lo, j.hi - eps]
+    when the first disjunct of the overlap condition holds, g on
+    [j.lo, i.hi - eps] under the second, each empty otherwise.  Both are
+    empty for a pair failing Condition (*)."""
+    (x, y), (s, t) = i.ends, j.ends
+    first, second = _star_disjuncts(i, j, eps)
+    return (w.indices(x, _lowered(t, eps)) if first else range(0),
+            w.indices(s, _lowered(y, eps)) if second else range(0))
+
+
 def canonical_pair(i: Interval, j: Interval, eps: int, w: Window,
                    field: FieldSpec = FieldSpec(2)) -> tuple[NatTrans, NatTrans]:
     """The canonical comparison maps f: M(i) -> M(j) shifted, g: M(j) -> M(i)
-    shifted, each the identity on its overlap range and zero elsewhere.
-
-    f is supported on [i.lo, j.hi - eps] when the first disjunct of the
-    overlap condition holds, else f = 0; symmetrically for g.  When the
-    corresponding hom space is nonzero this is its canonical generator, and
-    the support formula is exactly the matched-pair recipe.
+    shifted, each the identity on its _canonical_ranges range and zero
+    elsewhere.  When the corresponding hom space is nonzero this is its
+    canonical generator, and the support formula is exactly the matched-pair
+    recipe.
 
     Needs top headroom beyond realizability: a finite upper endpoint u is
     allowed only if u < w.hi or u + 2*eps <= w.hi, else the clamp of the
@@ -631,19 +648,15 @@ def canonical_pair(i: Interval, j: Interval, eps: int, w: Window,
     m = interval_to_module(i, w, field)
     n = interval_to_module(j, w, field)
     lam = lambda_eps(w, eps)
-    nl = precompose(n, lam)
-    ml = precompose(m, lam)
-    d1, d2 = _star_disjuncts(i, j, eps)
+    f_on, g_on = _canonical_ranges(i, j, eps, w)
 
-    def build(src, tgt, active, lo: Endpoint, hi_minus: Endpoint):
-        on = w.indices(lo, hi_minus) if active else range(0)
+    def build(src, tgt, on: range):
+        # on lies where both src and tgt have dimension 1
         return NatTrans(src, tgt, [
-            Matrix.identity(field, 1) if a in on and src.dims[a] == tgt.dims[a] == 1
+            Matrix.identity(field, 1) if a in on
             else Matrix.zeros(field, tgt.dims[a], src.dims[a]) for a in range(w.size)])
 
-    f = build(m, nl, d1, i.ends[0], _lowered(j.ends[1], eps))
-    g = build(n, ml, d2, j.ends[0], _lowered(i.ends[1], eps))
-    return f, g
+    return (build(m, precompose(n, lam), f_on), build(n, precompose(m, lam), g_on))
 
 
 def _unpadded_endpoint(bars: Iterable[Interval], w: Window,
@@ -781,89 +794,49 @@ def validate_decomposed(l: DecomposedShoelaceRep) -> Optional[str]:
     return None
 
 
-def _sum_interleaving(lefts: Sequence[Optional[Interval]],
-                      rights: Sequence[Optional[Interval]],
-                      blocks: Iterable[tuple[int, int]], w: Window, eps: int,
-                      field: FieldSpec) -> Interleaving:
-    """The interleaving between the direct sums M of the left and N of the
-    right interval modules on the window chain, in list order, a None being
-    the zero module.  phi and psi are zero but for the canonical_pair blocks
-    of each (ks, kt) in blocks, which pair lefts[ks] with rights[kt]; a short
-    pair that fails Condition (*) keeps zero blocks, as its canonical maps
-    vanish."""
-    p, _ = window_chain(w)
-    lam = lambda_eps(w, eps)
-    zero = zero_representation(p, field)
-
-    def total(bars: Sequence[Optional[Interval]]):
-        return direct_sum([zero if bar is None else interval_to_module(bar, w, field)
-                           for bar in bars], proset=p, field=field)
-
-    m, m_slices = total(lefts)
-    n, n_slices = total(rights)
-    nl = precompose(n, lam)
-    ml = precompose(m, lam)
-    phi_ent = [[[0] * m.dims[a] for _ in range(nl.dims[a])] for a in range(p.n)]
-    psi_ent = [[[0] * n.dims[a] for _ in range(ml.dims[a])] for a in range(p.n)]
-    for (ks, kt) in blocks:
-        a, b = lefts[ks], rights[kt]
-        if short_pair_fails_star(a, b, eps):
-            continue
-        f, g = canonical_pair(a, b, eps, w, field)
-        for idx in range(p.n):
-            li = lam.mapping[idx]
-            for ent, t, (r0, _), (c0, c1) in (
-                    (phi_ent, f, n_slices[kt][li], m_slices[ks][idx]),
-                    (psi_ent, g, m_slices[ks][li], n_slices[kt][idx])):
-                for r, row in enumerate(t.components[idx].entries):
-                    ent[idx][r0 + r][c0:c1] = row
-    phi = NatTrans(m, nl, tuple(
-        Matrix(field, nl.dims[a], m.dims[a], phi_ent[a]) for a in range(p.n)))
-    psi = NatTrans(n, ml, tuple(
-        Matrix(field, ml.dims[a], n.dims[a], psi_ent[a]) for a in range(p.n)))
-    return Interleaving(m, n, lam, phi, psi)
-
-
-def pack_decomposed(l: DecomposedShoelaceRep) -> Representation:
-    """Whole certificate on the clamped carrier shoelace(chain, lambda_eps),
-    where unpack can take it apart again.
-
-    This is pack of one block-sum interleaving, slot k holding summand k.
-    It equals, entry for entry, the direct sum of the packs of the
-    summands' own interleavings in the same slot order: every cross map
-    N(lam(i) <= j) . phi(i) of the sum is block-diagonal, with the summands'
-    cross maps as its blocks."""
-    blocks = [(k, k) for k, (a, b) in enumerate(l.summands)
-              if a is not None and b is not None]
-    return pack(_sum_interleaving([a for a, _ in l.summands],
-                                  [b for _, b in l.summands], blocks,
-                                  l.window, l.epsilon, l.field))
-
-
-def expand_decomposed(l: DecomposedShoelaceRep) -> Representation:
-    """Whole certificate on the unclamped windowed shoelace carrier: by the
-    paper's last theorem, the direct sum in summand order of the indicator
-    modules of the summands' supports (pack_decomposed, moved to this
-    carrier, gives the same maps).  An expansion with dimension above
-    MAX_POINT_DIM at some point is refused before any matrix is built, so
-    every expansion loads back."""
+def _indicator_sum(l: DecomposedShoelaceRep, carrier: ShoelaceProset) -> Representation:
+    """The direct sum, in summand order, of the indicator modules of the
+    summands' supports on carrier, a shoelace of the certificate's window.
+    A sum with dimension above MAX_POINT_DIM at some point is refused before
+    any matrix is built, so every result loads back."""
     w, eps = l.window, l.epsilon
-    sh, _ = shoelace_window(w, eps)
     supports = [summand_support(s, w, eps) for s in l.summands]
     dims = Counter(k for support in supports for k in support)
     over = sorted(k for k, d in dims.items() if d > MAX_POINT_DIM)
     if over:
         raise ValueError(
             f"expansion has dimension {dims[over[0]]} at carrier point "
-            f"{sh.label(over[0])}, more than the limit of {MAX_POINT_DIM}")
-    return direct_sum([indicator_module(sh, support, l.field) for support in supports],
-                      proset=sh, field=l.field)[0]
+            f"{carrier.label(over[0])}, more than the limit of {MAX_POINT_DIM}")
+    return direct_sum([indicator_module(carrier, support, l.field) for support in supports],
+                      proset=carrier, field=l.field)[0]
+
+
+def pack_decomposed(l: DecomposedShoelaceRep) -> Representation:
+    """Whole certificate on the clamped carrier shoelace(chain, lambda_eps),
+    where unpack can take it apart again: the indicator sum of
+    expand_decomposed on this carrier.  By the paper's last theorem it
+    equals, entry for entry, the direct sum of the packs of the summands'
+    own interleavings, the canonical pair of each two-sided summand.  Like
+    expand_decomposed, it refuses a dimension above MAX_POINT_DIM at a
+    point."""
+    w = l.window
+    return _indicator_sum(l, shoelace(window_chain(w)[0], lambda_eps(w, l.epsilon)))
+
+
+def expand_decomposed(l: DecomposedShoelaceRep) -> Representation:
+    """Whole certificate on the unclamped windowed shoelace carrier: by the
+    paper's last theorem, the direct sum in summand order of the indicator
+    modules of the summands' supports, the sum pack_decomposed builds on the
+    clamped carrier.  An expansion with dimension above MAX_POINT_DIM at
+    some point is refused before any matrix is built."""
+    return _indicator_sum(l, shoelace_window(l.window, l.epsilon)[0])
 
 
 def matching_interleaving(s: Matching, w: Window,
                           field: FieldSpec = FieldSpec(2)) -> Interleaving:
     """Explicit interleaving between the canonical interval-sum modules of
-    the two barcodes, with one canonical-pair block per matched pair.
+    the two barcodes, with one canonical-pair block per matched pair: a 1
+    at each index of the pair's _canonical_ranges, zero elsewhere.
 
     Matched short-short pairs that fail the overlap condition contribute
     zero blocks (their canonical maps vanish), so the result is valid for
@@ -872,9 +845,20 @@ def matching_interleaving(s: Matching, w: Window,
     err = validate_matching(s)
     if err is not None:
         raise ValueError(f"invalid matching: {err}")
+    eps = s.epsilon
     src_bars = list(s.source)
     tgt_bars = list(s.target)
-    _require_padding(src_bars + tgt_bars, w, s.epsilon)
+    _require_padding(src_bars + tgt_bars, w, eps)
+    p, _ = window_chain(w)
+    lam = lambda_eps(w, eps)
+    m, m_slices = direct_sum([interval_to_module(bar, w, field) for bar in src_bars],
+                             proset=p, field=field)
+    n, n_slices = direct_sum([interval_to_module(bar, w, field) for bar in tgt_bars],
+                             proset=p, field=field)
+    nl = precompose(n, lam)
+    ml = precompose(m, lam)
+    phi_ent = [[[0] * m.dims[a] for _ in range(nl.dims[a])] for a in range(p.n)]
+    psi_ent = [[[0] * n.dims[a] for _ in range(ml.dims[a])] for a in range(p.n)]
     src_free = list(range(len(src_bars)))
     tgt_free = list(range(len(tgt_bars)))
 
@@ -884,9 +868,18 @@ def matching_interleaving(s: Matching, w: Window,
                 return pool.pop(pos)
         raise ValueError(f"bar {bar} not available; matching is inconsistent")
 
-    blocks = [(take(src_free, src_bars, a), take(tgt_free, tgt_bars, b))
-              for (a, b) in s.pairs]
-    return _sum_interleaving(src_bars, tgt_bars, blocks, w, s.epsilon, field)
+    for (a, b) in s.pairs:
+        ks, kt = take(src_free, src_bars, a), take(tgt_free, tgt_bars, b)
+        f_on, g_on = _canonical_ranges(a, b, eps, w)
+        for idx in f_on:
+            phi_ent[idx][n_slices[kt][lam.mapping[idx]][0]][m_slices[ks][idx][0]] = 1
+        for idx in g_on:
+            psi_ent[idx][m_slices[ks][lam.mapping[idx]][0]][n_slices[kt][idx][0]] = 1
+    phi = NatTrans(m, nl, tuple(
+        Matrix(field, nl.dims[a], m.dims[a], phi_ent[a]) for a in range(p.n)))
+    psi = NatTrans(n, ml, tuple(
+        Matrix(field, ml.dims[a], n.dims[a], psi_ent[a]) for a in range(p.n)))
+    return Interleaving(m, n, lam, phi, psi)
 
 
 def pair_ok(a: Interval, b: Interval, eps: int,
@@ -1146,24 +1139,19 @@ def find_matching(bm: Barcode, bn: Barcode, eps: int,
     bipartite graph (Edelsbrunner & Harer, Computational Topology, ch. VIII)
     decides feasibility, and each source bar then takes its first option
     that some perfect matching of the remaining graph uses, found by one
-    alternating-path search per option tried.  hall_witness explains a None.
+    alternating-path search per option tried.  match_or_witness gives the
+    HallWitness that explains a None.
     """
     return match_or_witness(bm, bn, eps, require_essential)[0]
-
-
-def hall_witness(bm: Barcode, bn: Barcode, eps: int,
-                 require_essential: bool = False) -> Optional[HallWitness]:
-    """None if an eps-matching exists, else a HallWitness: a set of bars
-    that must all be matched but have fewer admissible partners than bars.
-    One always exists by Hall's theorem on one side or the other."""
-    return _MatchingOracle(bm, bn, eps, require_essential).witness
 
 
 def match_or_witness(bm: Barcode, bn: Barcode, eps: int,
                      require_essential: bool = False
                      ) -> tuple[Optional[Matching], Optional[HallWitness]]:
-    """(find_matching, None) when a matching exists, else (None,
-    hall_witness), both from one search."""
+    """(find_matching, None) when a matching exists, else (None, a
+    HallWitness): a set of bars that must all be matched but have fewer
+    admissible partners than bars, which Hall's theorem guarantees on one
+    side or the other.  Both come from one search."""
     oracle = _MatchingOracle(bm, bn, eps, require_essential)
     if oracle.witness is not None:
         return None, oracle.witness

@@ -7,7 +7,10 @@ inside the suite itself.  The CLI selftest subcommand runs the same suites,
 so passing here means the shipped command passes too.
 """
 
-from shoelace.selftest import SUITE_NAMES, run_suite
+import hashlib
+import json
+
+from shoelace.selftest import SUITE_NAMES, report, run_suite, run_suites
 
 SEED = 42
 _RESULTS = {}
@@ -73,11 +76,30 @@ def test_criterion_9_matching_vs_interleaving():
     assert r.cases >= 50
 
 
-def test_full_suite_under_three_minutes():
+def _fill_results():
     for name in SUITE_NAMES:
         if name not in _RESULTS:
             _RESULTS[name] = run_suite(name, SEED)
+
+
+def test_full_suite_under_three_minutes():
+    _fill_results()
     total = sum(r.elapsed for r in _RESULTS.values())
     print(f"full suite: {total:.2f}s over {len(_RESULTS)} suites")
     assert set(_RESULTS) == set(SUITE_NAMES)
     assert total < 180.0
+
+
+def _report_sha256(results, seed):
+    """sha256 of the report as `shoelace selftest --out` writes it."""
+    text = json.dumps(report(results, seed), indent=2) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_selftest_reports_golden_bytes():
+    """The full seed-42 report and a capped seed-7 one are byte-stable."""
+    _fill_results()
+    assert _report_sha256([_RESULTS[name] for name in SUITE_NAMES], SEED) == (
+        "5e4b82b93f7fb86a94bd74fea9ffe1725c553a12d522e52d428bc77a46bfcf50")
+    assert _report_sha256(run_suites(7, cases=30), 7) == (
+        "d55fc3feb24333b77e67b47d36c3a963a6069ca2a12a82c628f11bb912506f69")

@@ -36,6 +36,7 @@ from shoelace.zed import (
     Ext,
     Interval,
     MAX_ENDPOINT,
+    MAX_POINT_DIM,
     Matching,
     NEG_INF,
     POS_INF,
@@ -46,12 +47,12 @@ from shoelace.zed import (
     endpoint_distance,
     expand_decomposed,
     find_matching,
-    hall_witness,
     hom_dimension,
     interval_to_module,
     is_essential,
     iter_matchings,
     lambda_eps,
+    match_or_witness,
     matching_interleaving,
     matching_to_rep,
     pack_decomposed,
@@ -648,7 +649,8 @@ def _rand_bar(rng):
 def _rand_certificates(rng, field, eps):
     """Certificates of both variants from the first matching and the first
     essential matching of two random barcodes, the right one mostly jittered
-    copies of the left one."""
+    copies of the left one, each on the smallest padded window and on one
+    with random room below and above it."""
     left = [_rand_bar(rng) for _ in range(rng.randint(0, 4))]
     right = []
     for bar in left:
@@ -660,10 +662,12 @@ def _rand_certificates(rng, field, eps):
     bm, bn = Barcode(left), Barcode(right)
     ends = [e for bar in left + right for e in bar.finite_endpoints()] or [0]
     w = Window(min(ends) - 2 * eps, max(ends) + 2 * eps)
+    roomy = Window(w.lo - rng.randint(0, 3), w.hi + rng.randint(0, 4))
     for variant, essential in (("essential_F", True), ("nonessential_Fprime", False)):
         s = find_matching(bm, bn, eps, require_essential=essential)
         if s is not None:
             yield variant, s, matching_to_rep(s, w, variant, field)
+            yield variant, s, matching_to_rep(s, roomy, variant, field)
 
 
 def test_pack_decomposed_matches_per_summand_packs():
@@ -736,18 +740,23 @@ def _counted(calls, name, fn):
 
 
 def test_pack_decomposed_packs_once(monkeypatch):
+    """One carrier is built, and no interleaving: neither pack nor its
+    validation nor a canonical pair runs."""
     import shoelace.interleave as interleave_mod
     import shoelace.zed as zed_mod
 
+    assert not hasattr(zed_mod, "pack")
     calls = Counter()
-    monkeypatch.setattr(zed_mod, "pack", _counted(calls, "pack", zed_mod.pack))
-    monkeypatch.setattr(interleave_mod, "shoelace",
-                        _counted(calls, "shoelace", interleave_mod.shoelace))
+    for mod, name in ((zed_mod, "shoelace"), (zed_mod, "canonical_pair"),
+                      (interleave_mod, "shoelace"), (interleave_mod, "pack"),
+                      (interleave_mod, "validate_interleaving")):
+        key = f"{mod.__name__.rsplit('.', 1)[1]}.{name}"
+        monkeypatch.setattr(mod, name, _counted(calls, key, getattr(mod, name)))
     i02, i13, i55 = Interval(0, 2), Interval(1, 3), Interval(5, 5)
     cert = DecomposedShoelaceRep(Window(-2, 7), 1, F2,
                                  [(i02, i13), (i55, None), (None, i55)])
     pack_decomposed(cert)
-    assert calls == {"pack": 1, "shoelace": 1}
+    assert calls == {"zed.shoelace": 1}
 
 
 def test_certificate_is_validated_once_and_expanded_without_pack(monkeypatch):
@@ -757,18 +766,32 @@ def test_certificate_is_validated_once_and_expanded_without_pack(monkeypatch):
     calls = Counter()
     monkeypatch.setattr(DecomposedShoelaceRep, "__init__",
                         _counted(calls, "built", DecomposedShoelaceRep.__init__))
-    for name in ("validate_decomposed", "pack", "canonical_pair"):
+    for name in ("validate_decomposed", "canonical_pair"):
         monkeypatch.setattr(zed_mod, name, _counted(calls, name, getattr(zed_mod, name)))
     monkeypatch.setattr(rep_mod, "subrelation_transfer",
                         _counted(calls, "subrelation_transfer",
                                  rep_mod.subrelation_transfer))
     i02, i13, i55 = Interval(0, 2), Interval(1, 3), Interval(5, 5)
     s = Matching(Barcode([i02, i55]), Barcode([i13, i55]), [(i02, i13)], 1)
-    cert = matching_to_rep(s, Window(-2, 7))
+    w = Window(-2, 7)
+    cert = matching_to_rep(s, w)
     _, loaded = load_document(save_document("decomposed_rep", cert))
     expand_decomposed(loaded)
     assert rep_to_matching(loaded) == s
+    # the interleaving of the matching is built from index ranges alone
+    matching_interleaving(s, w)
     assert calls == {"built": 2, "validate_decomposed": 2}
+
+
+def test_pack_decomposed_refuses_a_dimension_above_the_limit():
+    whole = (Interval("-inf", "+inf"),) * 2
+    over = DecomposedShoelaceRep(Window(0, 7), 1, F2, [whole] * (MAX_POINT_DIM + 1))
+    with pytest.raises(ValueError, match=(
+            f"dimension {MAX_POINT_DIM + 1} at carrier point 0, "
+            f"more than the limit of {MAX_POINT_DIM}")):
+        pack_decomposed(over)
+    at = DecomposedShoelaceRep(Window(0, 1), 1, F2, [whole] * MAX_POINT_DIM)
+    assert pack_decomposed(at).dims == (MAX_POINT_DIM,) * 4
 
 
 def _bars(lo, hi):
@@ -879,7 +902,7 @@ def test_find_matching_equals_first_exhaustive_matching():
 
 def test_hall_witness_on_every_infeasible_small_case():
     for bm, bn, eps, essential in _small_matching_cases():
-        witness = hall_witness(bm, bn, eps, essential)
+        witness = match_or_witness(bm, bn, eps, essential)[1]
         feasible = next(iter_matchings(bm, bn, eps, essential), None) is not None
         assert (witness is None) == feasible
         if witness is None:
@@ -909,7 +932,7 @@ def test_find_matching_infeasible_family():
     left, right = _infeasible_family(9)
     assert find_matching(left, right, 3) is None
     assert find_matching(left, right, 3, require_essential=True) is None
-    witness = hall_witness(left, right, 3)
+    witness = match_or_witness(left, right, 3)[1]
     assert witness.side == "target"
     assert witness.bars == (Interval(19, 39),) and witness.partners == ()
 
@@ -930,7 +953,7 @@ def test_find_matching_planted_pair_of_200_bars():
     bm, bn = Barcode(left), Barcode(right)
     s = find_matching(bm, bn, eps)
     assert s is not None and validate_matching(s) is None
-    assert hall_witness(bm, bn, eps) is None
+    assert match_or_witness(bm, bn, eps)[1] is None
 
 
 def test_cached_module_maps_are_read_only():
@@ -1013,6 +1036,17 @@ def test_an_epsilon_beyond_float_range_leaves_infinite_ends_infinite():
                 assert fn(i, j, huge) == fn(i, j, big), (fn.__name__, i, j)
             assert pair_ok(i, j, huge, True) == pair_ok(i, j, big, True)
             assert canonical_pair(i, j, huge, w) == canonical_pair(i, j, big, w)
+        # an infinite end is never short and lies at distance math.inf
+        for far in (i.shifted(huge), i.shifted(big)):
+            assert far.length() == i.length()
+            assert far.is_short(1) == i.is_short(1)
+            assert far.is_short(huge) == i.is_short(huge)
+        for k in (0, 1):
+            assert endpoint_distance(shifted[k], i.ends[k]) == (
+                0 if i.ends[k] in (-math.inf, math.inf) else huge)
+    assert endpoint_distance(math.inf, huge) == math.inf
+    assert endpoint_distance(-huge, -math.inf) == math.inf
+    assert endpoint_distance(-math.inf, huge) == math.inf
     # both outcomes come up, among them pairs with infinite ends only
     star = Counter(condition_star(i, j, huge) for i in bars for j in bars)
     assert star[True] and star[False]
