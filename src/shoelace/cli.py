@@ -208,10 +208,16 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if args.cases is not None and args.cases < 1:
+        raise DocumentFormatError(f"--cases must be at least 1, got {args.cases}")
     seed = args.seed
     if seed is None:
         env = os.environ.get("SHOELACE_SEED")
-        seed = int(env) if env else DEFAULT_SEED
+        try:
+            seed = int(env) if env else DEFAULT_SEED
+        except ValueError:
+            raise DocumentFormatError(
+                f"SHOELACE_SEED must be an integer, got {env!r}") from None
     results = selftest_mod.run_suites(seed, cases=args.cases, only=args.suite)
     rep = selftest_mod.report(results, seed)
     _emit(json.dumps(rep, indent=2) + "\n", args.out)

@@ -26,11 +26,10 @@ from .rep import (
     NatTrans,
     Representation,
     chain_representation,
-    precompose,
     validate_nat_trans,
     validate_representation,
 )
-from .interleave import Interleaving, validate_interleaving
+from .interleave import Interleaving, _assemble, validate_interleaving
 from .zed import (
     MAX_BARCODE_BARS,
     MAX_POINT_DIM,
@@ -39,7 +38,6 @@ from .zed import (
     Interval,
     Matching,
     Window,
-    validate_matching,
 )
 
 VERSION = "1"
@@ -255,21 +253,18 @@ def _load_interleaving(payload: dict) -> Interleaving:
     if m.proset != lam.base or n.proset != lam.base:
         raise DocumentValidationError(
             "interleaving modules do not live on the translation's proset")
-    nl = precompose(n, lam)
-    ml = precompose(m, lam)
+    up = lam.mapping
     raw_phi = _as_list(_need(payload, "phi", "interleaving"), "phi")
     raw_psi = _as_list(_need(payload, "psi", "interleaving"), "psi")
     if len(raw_phi) != lam.base.n or len(raw_psi) != lam.base.n:
         raise DocumentFormatError("wrong number of interleaving components")
-    phi_comps = [_load_matrix(field, nl.dims[i], m.dims[i], raw_phi[i], f"phi {i}")
-                 for i in range(lam.base.n)]
-    psi_comps = [_load_matrix(field, ml.dims[i], n.dims[i], raw_psi[i], f"psi {i}")
-                 for i in range(lam.base.n)]
-    try:
-        x = Interleaving(m, n, lam,
-                         NatTrans(m, nl, phi_comps), NatTrans(n, ml, psi_comps))
-    except (ValueError, TypeError) as e:
-        raise DocumentValidationError(f"inconsistent interleaving: {e}") from None
+    # fields, prosets, counts and shapes are checked, so the frame holds
+    x = _assemble(
+        m, n, lam,
+        [_load_matrix(field, n.dims[up[i]], m.dims[i], raw_phi[i], f"phi {i}")
+         for i in range(lam.base.n)],
+        [_load_matrix(field, m.dims[up[i]], n.dims[i], raw_psi[i], f"psi {i}")
+         for i in range(lam.base.n)])
     _validated(validate_interleaving(x), "interleaving")
     return x
 
@@ -333,11 +328,12 @@ def _load_matching(payload: dict) -> Matching:
                       _load_interval(_need(item, "right", "matching pair"),
                                      "matching pair")))
     try:
-        s = Matching(source, target, pairs, eps)
-    except (ValueError, TypeError) as e:
-        raise DocumentValidationError(f"inconsistent matching: {e}") from None
-    _validated(validate_matching(s), "matching")
-    return s
+        return Matching(source, target, pairs, eps)
+    except ValueError as e:
+        report = str(e)
+        if not report.startswith("invalid matching: "):
+            report = f"inconsistent matching: {report}"
+        raise DocumentValidationError(report) from None
 
 
 def _decomposed_payload(l: DecomposedShoelaceRep) -> dict:

@@ -5,9 +5,9 @@ doubled proset.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
-from .exactlin import mat_mul, mat_inverse, mat_scale
+from .exactlin import Matrix, mat_mul, mat_inverse, mat_scale
 from .proset import (
     ShoelaceProset,
     Translation,
@@ -29,7 +29,8 @@ class Interleaving:
 
     phi: M -> N(lam) and psi: N -> M(lam).  The constructor checks the
     structural frame (shared proset and field, nat trans endpoints); the
-    triangle equations are checked by validate_interleaving.
+    triangle equations are checked by validate_interleaving.  Interleavings
+    the package builds from components go through _assemble instead.
     """
 
     __slots__ = ("m", "n", "lam", "phi", "psi")
@@ -63,6 +64,21 @@ class Interleaving:
 
     def __repr__(self) -> str:
         return f"Interleaving(lam={self.lam.mapping})"
+
+
+def _assemble(m: Representation, n: Representation, lam: Translation,
+              phi_components: Sequence[Matrix],
+              psi_components: Sequence[Matrix]) -> Interleaving:
+    """The in-package path to an Interleaving from its components: N(lam)
+    and M(lam) are built once, as the targets of phi and psi, whose NatTrans
+    and precompose still check the frame; the public constructor would build
+    both again to compare them.  The triangles are validate_interleaving's."""
+    x = object.__new__(Interleaving)
+    for name, value in (("m", m), ("n", n), ("lam", lam),
+                        ("phi", NatTrans(m, precompose(n, lam), phi_components)),
+                        ("psi", NatTrans(n, precompose(m, lam), psi_components))):
+        object.__setattr__(x, name, value)
+    return x
 
 
 class InterleavingMorphism:
@@ -179,7 +195,7 @@ def unpack(v: Representation) -> Interleaving:
 
     Needs the carrier to relate each plain i to (lam(i))', which holds on a
     full shoelace but can fail on carriers restricted to a subrelation;
-    those must be transferred back first.
+    those must be transferred back first.  Built through _assemble.
     """
     sh = v.proset
     if not isinstance(sh, ShoelaceProset):
@@ -191,13 +207,9 @@ def unpack(v: Representation) -> Interleaving:
             raise ValueError(
                 f"carrier does not relate {sh.label(i)} across the lacing; "
                 f"transfer to the full shoelace relation before unpacking")
-    m = restrict(v, "left")
-    n = restrict(v, "right")
-    phi = NatTrans(m, precompose(n, sh.lam),
-                   tuple(v.maps[(i, n0 + lam_map[i])] for i in range(n0)))
-    psi = NatTrans(n, precompose(m, sh.lam),
-                   tuple(v.maps[(n0 + i, lam_map[i])] for i in range(n0)))
-    return Interleaving(m, n, sh.lam, phi, psi)
+    return _assemble(restrict(v, "left"), restrict(v, "right"), sh.lam,
+                     [v.maps[(i, n0 + lam_map[i])] for i in range(n0)],
+                     [v.maps[(n0 + i, lam_map[i])] for i in range(n0)])
 
 
 def pack_morphism(g: InterleavingMorphism) -> NatTrans:
@@ -232,14 +244,9 @@ def square_interleave(a: Interleaving, b: Interleaving) -> Interleaving:
     if a.lam != b.lam:
         raise ValueError("both interleavings must use the same translation")
     v = pack(a)
-    w = pack(b)
-    sh = v.proset
-    lt = induced_translation(sh, a.lam, twist=True)
-    phi = NatTrans(v, precompose(w, lt),
-                   tuple(a.phi.components) + tuple(b.psi.components))
-    psi = NatTrans(w, precompose(v, lt),
-                   tuple(b.phi.components) + tuple(a.psi.components))
-    return Interleaving(v, w, lt, phi, psi)
+    return _assemble(v, pack(b), induced_translation(v.proset, a.lam, twist=True),
+                     a.phi.components + b.psi.components,
+                     b.phi.components + a.psi.components)
 
 
 def upgrade_interleaving(x: Interleaving, gamma: Translation) -> Interleaving:
@@ -249,16 +256,12 @@ def upgrade_interleaving(x: Interleaving, gamma: Translation) -> Interleaving:
         raise ValueError("gamma is not a translation of the same proset")
     if compare_translations(x.lam, gamma) not in ("leq", "equal"):
         raise ValueError("upgrade needs lam <= gamma pointwise")
-    p = x.m.proset
     lam = x.lam.mapping
     g = gamma.mapping
-    phi = NatTrans(x.m, precompose(x.n, gamma),
-                   tuple(mat_mul(x.n.maps[(lam[i], g[i])], x.phi.components[i])
-                         for i in range(p.n)))
-    psi = NatTrans(x.n, precompose(x.m, gamma),
-                   tuple(mat_mul(x.m.maps[(lam[i], g[i])], x.psi.components[i])
-                         for i in range(p.n)))
-    return Interleaving(x.m, x.n, gamma, phi, psi)
+    return _assemble(
+        x.m, x.n, gamma,
+        [mat_mul(x.n.maps[(lam[i], g[i])], c) for i, c in enumerate(x.phi.components)],
+        [mat_mul(x.m.maps[(lam[i], g[i])], c) for i, c in enumerate(x.psi.components)])
 
 
 def untwist_square(a: Interleaving, b: Interleaving) -> Interleaving:
@@ -304,8 +307,6 @@ def scale_interleaving(x: Interleaving, c: int) -> Interleaving:
     if cc == 0:
         raise ValueError("scale factor must be nonzero in the field")
     inv = f.inv(cc)
-    phi = NatTrans(x.phi.source, x.phi.target,
-                   tuple(mat_scale(cc, t) for t in x.phi.components))
-    psi = NatTrans(x.psi.source, x.psi.target,
-                   tuple(mat_scale(inv, t) for t in x.psi.components))
-    return Interleaving(x.m, x.n, x.lam, phi, psi)
+    return _assemble(x.m, x.n, x.lam,
+                     [mat_scale(cc, t) for t in x.phi.components],
+                     [mat_scale(inv, t) for t in x.psi.components])

@@ -300,17 +300,20 @@ def shoelace(p: Proset, lam: Translation) -> ShoelaceProset:
     err = validate_translation(lam)
     if err is not None:
         raise ValueError(f"invalid translation: {err}")
+    return laced(p, lam, tuple(p.rel[k] for k in lam.mapping))
+
+
+def laced(p: Proset, lam: Translation,
+          cross: Sequence[Sequence[bool]]) -> ShoelaceProset:
+    """The layout of every shoelace carrier: plain copy 0..n-1 and primed
+    copy n..2n-1 of p, each with p's relation, and i <= j' and i' <= j both
+    exactly when cross[i][j], the caller's rule.  Nothing is checked."""
     n = p.n
-    cross = tuple(tuple(p.rel[lam.mapping[i]][j] for j in range(n))
-                  for i in range(n))
-    rel = []
-    for i in range(n):
-        rel.append(tuple(p.rel[i]) + cross[i])
-    for i in range(n):
-        rel.append(cross[i] + tuple(p.rel[i]))
+    rel = tuple(tuple(p.rel[i]) + tuple(cross[i]) for i in range(n)) + tuple(
+        tuple(cross[i]) + tuple(p.rel[i]) for i in range(n))
     labels = tuple(p.label(i) for i in range(n)) + tuple(
         p.label(i) + "'" for i in range(n))
-    return ShoelaceProset(2 * n, tuple(rel), labels, p, lam)
+    return ShoelaceProset(2 * n, rel, labels, p, lam)
 
 
 def iso_pairs(p: Proset) -> frozenset[frozenset[int]]:

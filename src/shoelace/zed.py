@@ -28,6 +28,7 @@ from .proset import (
     ShoelaceProset,
     Translation,
     chain,
+    laced,
     shoelace,
 )
 from .rep import (
@@ -37,7 +38,7 @@ from .rep import (
     indicator_module,
     precompose,
 )
-from .interleave import Interleaving
+from .interleave import Interleaving, _assemble
 
 
 class Ext:
@@ -305,11 +306,11 @@ class Window:
 
 
 class Matching:
-    """Partial bijection between barcode instances at a given epsilon.
-
-    Whether the pairs really form a partial bijection satisfying the
-    distance and shortness rules is checked by validate_matching.
-    """
+    """An eps-matching: a partial bijection between barcode instances whose
+    matched endpoints lie within eps and whose unmatched bars are short.
+    Valid by construction: the constructor raises ValueError on a negative
+    or non-integer epsilon, then on the report of validate_matching, its
+    one check."""
 
     __slots__ = ("source", "target", "pairs", "epsilon")
 
@@ -323,6 +324,9 @@ class Matching:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "pairs", ps)
         object.__setattr__(self, "epsilon", epsilon)
+        err = validate_matching(self)
+        if err is not None:
+            raise ValueError(f"invalid matching: {err}")
 
     def __setattr__(self, name, value):
         raise AttributeError("Matching is immutable")
@@ -408,20 +412,10 @@ def shoelace_window(w: Window, eps: int) -> tuple[ShoelaceProset, HeightFunction
     """
     if eps < 0:
         raise ValueError(f"negative epsilon {eps}")
-    base, _ = window_chain(w)
-    lam = lambda_eps(w, eps)
     n = w.size
-    cross = tuple(tuple(i + eps <= j for j in range(n)) for i in range(n))
-    rel = []
-    for i in range(n):
-        rel.append(tuple(base.rel[i]) + cross[i])
-    for i in range(n):
-        rel.append(cross[i] + tuple(base.rel[i]))
-    labels = tuple(base.label(i) for i in range(n)) + tuple(
-        base.label(i) + "'" for i in range(n))
-    sh = ShoelaceProset(2 * n, tuple(rel), labels, base, lam)
-    heights = [w.value(i) for i in range(n)] * 2
-    return sh, HeightFunction(heights)
+    sh = laced(window_chain(w)[0], lambda_eps(w, eps),
+               [[i + eps <= j for j in range(n)] for i in range(n)])
+    return sh, HeightFunction([w.value(i) for i in range(n)] * 2)
 
 
 @lru_cache(maxsize=8192)
@@ -544,7 +538,8 @@ def short_pair_fails_star(a: Interval, b: Interval, eps: int) -> bool:
 
 
 def validate_matching(s: Matching) -> Optional[str]:
-    """None if s is a valid eps-matching, else the first violation.
+    """None if s is a valid eps-matching, else the first violation; Matching
+    runs it on construction.
 
     Checks that pairs draw from the barcodes as multisets, that matched
     endpoints are within eps, and that unmatched intervals are short
@@ -578,10 +573,7 @@ def validate_matching(s: Matching) -> Optional[str]:
 def is_essential(s: Matching) -> list[tuple[Interval, Interval]]:
     """Matched short-short pairs violating Condition (*).  Empty list means
     the matching is essential.  Pairs where either side has length >= 2*eps
-    are exempt."""
-    err = validate_matching(s)
-    if err is not None:
-        raise ValueError(f"invalid matching: {err}")
+    are exempt.  A Matching is valid by construction, so nothing is raised."""
     return [(a, b) for (a, b) in s.pairs
             if short_pair_fails_star(a, b, s.epsilon)]
 
@@ -836,50 +828,44 @@ def matching_interleaving(s: Matching, w: Window,
                           field: FieldSpec = FieldSpec(2)) -> Interleaving:
     """Explicit interleaving between the canonical interval-sum modules of
     the two barcodes, with one canonical-pair block per matched pair: a 1
-    at each index of the pair's _canonical_ranges, zero elsewhere.
+    at each index of the pair's _canonical_ranges, zero elsewhere, built
+    through interleave._assemble.
 
     Matched short-short pairs that fail the overlap condition contribute
     zero blocks (their canonical maps vanish), so the result is valid for
-    any valid matching, essential or not.
+    any matching, essential or not.
     """
-    err = validate_matching(s)
-    if err is not None:
-        raise ValueError(f"invalid matching: {err}")
     eps = s.epsilon
     src_bars = list(s.source)
     tgt_bars = list(s.target)
     _require_padding(src_bars + tgt_bars, w, eps)
     p, _ = window_chain(w)
     lam = lambda_eps(w, eps)
+    up = lam.mapping
     m, m_slices = direct_sum([interval_to_module(bar, w, field) for bar in src_bars],
                              proset=p, field=field)
     n, n_slices = direct_sum([interval_to_module(bar, w, field) for bar in tgt_bars],
                              proset=p, field=field)
-    nl = precompose(n, lam)
-    ml = precompose(m, lam)
-    phi_ent = [[[0] * m.dims[a] for _ in range(nl.dims[a])] for a in range(p.n)]
-    psi_ent = [[[0] * n.dims[a] for _ in range(ml.dims[a])] for a in range(p.n)]
+    phi_ent = [[[0] * m.dims[a] for _ in range(n.dims[up[a]])] for a in range(p.n)]
+    psi_ent = [[[0] * n.dims[a] for _ in range(m.dims[up[a]])] for a in range(p.n)]
     src_free = list(range(len(src_bars)))
     tgt_free = list(range(len(tgt_bars)))
 
     def take(pool: list[int], bars: list[Interval], bar: Interval) -> int:
-        for pos, k in enumerate(pool):
-            if bars[k] == bar:
-                return pool.pop(pos)
-        raise ValueError(f"bar {bar} not available; matching is inconsistent")
+        # a Matching draws its pairs from its barcodes, so bar is in pool
+        return pool.pop(next(pos for pos, k in enumerate(pool) if bars[k] == bar))
 
     for (a, b) in s.pairs:
         ks, kt = take(src_free, src_bars, a), take(tgt_free, tgt_bars, b)
         f_on, g_on = _canonical_ranges(a, b, eps, w)
         for idx in f_on:
-            phi_ent[idx][n_slices[kt][lam.mapping[idx]][0]][m_slices[ks][idx][0]] = 1
+            phi_ent[idx][n_slices[kt][up[idx]][0]][m_slices[ks][idx][0]] = 1
         for idx in g_on:
-            psi_ent[idx][m_slices[ks][lam.mapping[idx]][0]][n_slices[kt][idx][0]] = 1
-    phi = NatTrans(m, nl, tuple(
-        Matrix(field, nl.dims[a], m.dims[a], phi_ent[a]) for a in range(p.n)))
-    psi = NatTrans(n, ml, tuple(
-        Matrix(field, ml.dims[a], n.dims[a], psi_ent[a]) for a in range(p.n)))
-    return Interleaving(m, n, lam, phi, psi)
+            psi_ent[idx][m_slices[ks][up[idx]][0]][n_slices[kt][idx][0]] = 1
+    return _assemble(
+        m, n, lam,
+        [Matrix(field, n.dims[up[a]], m.dims[a], phi_ent[a]) for a in range(p.n)],
+        [Matrix(field, m.dims[up[a]], n.dims[a], psi_ent[a]) for a in range(p.n)])
 
 
 def pair_ok(a: Interval, b: Interval, eps: int,

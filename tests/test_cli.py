@@ -613,6 +613,34 @@ def test_selftest_seed_env_override(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["seed"] == 42
 
 
+def test_validate_reports_a_negative_matching_epsilon(tmp_path, capsys):
+    i01 = Interval(0, 1)
+    doc = json.loads(save_document(
+        "matching", Matching(Barcode([i01]), Barcode([i01]), [(i01, i01)], 0)))
+    doc["payload"]["epsilon"] = -1
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: inconsistent matching: epsilon must be a nonnegative integer, "
+        "got -1\n")
+
+
+@pytest.mark.parametrize("cases", ["-3", "0"])
+def test_selftest_refuses_fewer_than_one_case(cases, capsys):
+    assert main(["selftest", "--cases", cases, "--suite", "barcode_oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --cases must be at least 1, got {cases}\n"
+
+
+def test_selftest_refuses_a_non_integer_seed_variable(monkeypatch, capsys):
+    monkeypatch.setenv("SHOELACE_SEED", "abc")
+    assert main(["selftest", "--cases", "1", "--suite", "worked_example"]) == 2
+    assert capsys.readouterr().err == (
+        "error: SHOELACE_SEED must be an integer, got 'abc'\n")
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main([])

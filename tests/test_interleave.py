@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from shoelace.docio import load_document, save_document
 from shoelace.exactlin import FieldSpec, Matrix, mat_scale
 from shoelace.interleave import (
     Interleaving,
@@ -39,13 +40,20 @@ from shoelace.rep import (
     zero_nat,
     zero_representation,
 )
-from shoelace.selftest import _rand_invertible
+from shoelace.selftest import (
+    _rand_essential_matching,
+    _rand_invertible,
+    _rand_proset,
+    _rand_rep,
+    _rand_translation,
+)
 from shoelace.zed import (
     Interval,
     Window,
     canonical_pair,
     interval_to_module,
     lambda_eps,
+    matching_interleaving,
     shoelace_window,
 )
 
@@ -358,3 +366,23 @@ def test_pack_unpack_round_trip_random_matched_pairs(seed):
     assert validate_representation(v) is None
     assert unpack(v) == x
     assert pack(unpack(v)) == v
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_assembled_interleavings_pass_the_public_frame_check(seed):
+    """Every interleaving the package assembles from components equals the
+    one the public constructor builds, frame check included, from the same
+    parts."""
+    rng = random.Random(seed)
+    field = FieldSpec(rng.choice((2, 5)))
+    base = _rand_proset(rng, max_n=4)
+    x = unpack(_rand_rep(rng, shoelace(base, _rand_translation(rng, base)), field))
+    sigma, w = _rand_essential_matching(rng, need_pair=True)
+    a = matching_interleaving(sigma, w, field)
+    b = scale_interleaving(a, rng.randrange(1, field.p))
+    built = [x, a, b, square_interleave(a, b), untwist_square(a, b),
+             upgrade_interleaving(a, compose_translations(a.lam, a.lam))]
+    built += [load_document(save_document("interleaving", y))[1] for y in (x, a)]
+    for y in built:
+        assert Interleaving(y.m, y.n, y.lam, y.phi, y.psi) == y

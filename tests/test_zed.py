@@ -408,27 +408,21 @@ def test_validate_matching_infinite_conventions():
     good = Matching(Barcode([inf1]), Barcode([inf0]), [(inf1, inf0)], 1)
     assert validate_matching(good) is None
     long_bar = Interval(1, 10000)
-    bad = Matching(Barcode([long_bar]), Barcode([inf0]), [(long_bar, inf0)], 1)
-    report = validate_matching(bad)
-    assert report is not None
-    assert "right endpoints differ by +inf" in report
+    with pytest.raises(ValueError, match=r"right endpoints differ by \+inf"):
+        Matching(Barcode([long_bar]), Barcode([inf0]), [(long_bar, inf0)], 1)
 
 
 def test_validate_matching_shortness_and_multiset():
     long_bar = Interval(1, 10000)
-    unmatched = Matching(Barcode([long_bar]), Barcode([]), [], 1)
-    report = validate_matching(unmatched)
-    assert report is not None and "not < 2" in report
-    inf_unmatched = Matching(Barcode([Interval(0, POS_INF)]), Barcode([]), [], 3)
-    report = validate_matching(inf_unmatched)
-    assert report is not None and "length +inf" in report
+    with pytest.raises(ValueError, match="not < 2"):
+        Matching(Barcode([long_bar]), Barcode([]), [], 1)
+    with pytest.raises(ValueError, match=r"length \+inf"):
+        Matching(Barcode([Interval(0, POS_INF)]), Barcode([]), [], 3)
     short = Matching(Barcode([Interval(5, 5)]), Barcode([]), [], 1)
     assert validate_matching(short) is None
     i01 = Interval(0, 1)
-    overdrawn = Matching(Barcode([i01]), Barcode([i01, i01]),
-                         [(i01, i01), (i01, i01)], 0)
-    report = validate_matching(overdrawn)
-    assert report is not None and "source barcode provides" in report
+    with pytest.raises(ValueError, match="source barcode provides"):
+        Matching(Barcode([i01]), Barcode([i01, i01]), [(i01, i01), (i01, i01)], 0)
     with pytest.raises(ValueError, match="epsilon"):
         Matching(Barcode([]), Barcode([]), [], -1)
 
@@ -438,9 +432,8 @@ def test_matching_epsilon_zero_degenerate():
     bars = Barcode([a, b])
     exact = Matching(bars, bars, [(a, a), (b, b)], 0)
     assert validate_matching(exact) is None
-    dangling = Matching(bars, bars, [(a, a)], 0)
-    report = validate_matching(dangling)
-    assert report is not None and "not < 0" in report
+    with pytest.raises(ValueError, match="not < 0"):
+        Matching(bars, bars, [(a, a)], 0)
 
 
 def test_is_essential_examples():
@@ -452,9 +445,8 @@ def test_is_essential_examples():
     assert is_essential(ok) == []
     bad = Matching(Barcode([i00]), Barcode([i11]), [(i00, i11)], 2)
     assert is_essential(bad) == [(i00, i11)]
-    broken = Matching(Barcode([i00]), Barcode([]), [(i00, i11)], 2)
     with pytest.raises(ValueError, match="invalid matching"):
-        is_essential(broken)
+        Matching(Barcode([i00]), Barcode([]), [(i00, i11)], 2)
 
 
 def test_hom_dimension_examples():
@@ -549,9 +541,8 @@ def test_matching_to_rep_fprime_splits_star_violations():
         matching_to_rep(s, Window(0, 5), variant="nonessential_Fprime")
     with pytest.raises(ValueError, match="unknown variant"):
         matching_to_rep(s, w, variant="F")
-    bad = Matching(Barcode([Interval(0, 9)]), Barcode([]), [], 1)
     with pytest.raises(ValueError, match="invalid matching"):
-        matching_to_rep(bad, Window(-10, 20))
+        Matching(Barcode([Interval(0, 9)]), Barcode([]), [], 1)
 
 
 def test_rep_to_matching_round_trips():
@@ -783,6 +774,42 @@ def test_certificate_is_validated_once_and_expanded_without_pack(monkeypatch):
     assert calls == {"built": 2, "validate_decomposed": 2}
 
 
+def test_a_matching_is_validated_once_and_its_interleaving_built_once(monkeypatch):
+    """Each Matching is validated once, at construction: is_essential,
+    matching_to_rep and matching_interleaving check nothing again.
+    matching_interleaving builds each shifted target once and does not go
+    through the public Interleaving constructor."""
+    import shoelace.interleave as interleave_mod
+    import shoelace.zed as zed_mod
+
+    calls = Counter()
+    monkeypatch.setattr(Matching, "__init__",
+                        _counted(calls, "built", Matching.__init__))
+    monkeypatch.setattr(zed_mod, "validate_matching",
+                        _counted(calls, "validated", zed_mod.validate_matching))
+    monkeypatch.setattr(Interleaving, "__init__",
+                        _counted(calls, "Interleaving", Interleaving.__init__))
+    for mod in (interleave_mod, zed_mod):
+        monkeypatch.setattr(mod, "precompose",
+                            _counted(calls, "precompose", mod.precompose))
+    i02, i13, i55 = Interval(0, 2), Interval(1, 3), Interval(5, 5)
+    found = find_matching(Barcode([i02, i55]), Barcode([i13, i55]), 1,
+                          require_essential=True)
+    _, s = load_document(save_document("matching", found))
+    assert s == found and calls == {"built": 2, "validated": 2}
+    assert is_essential(s) == []
+    w = Window(-2, 7)
+    cert = matching_to_rep(s, w)
+    assert calls == {"built": 2, "validated": 2}
+    _, loaded = load_document(save_document("decomposed_rep", cert))
+    expand_decomposed(loaded)
+    back = rep_to_matching(loaded)
+    assert back == s and calls == {"built": 3, "validated": 3}
+    x = matching_interleaving(back, w)
+    assert calls == {"built": 3, "validated": 3, "precompose": 2}
+    assert validate_interleaving(x) is None
+
+
 def test_pack_decomposed_refuses_a_dimension_above_the_limit():
     whole = (Interval("-inf", "+inf"),) * 2
     over = DecomposedShoelaceRep(Window(0, 7), 1, F2, [whole] * (MAX_POINT_DIM + 1))
@@ -1002,9 +1029,8 @@ def test_matching_interleaving_star_violation_gives_zero_blocks():
 
 def test_matching_interleaving_refusals():
     i00 = Interval(0, 0)
-    bad = Matching(Barcode([Interval(0, 9)]), Barcode([]), [], 1)
     with pytest.raises(ValueError, match="invalid matching"):
-        matching_interleaving(bad, Window(-10, 20))
+        Matching(Barcode([Interval(0, 9)]), Barcode([]), [], 1)
     tight = Matching(Barcode([i00]), Barcode([i00]), [(i00, i00)], 1)
     with pytest.raises(ValueError, match="window too small"):
         matching_interleaving(tight, Window(0, 4))
