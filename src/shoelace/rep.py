@@ -6,11 +6,17 @@ must include every generating edge.  Of the other related pairs, a missing
 diagonal is the identity and any other pair is the product along one fixed
 path of generating edges (Proset.path_step), built on first use and cached.
 validate_representation checks that the maps do not depend on the path.
+
+Every module that zed builds for a certificate or a matching is a sum of
+indicator modules of convex supports.  indicator_sum writes such a sum
+directly, each edge map made of shared unit and zero rows; direct_sum
+copies general parts into dense blocks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection, Mapping
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .exactlin import FieldSpec, Matrix, mat_mul
@@ -161,19 +167,64 @@ def validate_representation(m: Representation) -> Optional[str]:
 
 
 def zero_representation(proset: Proset, field: FieldSpec) -> Representation:
-    return indicator_module(proset, (), field)
+    return indicator_sum(proset, (), field)[0]
 
 
 def indicator_module(proset: Proset, support: Collection[int],
                      field: FieldSpec) -> Representation:
     """Dimension 1 on support, the 1x1 identity on the generating edges
     inside it, zero elsewhere; functorial when support is convex."""
-    dims = tuple(1 if k in support else 0 for k in range(proset.n))
-    # matrices are immutable, so the edges share one of each shape
-    shared = {(1, 1): Matrix.identity(field, 1), (0, 0): Matrix.zeros(field, 0, 0),
-              (0, 1): Matrix.zeros(field, 0, 1), (1, 0): Matrix.zeros(field, 1, 0)}
-    maps = {(a, b): shared[(dims[b], dims[a])] for (a, b) in proset.generating_edges}
-    return Representation(proset, field, dims, maps)
+    return indicator_sum(proset, (support,), field)[0]
+
+
+@lru_cache(maxsize=4096)
+def _unit_row(width: int, col: int) -> tuple[int, ...]:
+    """The row of length width with a 1 at col, or the zero row for col -1;
+    rows are tuples, so every matrix that needs one shares it."""
+    if col < 0:
+        return (0,) * width
+    return (0,) * col + (1,) + (0,) * (width - col - 1)
+
+
+def _unit_matrix(field: FieldSpec, width: int, cols: Sequence[int]) -> Matrix:
+    """The len(cols) x width matrix whose row r is _unit_row(width, cols[r])."""
+    return Matrix._trusted(field, len(cols), width,
+                           tuple(_unit_row(width, c) for c in cols))
+
+
+def indicator_sum(proset: Proset, supports: Sequence[Collection[int]],
+                  field: FieldSpec) -> tuple[Representation, list[list[int]]]:
+    """Direct sum, in order, of the indicator modules of supports, written
+    directly: no per-summand module and no dense block.
+
+    Returns (total, positions) where positions[x][k] is the row of summand
+    k at point x, or -1 where x lies outside its support.  On a generating
+    edge (a, b), the row of summand k at b is the unit row with a 1 at
+    positions[a][k] if k is alive at a, and the zero row otherwise.  The
+    sum is functorial when every support is convex.
+    """
+    n = proset.n
+    alive: list[list[int]] = [[] for _ in range(n)]
+    positions = [[-1] * len(supports) for _ in range(n)]
+    for k, support in enumerate(supports):
+        for x in support:
+            if not 0 <= x < n:
+                raise ValueError(f"support {k} holds {x!r}, not a point of "
+                                 f"a proset of size {n}")
+            if positions[x][k] < 0:
+                positions[x][k] = len(alive[x])
+                alive[x].append(k)
+    dims = [len(ks) for ks in alive]
+    # edges with the same shape and rows share one matrix
+    made: dict[tuple[int, tuple[int, ...]], Matrix] = {}
+    maps = {}
+    for (a, b) in proset.generating_edges:
+        key = (dims[a], tuple(map(positions[a].__getitem__, alive[b])))
+        got = made.get(key)
+        if got is None:
+            got = made[key] = _unit_matrix(field, *key)
+        maps[(a, b)] = got
+    return Representation(proset, field, dims, maps), positions
 
 
 def chain_representation(proset: Proset, field: FieldSpec,
@@ -289,8 +340,10 @@ def direct_sum(parts: Sequence[Representation],
                proset: Optional[Proset] = None,
                field: Optional[FieldSpec] = None,
                ) -> tuple[Representation, list[list[tuple[int, int]]]]:
-    """Block-diagonal sum.  Returns (total, slices) where slices[k][i] is the
-    (start, stop) range of part k inside the total space at element i.
+    """Block-diagonal sum of general parts, one dense matrix per generating
+    edge.  Returns (total, slices) where slices[k][i] is the (start, stop)
+    range of part k inside the total space at element i.  A sum of
+    indicator modules is cheaper through indicator_sum.
 
     proset and field must be given explicitly when parts is empty.
     """

@@ -661,6 +661,8 @@ def run_suite(name: str, seed: int, cases: Optional[int] = None) -> SuiteResult:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(SUITE_NAMES)}")
+    if cases is not None and cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
     func, default_cases = _SUITES[name]
     eff = default_cases if cases is None else min(cases, default_cases)
     rng = random.Random(f"{seed}:{name}")

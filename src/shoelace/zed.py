@@ -34,8 +34,9 @@ from .proset import (
 from .rep import (
     NatTrans,
     Representation,
-    direct_sum,
+    _unit_matrix,
     indicator_module,
+    indicator_sum,
     precompose,
 )
 from .interleave import Interleaving, _assemble
@@ -787,10 +788,10 @@ def validate_decomposed(l: DecomposedShoelaceRep) -> Optional[str]:
 
 
 def _indicator_sum(l: DecomposedShoelaceRep, carrier: ShoelaceProset) -> Representation:
-    """The direct sum, in summand order, of the indicator modules of the
-    summands' supports on carrier, a shoelace of the certificate's window.
-    A sum with dimension above MAX_POINT_DIM at some point is refused before
-    any matrix is built, so every result loads back."""
+    """rep.indicator_sum, in summand order, of the summands' supports on
+    carrier, a shoelace of the certificate's window.  A sum with dimension
+    above MAX_POINT_DIM at some point is refused before any matrix is
+    built, so every result loads back."""
     w, eps = l.window, l.epsilon
     supports = [summand_support(s, w, eps) for s in l.summands]
     dims = Counter(k for support in supports for k in support)
@@ -799,18 +800,17 @@ def _indicator_sum(l: DecomposedShoelaceRep, carrier: ShoelaceProset) -> Represe
         raise ValueError(
             f"expansion has dimension {dims[over[0]]} at carrier point "
             f"{carrier.label(over[0])}, more than the limit of {MAX_POINT_DIM}")
-    return direct_sum([indicator_module(carrier, support, l.field) for support in supports],
-                      proset=carrier, field=l.field)[0]
+    return indicator_sum(carrier, supports, l.field)[0]
 
 
 def pack_decomposed(l: DecomposedShoelaceRep) -> Representation:
     """Whole certificate on the clamped carrier shoelace(chain, lambda_eps),
     where unpack can take it apart again: the indicator sum of
-    expand_decomposed on this carrier.  By the paper's last theorem it
-    equals, entry for entry, the direct sum of the packs of the summands'
-    own interleavings, the canonical pair of each two-sided summand.  Like
-    expand_decomposed, it refuses a dimension above MAX_POINT_DIM at a
-    point."""
+    expand_decomposed on this carrier, written by rep.indicator_sum.  By
+    the paper's last theorem it equals, entry for entry, the direct sum of
+    the packs of the summands' own interleavings, the canonical pair of
+    each two-sided summand.  Like expand_decomposed, it refuses a
+    dimension above MAX_POINT_DIM at a point."""
     w = l.window
     return _indicator_sum(l, shoelace(window_chain(w)[0], lambda_eps(w, l.epsilon)))
 
@@ -818,18 +818,21 @@ def pack_decomposed(l: DecomposedShoelaceRep) -> Representation:
 def expand_decomposed(l: DecomposedShoelaceRep) -> Representation:
     """Whole certificate on the unclamped windowed shoelace carrier: by the
     paper's last theorem, the direct sum in summand order of the indicator
-    modules of the summands' supports, the sum pack_decomposed builds on the
-    clamped carrier.  An expansion with dimension above MAX_POINT_DIM at
-    some point is refused before any matrix is built."""
+    modules of the summands' supports, which rep.indicator_sum writes
+    without building a module per summand; pack_decomposed builds the same
+    sum on the clamped carrier.  An expansion with dimension above
+    MAX_POINT_DIM at some point is refused before any matrix is built."""
     return _indicator_sum(l, shoelace_window(l.window, l.epsilon)[0])
 
 
 def matching_interleaving(s: Matching, w: Window,
                           field: FieldSpec = FieldSpec(2)) -> Interleaving:
     """Explicit interleaving between the canonical interval-sum modules of
-    the two barcodes, with one canonical-pair block per matched pair: a 1
-    at each index of the pair's _canonical_ranges, zero elsewhere, built
-    through interleave._assemble.
+    the two barcodes, each written by rep.indicator_sum, with one
+    canonical-pair block per matched pair: a 1 at each index of the pair's
+    _canonical_ranges, zero elsewhere.  Each component row is a shared unit
+    or zero row, as in the modules, and interleave._assemble builds the
+    result.
 
     Matched short-short pairs that fail the overlap condition contribute
     zero blocks (their canonical maps vanish), so the result is valid for
@@ -842,12 +845,11 @@ def matching_interleaving(s: Matching, w: Window,
     p, _ = window_chain(w)
     lam = lambda_eps(w, eps)
     up = lam.mapping
-    m, m_slices = direct_sum([interval_to_module(bar, w, field) for bar in src_bars],
-                             proset=p, field=field)
-    n, n_slices = direct_sum([interval_to_module(bar, w, field) for bar in tgt_bars],
-                             proset=p, field=field)
-    phi_ent = [[[0] * m.dims[a] for _ in range(n.dims[up[a]])] for a in range(p.n)]
-    psi_ent = [[[0] * n.dims[a] for _ in range(m.dims[up[a]])] for a in range(p.n)]
+    m, m_pos = indicator_sum(p, [w.indices(*bar.ends) for bar in src_bars], field)
+    n, n_pos = indicator_sum(p, [w.indices(*bar.ends) for bar in tgt_bars], field)
+    # phi_cols[a][r]: the column of the 1 in row r of phi at a, or -1
+    phi_cols = [[-1] * n.dims[up[a]] for a in range(p.n)]
+    psi_cols = [[-1] * m.dims[up[a]] for a in range(p.n)]
     src_free = list(range(len(src_bars)))
     tgt_free = list(range(len(tgt_bars)))
 
@@ -859,13 +861,13 @@ def matching_interleaving(s: Matching, w: Window,
         ks, kt = take(src_free, src_bars, a), take(tgt_free, tgt_bars, b)
         f_on, g_on = _canonical_ranges(a, b, eps, w)
         for idx in f_on:
-            phi_ent[idx][n_slices[kt][up[idx]][0]][m_slices[ks][idx][0]] = 1
+            phi_cols[idx][n_pos[up[idx]][kt]] = m_pos[idx][ks]
         for idx in g_on:
-            psi_ent[idx][m_slices[ks][up[idx]][0]][n_slices[kt][idx][0]] = 1
+            psi_cols[idx][m_pos[up[idx]][ks]] = n_pos[idx][kt]
     return _assemble(
         m, n, lam,
-        [Matrix(field, n.dims[up[a]], m.dims[a], phi_ent[a]) for a in range(p.n)],
-        [Matrix(field, m.dims[up[a]], n.dims[a], psi_ent[a]) for a in range(p.n)])
+        [_unit_matrix(field, m.dims[a], phi_cols[a]) for a in range(p.n)],
+        [_unit_matrix(field, n.dims[a], psi_cols[a]) for a in range(p.n)])
 
 
 def pair_ok(a: Interval, b: Interval, eps: int,

@@ -634,6 +634,14 @@ def test_selftest_refuses_fewer_than_one_case(cases, capsys):
     assert captured.err == f"error: --cases must be at least 1, got {cases}\n"
 
 
+@pytest.mark.parametrize("cases", [-3, 0])
+def test_run_suite_refuses_fewer_than_one_case(cases):
+    with pytest.raises(ValueError, match=f"cases must be at least 1, got {cases}"):
+        selftest.run_suite("barcode_oracle", 42, cases)
+    with pytest.raises(ValueError, match="cases must be at least 1"):
+        selftest.run_suites(42, cases=cases, only="worked_example")
+
+
 def test_selftest_refuses_a_non_integer_seed_variable(monkeypatch, capsys):
     monkeypatch.setenv("SHOELACE_SEED", "abc")
     assert main(["selftest", "--cases", "1", "--suite", "worked_example"]) == 2

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from shoelace.exactlin import FieldSpec, Matrix, mat_mul, mat_solve_homogeneous
 from shoelace.interleave import Interleaving, pack, unpack
 from shoelace.proset import (
+    Proset,
     Translation,
     chain,
     compose_translations,
@@ -21,6 +22,8 @@ from shoelace.rep import (
     chain_representation,
     direct_sum,
     identity_nat,
+    indicator_module,
+    indicator_sum,
     permutation_iso,
     precompose,
     restrict,
@@ -269,6 +272,78 @@ def test_empty_direct_sum_is_zero():
     assert slices == []
     with pytest.raises(ValueError, match="explicit proset"):
         direct_sum([])
+
+
+def _reference_indicator_module(proset, support, field):
+    """An indicator module built without indicator_sum: dimension 1 on
+    support, one shared matrix per edge shape."""
+    dims = tuple(1 if k in support else 0 for k in range(proset.n))
+    shared = {(1, 1): Matrix.identity(field, 1), (0, 0): Matrix.zeros(field, 0, 0),
+              (0, 1): Matrix.zeros(field, 0, 1), (1, 0): Matrix.zeros(field, 1, 0)}
+    maps = {(a, b): shared[(dims[b], dims[a])] for (a, b) in proset.generating_edges}
+    return Representation(proset, field, dims, maps)
+
+
+def _rand_convex(rng: random.Random, q: Proset) -> frozenset:
+    """The convex hull of a few random points: every c with a <= c <= b
+    for some a, b among them (empty for no points)."""
+    ends = rng.sample(range(q.n), rng.randint(0, min(q.n, 3)))
+    return frozenset(c for c in range(q.n)
+                     if any(q.rel[a][c] and q.rel[c][b] for a in ends for b in ends))
+
+
+def _rand_carrier(rng: random.Random, family: str) -> Proset:
+    if family == "chain":
+        return chain(rng.randint(1, 8))
+    if family == "shoelace":
+        p = _rand_proset(rng, max_n=5)
+        return shoelace(p, _rand_translation(rng, p))
+    lo = rng.randint(-5, 5)
+    return shoelace_window(Window(lo, lo + rng.randint(0, 7)), rng.randint(0, 3))[0]
+
+
+FAMILIES = ["chain", "shoelace", "shoelace_window"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_indicator_sum_equals_the_direct_sum_of_indicator_modules(family, seed):
+    rng = random.Random(seed)
+    q = _rand_carrier(rng, family)
+    field = rng.choice((F2, F5))
+    supports = [_rand_convex(rng, q) for _ in range(rng.randint(1, 5))]
+    total, positions = indicator_sum(q, supports, field)
+    ref, slices = direct_sum([_reference_indicator_module(q, s, field) for s in supports],
+                             proset=q, field=field)
+    assert total.dims == ref.dims
+    for key in q.related_pairs:
+        assert total.maps[key] == ref.maps[key], key
+    assert validate_representation(total) is None
+    assert len(positions) == q.n
+    for x in range(q.n):
+        assert len(positions[x]) == len(supports)
+        for k, support in enumerate(supports):
+            start, stop = slices[k][x]
+            assert stop - start == (x in support)
+            assert positions[x][k] == (start if x in support else -1)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_indicator_sum_of_no_supports_is_zero(family):
+    q = _rand_carrier(random.Random(family), family)
+    total, positions = indicator_sum(q, [], F2)
+    assert total == zero_representation(q, F2) == direct_sum([], proset=q, field=F2)[0]
+    assert total.dims == (0,) * q.n
+    assert positions == [[] for _ in range(q.n)]
+
+
+def test_indicator_sum_reads_supports_as_sets_of_points():
+    q = chain(3)
+    assert indicator_sum(q, [[1, 1, 2]], F2)[0] == indicator_module(q, {1, 2}, F2)
+    assert indicator_sum(q, [[1, 1, 2]], F2)[1] == [[-1], [0], [0]]
+    with pytest.raises(ValueError, match="support 1 holds 3, not a point"):
+        indicator_sum(q, [[0], [3]], F2)
 
 
 def test_direct_sum_rejects_mixed_parts():

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -819,6 +820,21 @@ def test_pack_decomposed_refuses_a_dimension_above_the_limit():
         pack_decomposed(over)
     at = DecomposedShoelaceRep(Window(0, 1), 1, F2, [whole] * MAX_POINT_DIM)
     assert pack_decomposed(at).dims == (MAX_POINT_DIM,) * 4
+
+
+def test_expanding_a_full_certificate_stays_small_in_memory():
+    # dimension MAX_POINT_DIM at each of 64 carrier points; dense edge
+    # blocks of this sum took 69.7 MiB
+    whole = (Interval("-inf", "+inf"),) * 2
+    l = DecomposedShoelaceRep(Window(0, 31), 1, F2, [whole] * MAX_POINT_DIM)
+    tracemalloc.start()
+    try:
+        v = expand_decomposed(l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.dims == (MAX_POINT_DIM,) * 64
+    assert peak < 8 * 2 ** 20
 
 
 def _bars(lo, hi):
