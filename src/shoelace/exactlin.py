@@ -27,6 +27,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=4096)
+def _unit_row(width: int, col: int) -> tuple[int, ...]:
+    """The row of length width with a 1 at col, or the zero row for col -1;
+    rows are tuples, so every matrix that needs one shares it."""
+    if col < 0:
+        return (0,) * width
+    return (0,) * col + (1,) + (0,) * (width - col - 1)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """The prime field F_p, for 2 <= p <= 2**31 - 1."""
@@ -89,13 +98,15 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, ((0,) * cols,) * rows)
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative matrix shape {rows}x{cols}")
+        return cls._trusted(field, rows, cols, ((0,) * cols,) * rows)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        return cls(field, n, n,
-                   tuple(tuple(1 if i == j else 0 for j in range(n))
-                         for i in range(n)))
+        if n < 0:
+            raise ValueError(f"negative matrix shape {n}x{n}")
+        return cls._trusted(field, n, n, tuple(_unit_row(n, i) for i in range(n)))
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)

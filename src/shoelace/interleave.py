@@ -70,9 +70,10 @@ def _assemble(m: Representation, n: Representation, lam: Translation,
               phi_components: Sequence[Matrix],
               psi_components: Sequence[Matrix]) -> Interleaving:
     """The in-package path to an Interleaving from its components: N(lam)
-    and M(lam) are built once, as the targets of phi and psi, whose NatTrans
-    and precompose still check the frame; the public constructor would build
-    both again to compare them.  The triangles are validate_interleaving's."""
+    and M(lam) are built once, through precompose's trusted path, as the
+    targets of phi and psi, whose NatTrans still checks the frame; the
+    public constructor would build both again to compare them.  The
+    triangles are validate_interleaving's."""
     x = object.__new__(Interleaving)
     for name, value in (("m", m), ("n", n), ("lam", lam),
                         ("phi", NatTrans(m, precompose(n, lam), phi_components)),
@@ -168,6 +169,10 @@ def pack(x: Interleaving) -> Representation:
 
         V(i <= j') = N(lam(i) <= j) . phi(i)
         V(i' <= j) = M(lam(i) <= j) . psi(i)
+
+    Raises unless validate_interleaving passes.  The carrier is the one
+    shoelace(M's proset, lam) stores on lam, and the maps are valid by that
+    check, so the result is built through Representation._trusted.
     """
     err = validate_interleaving(x)
     if err is not None:
@@ -187,7 +192,7 @@ def pack(x: Interleaving) -> Representation:
             maps[(a, b)] = mat_mul(x.n.maps[(lam[i], j)], x.phi.components[i])
         else:
             maps[(a, b)] = mat_mul(x.m.maps[(lam[i], j)], x.psi.components[i])
-    return Representation(sh, x.m.field, dims, maps)
+    return Representation._trusted(sh, x.m.field, dims, maps)
 
 
 def unpack(v: Representation) -> Interleaving:

@@ -91,7 +91,8 @@ class Proset:
             for (a, b) in self.generating_edges:
                 if not self.rel[b][a]:
                     covers[b].append(a)
-            object.__setattr__(self, "_covers", covers)
+            # a tuple, as carriers are shared and nothing mutable may hang off them
+            object.__setattr__(self, "_covers", tuple(map(tuple, covers)))
         rel_i = self.rel[i]
         for j in self._covers[k]:
             if rel_i[j]:
@@ -99,6 +100,8 @@ class Proset:
         raise ValueError(f"{self.label(k)} is not strictly above {self.label(i)}")
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Proset):
             return NotImplemented
         return (self.n == other.n and self.rel == other.rel
@@ -157,10 +160,12 @@ class Translation:
 
     Validity (i <= mapping[i], monotonicity) is checked by
     validate_translation, not the constructor, so invalid candidates can be
-    built and reported on.
+    built and reported on.  A valid translation holds its shoelace carrier,
+    built by the first shoelace(base, t) call and shared by every later one,
+    so the carrier lives exactly as long as the translation.
     """
 
-    __slots__ = ("base", "mapping")
+    __slots__ = ("base", "mapping", "_carrier")
 
     def __init__(self, base: Proset, mapping: Sequence[int]):
         m = tuple(int(x) for x in mapping)
@@ -170,6 +175,7 @@ class Translation:
             raise ValueError("mapping entry out of range")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "mapping", m)
+        object.__setattr__(self, "_carrier", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Translation is immutable")
@@ -294,13 +300,20 @@ def shoelace(p: Proset, lam: Translation) -> ShoelaceProset:
     Within each copy the relation is p's own.  Between copies, i <= j' and
     i' <= j both hold exactly when lam(i) <= j.  The result of a valid
     translation is transitively closed by construction.
+
+    The first call validates lam and stores the carrier on it; later calls
+    with lam return that same object.  An invalid translation stores
+    nothing, so it raises on every call.
     """
     if lam.base != p:
         raise ValueError("translation is not defined on this proset")
-    err = validate_translation(lam)
-    if err is not None:
-        raise ValueError(f"invalid translation: {err}")
-    return laced(p, lam, tuple(p.rel[k] for k in lam.mapping))
+    if lam._carrier is None:
+        err = validate_translation(lam)
+        if err is not None:
+            raise ValueError(f"invalid translation: {err}")
+        object.__setattr__(lam, "_carrier",
+                           laced(p, lam, tuple(p.rel[k] for k in lam.mapping)))
+    return lam._carrier
 
 
 def laced(p: Proset, lam: Translation,
@@ -381,38 +394,3 @@ def validate_height(p: Proset, h: HeightFunction) -> Optional[str]:
             return (f"not monotone: {p.label(i)} <= {p.label(j)} but "
                     f"height {h.values[i]} > {h.values[j]}")
     return None
-
-
-@dataclass(frozen=True)
-class TranslationHeight:
-    """How far a translation moves points, measured by a height function.
-
-    height is the maximum of h(t(i)) - h(i).  uniform means the shift is the
-    same at every measured point; epsilon is that common shift when uniform,
-    else None.
-    """
-
-    height: Fraction
-    uniform: bool
-    epsilon: Optional[Fraction]
-
-
-def translation_height(t: Translation, h: HeightFunction,
-                       elements: Optional[Iterable[int]] = None) -> TranslationHeight:
-    """Measure t against h, optionally only on a subset of elements.
-
-    The subset lets callers exclude boundary points where a clamped
-    translation necessarily moves less than its nominal shift.
-    """
-    p = t.base
-    err = validate_height(p, h)
-    if err is not None:
-        raise ValueError(f"invalid height function: {err}")
-    idx = tuple(range(p.n)) if elements is None else tuple(elements)
-    if not idx:
-        raise ValueError("no elements to measure")
-    shifts = [h.values[t.mapping[i]] - h.values[i] for i in idx]
-    top = max(shifts)
-    uniform = all(s == top for s in shifts)
-    return TranslationHeight(height=top, uniform=uniform,
-                             epsilon=top if uniform else None)

@@ -16,10 +16,9 @@ copies general parts into dense blocks.
 from __future__ import annotations
 
 from collections.abc import Collection, Mapping
-from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exactlin import FieldSpec, Matrix, mat_mul
+from .exactlin import FieldSpec, Matrix, _unit_row, mat_mul
 from .proset import Proset, ShoelaceProset, Translation, chain
 
 
@@ -106,11 +105,18 @@ class Representation:
                     f"map at ({i}, {j}) has shape {m.rows}x{m.cols}, "
                     f"expected {d[j]}x{d[i]}")
             store[(i, j)] = m
-        object.__setattr__(self, "proset", proset)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dims", d)
-        # read-only, so a cached module cannot be corrupted through its maps
-        object.__setattr__(self, "maps", _Maps(proset, field, d, store))
+        _fill(self, proset, field, d, store)
+
+    @classmethod
+    def _trusted(cls, proset: Proset, field: FieldSpec, dims: tuple[int, ...],
+                 maps: dict[tuple[int, int], Matrix]) -> "Representation":
+        """Wrap maps valid by construction, skipping the public checks: dims
+        a tuple of proset.n ints >= 0, maps keyed by related pairs, covering
+        every generating edge, each over field and dims[j] x dims[i].  For
+        builders that derive a module from valid ones."""
+        out = object.__new__(cls)
+        _fill(out, proset, field, dims, maps)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
@@ -126,6 +132,15 @@ class Representation:
 
     def __repr__(self) -> str:
         return f"Representation(p={self.field.p}, dims={self.dims})"
+
+
+def _fill(m: Representation, proset: Proset, field: FieldSpec,
+          dims: tuple[int, ...], maps: dict[tuple[int, int], Matrix]) -> None:
+    object.__setattr__(m, "proset", proset)
+    object.__setattr__(m, "field", field)
+    object.__setattr__(m, "dims", dims)
+    # read-only, so a cached module cannot be corrupted through its maps
+    object.__setattr__(m, "maps", _Maps(proset, field, dims, maps))
 
 
 def validate_representation(m: Representation) -> Optional[str]:
@@ -177,15 +192,6 @@ def indicator_module(proset: Proset, support: Collection[int],
     return indicator_sum(proset, (support,), field)[0]
 
 
-@lru_cache(maxsize=4096)
-def _unit_row(width: int, col: int) -> tuple[int, ...]:
-    """The row of length width with a 1 at col, or the zero row for col -1;
-    rows are tuples, so every matrix that needs one shares it."""
-    if col < 0:
-        return (0,) * width
-    return (0,) * col + (1,) + (0,) * (width - col - 1)
-
-
 def _unit_matrix(field: FieldSpec, width: int, cols: Sequence[int]) -> Matrix:
     """The len(cols) x width matrix whose row r is _unit_row(width, cols[r])."""
     return Matrix._trusted(field, len(cols), width,
@@ -201,7 +207,8 @@ def indicator_sum(proset: Proset, supports: Sequence[Collection[int]],
     k at point x, or -1 where x lies outside its support.  On a generating
     edge (a, b), the row of summand k at b is the unit row with a 1 at
     positions[a][k] if k is alive at a, and the zero row otherwise.  The
-    sum is functorial when every support is convex.
+    sum is functorial when every support is convex, and built through
+    Representation._trusted, as its shapes hold by construction.
     """
     n = proset.n
     alive: list[list[int]] = [[] for _ in range(n)]
@@ -214,7 +221,7 @@ def indicator_sum(proset: Proset, supports: Sequence[Collection[int]],
             if positions[x][k] < 0:
                 positions[x][k] = len(alive[x])
                 alive[x].append(k)
-    dims = [len(ks) for ks in alive]
+    dims = tuple(map(len, alive))
     # edges with the same shape and rows share one matrix
     made: dict[tuple[int, tuple[int, ...]], Matrix] = {}
     maps = {}
@@ -224,7 +231,7 @@ def indicator_sum(proset: Proset, supports: Sequence[Collection[int]],
         if got is None:
             got = made[key] = _unit_matrix(field, *key)
         maps[(a, b)] = got
-    return Representation(proset, field, dims, maps), positions
+    return Representation._trusted(proset, field, dims, maps), positions
 
 
 def chain_representation(proset: Proset, field: FieldSpec,
@@ -307,10 +314,6 @@ def validate_nat_trans(t: NatTrans) -> Optional[str]:
     return None
 
 
-def identity_nat(m: Representation) -> NatTrans:
-    return NatTrans(m, m, tuple(Matrix.identity(m.field, d) for d in m.dims))
-
-
 def zero_nat(source: Representation, target: Representation) -> NatTrans:
     return NatTrans(source, target,
                     tuple(Matrix.zeros(source.field, target.dims[i], source.dims[i])
@@ -318,22 +321,16 @@ def zero_nat(source: Representation, target: Representation) -> NatTrans:
 
 
 def precompose(m: Representation, lam: Translation) -> Representation:
-    """The representation M after lam: point i carries M(lam(i))."""
+    """The representation M after lam: point i carries M(lam(i)).  Edge
+    (i, j) takes M's map at (lam(i), lam(j)), of the shape the new dims ask
+    for, so the result is built through Representation._trusted."""
     if lam.base != m.proset:
         raise ValueError("translation is not defined on this representation's proset")
     p = m.proset
     dims = tuple(m.dims[lam.mapping[i]] for i in range(p.n))
     maps = {(i, j): m.maps[(lam.mapping[i], lam.mapping[j])]
             for (i, j) in p.generating_edges}
-    return Representation(p, m.field, dims, maps)
-
-
-def unit_whisker(m: Representation, lam: Translation) -> NatTrans:
-    """The canonical map M -> M(lam), with component M(i <= lam(i)) at i."""
-    if lam.base != m.proset:
-        raise ValueError("translation is not defined on this representation's proset")
-    comps = tuple(m.maps[(i, lam.mapping[i])] for i in range(m.proset.n))
-    return NatTrans(m, precompose(m, lam), comps)
+    return Representation._trusted(p, m.field, dims, maps)
 
 
 def direct_sum(parts: Sequence[Representation],
@@ -407,7 +404,8 @@ def permutation_iso(parts: Sequence[Representation], order: Sequence[int],
 def restrict(m: Representation, side: str) -> Representation:
     """Restrict a shoelace-carrier representation to one copy of the base.
 
-    side is "left" for the plain copy, "right" for the primed copy.
+    side is "left" for the plain copy, "right" for the primed copy.  Each
+    copy carries the base's relation, so this is built through _trusted.
     """
     sh = m.proset
     if not isinstance(sh, ShoelaceProset):
@@ -418,7 +416,7 @@ def restrict(m: Representation, side: str) -> Representation:
     off = 0 if side == "left" else base.n
     dims = tuple(m.dims[off + i] for i in range(base.n))
     maps = {(i, j): m.maps[(off + i, off + j)] for (i, j) in base.generating_edges}
-    return Representation(base, m.field, dims, maps)
+    return Representation._trusted(base, m.field, dims, maps)
 
 
 def subrelation_transfer(m: Representation, q: Proset) -> Representation:

@@ -22,7 +22,7 @@ from shoelace.proset import (
     chain,
     proset_from_pairs,
 )
-from shoelace.rep import chain_representation, unit_whisker, zero_nat, precompose
+from shoelace.rep import NatTrans, chain_representation, zero_nat, precompose
 from shoelace.zed import (
     Barcode,
     Interval,
@@ -47,7 +47,8 @@ def _examples():
     m = interval_to_module(Interval(0, 2), w, F5)
     n = interval_to_module(Interval(1, 3), w, F5)
     f, g = canonical_pair(Interval(0, 2), Interval(1, 3), 1, w, F5)
-    x = Interleaving(m, n, lambda_eps(w, 1), f, g)
+    lam = lambda_eps(w, 1)
+    x = Interleaving(m, n, lam, f, g)
     i02, i13, i55 = Interval(0, 2), Interval(1, 3), Interval(5, 5)
     s = Matching(Barcode([i02, i55]), Barcode([i13]), [(i02, i13)], 1)
     wm = chain_representation(
@@ -60,7 +61,9 @@ def _examples():
         "translation": Translation(chain(3), (1, 2, 2)),
         "height": (chain(3), HeightFunction([0, Fraction(1, 2), 7])),
         "representation": m,
-        "nattrans": unit_whisker(m, lambda_eps(w, 1)),
+        # the canonical map M -> M(lam), with component M(i <= lam(i)) at i
+        "nattrans": NatTrans(m, precompose(m, lam),
+                             [m.maps[(i, lam(i))] for i in range(w.size)]),
         "interleaving": x,
         "barcode": Barcode([Interval(0, 1), Interval(0, 1),
                             Interval(NEG_INF, 3), Interval(2, POS_INF)]),

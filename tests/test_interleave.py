@@ -32,7 +32,7 @@ from shoelace.proset import (
     shoelace,
 )
 from shoelace.rep import (
-    identity_nat,
+    NatTrans,
     precompose,
     restrict,
     validate_nat_trans,
@@ -63,6 +63,10 @@ F5 = FieldSpec(5)
 W = Window(-1, 4)
 
 
+def _identity(m):
+    return NatTrans(m, m, [Matrix.identity(m.field, d) for d in m.dims])
+
+
 def _overlap_example(field=F2):
     """I[0,2] and I[1,3] with their canonical comparison maps at eps=1."""
     m = interval_to_module(Interval(0, 2), W, field)
@@ -74,7 +78,7 @@ def _overlap_example(field=F2):
 def test_identity_self_interleaving_is_valid():
     m = interval_to_module(Interval(0, 2), Window(0, 3))
     lam = identity_translation(m.proset)
-    x = Interleaving(m, m, lam, identity_nat(m), identity_nat(m))
+    x = Interleaving(m, m, lam, _identity(m), _identity(m))
     assert validate_interleaving(x) is None
 
 
@@ -117,11 +121,11 @@ def test_interleaving_constructor_rejects_mismatches():
 
 def test_morphism_validation():
     x = _overlap_example()
-    ident = InterleavingMorphism(x, x, identity_nat(x.m), identity_nat(x.n))
+    ident = InterleavingMorphism(x, x, _identity(x.m), _identity(x.n))
     assert validate_interleaving_morphism(ident) is None
     zero = InterleavingMorphism(x, x, zero_nat(x.m, x.m), zero_nat(x.n, x.n))
     assert validate_interleaving_morphism(zero) is None
-    half = InterleavingMorphism(x, x, identity_nat(x.m), zero_nat(x.n, x.n))
+    half = InterleavingMorphism(x, x, _identity(x.m), zero_nat(x.n, x.n))
     report = validate_interleaving_morphism(half)
     assert report is not None
     assert "square fails" in report
@@ -131,11 +135,11 @@ def test_morphism_constructor_rejects_mismatches():
     x = _overlap_example()
     y = upgrade_interleaving(x, lambda_eps(W, 2))
     with pytest.raises(ValueError, match="different translations"):
-        InterleavingMorphism(x, y, identity_nat(x.m), identity_nat(x.n))
+        InterleavingMorphism(x, y, _identity(x.m), _identity(x.n))
     with pytest.raises(ValueError, match="gm must map"):
-        InterleavingMorphism(x, x, identity_nat(x.n), identity_nat(x.n))
+        InterleavingMorphism(x, x, _identity(x.n), _identity(x.n))
     with pytest.raises(ValueError, match="gn must map"):
-        InterleavingMorphism(x, x, identity_nat(x.m), identity_nat(x.m))
+        InterleavingMorphism(x, x, _identity(x.m), _identity(x.m))
 
 
 def test_pack_of_zero_interleaving_is_zero():
@@ -167,7 +171,7 @@ def test_pack_with_identity_translation_duplicates_maps():
     w = Window(0, 2)
     m = interval_to_module(Interval(0, 2), w)
     lam = identity_translation(m.proset)
-    x = Interleaving(m, m, lam, identity_nat(m), identity_nat(m))
+    x = Interleaving(m, m, lam, _identity(m), _identity(m))
     v = pack(x)
     n0 = m.proset.n
     for (i, j) in m.proset.related_pairs:
@@ -203,10 +207,10 @@ def test_unpack_rejects_non_shoelace_carriers():
 
 def test_morphism_round_trip():
     x = _overlap_example()
-    ident = InterleavingMorphism(x, x, identity_nat(x.m), identity_nat(x.n))
+    ident = InterleavingMorphism(x, x, _identity(x.m), _identity(x.n))
     t = pack_morphism(ident)
     assert validate_nat_trans(t) is None
-    assert t == identity_nat(pack(x))
+    assert t == _identity(pack(x))
     assert unpack_morphism(t) == ident
     zero = InterleavingMorphism(x, x, zero_nat(x.m, x.m), zero_nat(x.n, x.n))
     tz = pack_morphism(zero)
@@ -214,7 +218,7 @@ def test_morphism_round_trip():
     assert tz == zero_nat(v, v)
     assert unpack_morphism(tz) == zero
     with pytest.raises(ValueError, match="shoelace carrier"):
-        unpack_morphism(identity_nat(x.m))
+        unpack_morphism(_identity(x.m))
 
 
 def test_square_interleave_self_case():
@@ -320,7 +324,7 @@ def test_transport_along_isos():
     assert validate_interleaving(y) is None
     assert y.m == um.target and y.n == un.target
     assert y.lam == x.lam
-    back = transport_interleaving(x, identity_nat(x.m), identity_nat(x.n))
+    back = transport_interleaving(x, _identity(x.m), _identity(x.n))
     assert back == x
     with pytest.raises(ValueError, match="um must start"):
         transport_interleaving(x, un, un)

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from hypothesis import given
@@ -9,7 +7,6 @@ from shoelace.proset import (
     HeightFunction,
     Proset,
     Translation,
-    TranslationHeight,
     chain,
     compare_translations,
     compose_translations,
@@ -19,7 +16,6 @@ from shoelace.proset import (
     power_translation,
     proset_from_pairs,
     shoelace,
-    translation_height,
     validate_height,
     validate_proset,
     validate_translation,
@@ -219,33 +215,6 @@ def test_height_validation():
     assert validate_height(p, HeightFunction((0, 1, 2))) is None
     report = validate_height(p, HeightFunction((0, 2, 1)))
     assert report is not None and "monotone" in report
-
-
-def test_translation_height_uniform_shift():
-    p = chain(6)
-    h = HeightFunction(range(6))
-    t = Translation(p, tuple(min(i + 2, 5) for i in range(6)))
-    # away from the clamp the shift is uniformly 2
-    interior = translation_height(t, h, elements=range(4))
-    assert interior == TranslationHeight(Fraction(2), True, Fraction(2))
-    # the clamp shows up as loss of uniformity on the full window
-    full = translation_height(t, h)
-    assert full.height == 2
-    assert not full.uniform
-    assert full.epsilon is None
-
-
-def test_translation_height_identity():
-    p = chain(4)
-    h = HeightFunction((0, 1, 1, 3))
-    out = translation_height(identity_translation(p), h)
-    assert out == TranslationHeight(Fraction(0), True, Fraction(0))
-
-
-def test_translation_height_rejects_bad_height():
-    p = chain(3)
-    with pytest.raises(ValueError):
-        translation_height(identity_translation(p), HeightFunction((2, 1, 0)))
 
 
 @given(st.integers(0, 10 ** 6))

@@ -21,14 +21,12 @@ from shoelace.rep import (
     Representation,
     chain_representation,
     direct_sum,
-    identity_nat,
     indicator_module,
     indicator_sum,
     permutation_iso,
     precompose,
     restrict,
     subrelation_transfer,
-    unit_whisker,
     validate_nat_trans,
     validate_representation,
     zero_nat,
@@ -58,6 +56,16 @@ def _ones_chain(n, field):
     """All dims 1, every map [1]: the constant representation of a chain."""
     step = Matrix(field, 1, 1, [[1]])
     return chain_representation(chain(n), field, (1,) * n, [step] * (n - 1))
+
+
+def _identity(m):
+    return NatTrans(m, m, [Matrix.identity(m.field, d) for d in m.dims])
+
+
+def _whisker(m, lam):
+    """The canonical map M -> M(lam), with component M(i <= lam(i)) at i."""
+    return NatTrans(m, precompose(m, lam),
+                    [m.maps[(i, lam.mapping[i])] for i in range(m.proset.n)])
 
 
 def test_constant_chain_rep_is_valid():
@@ -125,7 +133,7 @@ def test_representation_constructor_rejects_bad_data():
 
 def test_identity_and_zero_nats_are_natural():
     m = _ones_chain(3, F5)
-    assert validate_nat_trans(identity_nat(m)) is None
+    assert validate_nat_trans(_identity(m)) is None
     n = zero_representation(chain(3), F5)
     assert validate_nat_trans(zero_nat(m, n)) is None
     assert validate_nat_trans(zero_nat(n, m)) is None
@@ -195,19 +203,12 @@ def test_precompose_requires_matching_proset():
     lam = identity_translation(chain(4))
     with pytest.raises(ValueError, match="not defined"):
         precompose(m, lam)
-    with pytest.raises(ValueError, match="not defined"):
-        unit_whisker(m, lam)
-
-
-def test_unit_whisker_of_identity_translation():
-    m = _ones_chain(3, F5)
-    assert unit_whisker(m, identity_translation(chain(3))) == identity_nat(m)
 
 
 def test_unit_whisker_interval_example():
     w = Window(0, 3)
     m = interval_to_module(Interval(0, 2), w)
-    u = unit_whisker(m, lambda_eps(w, 1))
+    u = _whisker(m, lambda_eps(w, 1))
     assert validate_nat_trans(u) is None
     assert u.source == m
     assert u.target.dims == (1, 1, 0, 0)
@@ -221,8 +222,8 @@ def test_double_unit_equals_composite_of_whiskers():
     w = Window(0, 4)
     m = interval_to_module(Interval(0, 3), w, F5)
     lam = lambda_eps(w, 1)
-    u = unit_whisker(m, lam)
-    doubled = unit_whisker(m, compose_translations(lam, lam))
+    u = _whisker(m, lam)
+    doubled = _whisker(m, compose_translations(lam, lam))
     # u followed by u reindexed along lam has component u(lam(i)) u(i) at i
     for i in range(m.proset.n):
         assert (mat_mul(u.components[lam.mapping[i]], u.components[i])
@@ -375,7 +376,7 @@ def test_permutation_iso_round_trip():
             assert (_block(c, tgt_slices[slot][i], src_slices[k][i])
                     == Matrix.identity(F2, parts[k].dims[i]).entries)
     trivial = permutation_iso(parts, (0, 1, 2))
-    assert trivial == identity_nat(t.source)
+    assert trivial == _identity(t.source)
     with pytest.raises(ValueError, match="not a permutation"):
         permutation_iso(parts, (0, 0, 1))
 
@@ -464,7 +465,7 @@ def test_whisker_outputs_are_always_natural(seed):
     field = FieldSpec(rng.choice((2, 5)))
     m = _rand_rep(rng, p, field)
     lam = _rand_translation(rng, p)
-    u = unit_whisker(m, lam)
+    u = _whisker(m, lam)
     assert validate_nat_trans(u) is None
     assert u.source == m
     assert u.target == precompose(m, lam)

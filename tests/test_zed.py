@@ -13,10 +13,8 @@ from shoelace.docio import load_document, save_document
 from shoelace.exactlin import FieldSpec, Matrix
 from shoelace.interleave import Interleaving, pack, unpack, validate_interleaving
 from shoelace.proset import (
-    TranslationHeight,
     iso_pairs,
     shoelace,
-    translation_height,
     validate_proset,
 )
 from shoelace.rep import (
@@ -292,11 +290,11 @@ def test_lambda_eps_interior_height_is_uniform():
     w = Window(0, 5)
     _, h = window_chain(w)
     t = lambda_eps(w, 2)
-    interior = translation_height(t, h, elements=range(4))
-    assert interior == TranslationHeight(Fraction(2), True, Fraction(2))
-    full = translation_height(t, h)
-    assert full.height == Fraction(2)
-    assert not full.uniform
+    shifts = [h(t(i)) - h(i) for i in range(w.size)]
+    # the shift is 2 away from the clamp, and less at the window top
+    assert shifts[:4] == [Fraction(2)] * 4
+    assert max(shifts) == Fraction(2)
+    assert shifts[4:] == [Fraction(1), Fraction(0)]
 
 
 def test_shoelace_window_iso_pairs_at_eps_zero():
@@ -482,14 +480,15 @@ def test_canonical_pair_two_sided_support():
 
 
 def test_canonical_pair_identity_at_eps_zero():
-    from shoelace.rep import identity_nat
+    from shoelace.rep import NatTrans
 
     w = Window(0, 3)
     i = Interval(1, 2)
     f, g = canonical_pair(i, i, 0, w)
     m = interval_to_module(i, w)
-    assert f == identity_nat(m)
-    assert g == identity_nat(m)
+    identity = NatTrans(m, m, [Matrix.identity(m.field, d) for d in m.dims])
+    assert f == identity
+    assert g == identity
 
 
 def test_canonical_pair_refusals():
