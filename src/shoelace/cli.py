@@ -116,7 +116,8 @@ def _cmd_unpack(args) -> int:
         raise ValueError(
             "representation does not live on the shoelace carrier of the "
             "given translation")
-    rooted = Representation(sh, v.field, v.dims, v.maps)
+    # the same relation, so v is functorial on sh as well
+    rooted = Representation._trusted(sh, v.field, v.dims, dict(v.maps))
     x = unpack(rooted)
     _emit(save_document("interleaving", x), args.out)
     return 0

@@ -1,15 +1,17 @@
 """JSON interchange documents.
 
 Every file is an envelope {"kind", "version", "payload"}.  Loading validates
-the payload with the owning module's validator, so a document that parses
-but violates the mathematical rules raises DocumentValidationError, while a
-structurally malformed file raises DocumentFormatError.  Emission uses a
-fixed key order and canonical array orders, so output is byte-stable.
+the payload with the owning module's validator or validating constructor, so
+a document that parses but violates the mathematical rules raises
+DocumentValidationError, while a structurally malformed file raises
+DocumentFormatError.  Emission uses a fixed key order and canonical array
+orders, so output is byte-stable.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -22,14 +24,8 @@ from .proset import (
     validate_proset,
     validate_translation,
 )
-from .rep import (
-    NatTrans,
-    Representation,
-    chain_representation,
-    validate_nat_trans,
-    validate_representation,
-)
-from .interleave import Interleaving, _assemble, validate_interleaving
+from .rep import NatTrans, Representation, chain_representation, precompose
+from .interleave import Interleaving
 from .zed import (
     MAX_BARCODE_BARS,
     MAX_POINT_DIM,
@@ -82,6 +78,21 @@ def _load_dims(payload: dict, kind: str) -> list[int]:
 def _validated(report: Optional[str], kind: str):
     if report is not None:
         raise DocumentValidationError(f"invalid {kind}: {report}")
+
+
+@contextmanager
+def _constructing(kind: str, own: str = "", context: str = ""):
+    """Raise a constructor's refusal as the loader's: the report r of its
+    one check, "invalid <own or kind>: r", becomes "invalid <kind>:
+    <context>r", and a frame error "inconsistent <kind>: <message>"."""
+    try:
+        yield
+    except (ValueError, TypeError) as e:
+        message, head = str(e), f"invalid {own or kind}: "
+        if not message.startswith(head):
+            raise DocumentValidationError(f"inconsistent {kind}: {message}") from None
+        raise DocumentValidationError(
+            f"invalid {kind}: {context}{message.removeprefix(head)}") from None
 
 
 # per-kind payload builders
@@ -186,17 +197,19 @@ def _load_rep(payload: dict) -> Representation:
         maps[(i, j)] = _load_matrix(field, dims[j], dims[i],
                                     _need(item, "entries", "representation map"),
                                     f"map ({i}, {j})")
-    try:
-        m = Representation(proset, field, dims, maps)
-    except (ValueError, TypeError) as e:
-        raise DocumentValidationError(f"inconsistent representation: {e}") from None
-    # a Representation needs only the generating edges; a document lists all
+    # a Representation needs only the generating edges; a document lists
+    # all, and a missing one is reported after the frame, before the check
     missing = [pair for pair in proset.related_pairs if pair not in maps]
+    with _constructing("representation"):
+        try:
+            m = Representation(proset, field, dims, maps)
+        except ValueError as e:
+            if not (missing and str(e).startswith("invalid ")):
+                raise
     if missing:
         raise DocumentValidationError(
             f"inconsistent representation: maps must cover exactly the related "
             f"pairs; missing {missing[:4]}")
-    _validated(validate_representation(m), "representation")
     return m
 
 
@@ -224,12 +237,8 @@ def _load_nattrans(payload: dict) -> NatTrans:
                      f"component {i}")
         for i in range(source.proset.n)
     ]
-    try:
-        t = NatTrans(source, target, comps)
-    except (ValueError, TypeError) as e:
-        raise DocumentValidationError(f"inconsistent nattrans: {e}") from None
-    _validated(validate_nat_trans(t), "nattrans")
-    return t
+    with _constructing("nattrans"):
+        return NatTrans(source, target, comps)
 
 
 def _interleaving_payload(x: Interleaving) -> dict:
@@ -258,15 +267,16 @@ def _load_interleaving(payload: dict) -> Interleaving:
     raw_psi = _as_list(_need(payload, "psi", "interleaving"), "psi")
     if len(raw_phi) != lam.base.n or len(raw_psi) != lam.base.n:
         raise DocumentFormatError("wrong number of interleaving components")
-    # fields, prosets, counts and shapes are checked, so the frame holds
-    x = _assemble(
-        m, n, lam,
-        [_load_matrix(field, n.dims[up[i]], m.dims[i], raw_phi[i], f"phi {i}")
-         for i in range(lam.base.n)],
-        [_load_matrix(field, m.dims[up[i]], n.dims[i], raw_psi[i], f"psi {i}")
-         for i in range(lam.base.n)])
-    _validated(validate_interleaving(x), "interleaving")
-    return x
+    phi_comps = [_load_matrix(field, n.dims[up[i]], m.dims[i], raw_phi[i], f"phi {i}")
+                 for i in range(lam.base.n)]
+    psi_comps = [_load_matrix(field, m.dims[up[i]], n.dims[i], raw_psi[i], f"psi {i}")
+                 for i in range(lam.base.n)]
+    with _constructing("interleaving", "nattrans", "phi: "):
+        phi = NatTrans(m, precompose(n, lam), phi_comps)
+    with _constructing("interleaving", "nattrans", "psi: "):
+        psi = NatTrans(n, precompose(m, lam), psi_comps)
+    with _constructing("interleaving"):
+        return Interleaving(m, n, lam, phi, psi)
 
 
 def _interval_payload(i: Interval) -> dict:
@@ -327,13 +337,8 @@ def _load_matching(payload: dict) -> Matching:
                                      "matching pair"),
                       _load_interval(_need(item, "right", "matching pair"),
                                      "matching pair")))
-    try:
+    with _constructing("matching"):
         return Matching(source, target, pairs, eps)
-    except ValueError as e:
-        report = str(e)
-        if not report.startswith("invalid matching: "):
-            report = f"inconsistent matching: {report}"
-        raise DocumentValidationError(report) from None
 
 
 def _decomposed_payload(l: DecomposedShoelaceRep) -> dict:
@@ -370,11 +375,8 @@ def _load_decomposed(payload: dict) -> DecomposedShoelaceRep:
             _load_interval(left, "summand") if left is not None else None,
             _load_interval(right, "summand") if right is not None else None,
         ))
-    try:
+    with _constructing("decomposed_rep", "decomposed representation"):
         return DecomposedShoelaceRep(w, eps, field, summands)
-    except ValueError as e:
-        report = str(e).removeprefix("invalid decomposed representation: ")
-        raise DocumentValidationError(f"invalid decomposed_rep: {report}") from None
 
 
 def _window_module_payload(w: Window, m: Representation) -> dict:
@@ -407,12 +409,8 @@ def _load_window_module(payload: dict) -> tuple[Window, Representation]:
         for i in range(w.size - 1)
     ]
     p, _ = window_chain(w)
-    try:
-        m = chain_representation(p, field, dims, steps)
-    except (ValueError, TypeError) as e:
-        raise DocumentValidationError(f"inconsistent window module: {e}") from None
-    _validated(validate_representation(m), "window_module")
-    return w, m
+    with _constructing("window module"):
+        return w, chain_representation(p, field, dims, steps)
 
 
 _SAVERS = {

@@ -146,8 +146,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_scale(c: int, a: Matrix) -> Matrix:
     p = a.field.p
     c %= p
-    return Matrix(a.field, a.rows, a.cols,
-                  tuple(tuple((c * x) % p for x in row) for row in a.entries))
+    return Matrix._trusted(a.field, a.rows, a.cols,
+                           tuple(tuple((c * x) % p for x in row) for row in a.entries))
 
 
 def _rref(field: FieldSpec, rows: list[list[int]], width: int) -> tuple[int, list[int]]:
@@ -189,7 +189,8 @@ def mat_inverse(a: Matrix) -> Matrix:
     rank, _ = _rref(a.field, aug, n)
     if rank != n:
         raise ValueError("matrix is singular")
-    return Matrix(a.field, n, n, tuple(tuple(row[n:]) for row in aug))
+    # _rref leaves every entry reduced mod p
+    return Matrix._trusted(a.field, n, n, tuple(tuple(row[n:]) for row in aug))
 
 
 def mat_solve_homogeneous(
@@ -257,8 +258,8 @@ def mat_solve_homogeneous(
         mats = []
         for k, (r, c) in enumerate(shapes):
             o = offsets[k]
-            mats.append(Matrix(field, r, c,
-                               tuple(tuple(vec[o + i * c + j] for j in range(c))
-                                     for i in range(r))))
+            mats.append(Matrix._trusted(field, r, c,
+                                        tuple(tuple(vec[o + i * c + j] for j in range(c))
+                                              for i in range(r))))
         basis.append(tuple(mats))
     return len(free), basis

@@ -19,18 +19,20 @@ from .proset import (
 from .rep import (
     NatTrans,
     Representation,
+    _fill,
     precompose,
     restrict,
+    validate_nat_trans,
 )
 
 
 class Interleaving:
     """A translation-indexed pair of comparison maps between M and N.
 
-    phi: M -> N(lam) and psi: N -> M(lam).  The constructor checks the
-    structural frame (shared proset and field, nat trans endpoints); the
-    triangle equations are checked by validate_interleaving.  Interleavings
-    the package builds from components go through _assemble instead.
+    phi: M -> N(lam) and psi: N -> M(lam).  Valid by construction: after
+    the frame checks (shared proset and field, nat trans endpoints) the
+    constructor raises ValueError on the report of _triangles, its one
+    check, as phi and psi are natural by construction.
     """
 
     __slots__ = ("m", "n", "lam", "phi", "psi")
@@ -47,11 +49,10 @@ class Interleaving:
             raise ValueError("phi must map M to N after the translation")
         if psi.source != n or psi.target != precompose(m, lam):
             raise ValueError("psi must map N to M after the translation")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "psi", psi)
+        _fill(self, m, n, lam, phi, psi)
+        err = _triangles(self)
+        if err is not None:
+            raise ValueError(f"invalid interleaving: {err}")
 
     def __setattr__(self, name, value):
         raise AttributeError("Interleaving is immutable")
@@ -69,17 +70,13 @@ class Interleaving:
 def _assemble(m: Representation, n: Representation, lam: Translation,
               phi_components: Sequence[Matrix],
               psi_components: Sequence[Matrix]) -> Interleaving:
-    """The in-package path to an Interleaving from its components: N(lam)
-    and M(lam) are built once, through precompose's trusted path, as the
-    targets of phi and psi, whose NatTrans still checks the frame; the
-    public constructor would build both again to compare them.  The
-    triangles are validate_interleaving's."""
-    x = object.__new__(Interleaving)
-    for name, value in (("m", m), ("n", n), ("lam", lam),
-                        ("phi", NatTrans(m, precompose(n, lam), phi_components)),
-                        ("psi", NatTrans(n, precompose(m, lam), psi_components))):
-        object.__setattr__(x, name, value)
-    return x
+    """The one trusted path to an Interleaving, for builders whose output
+    is valid by construction: no frame checks and no triangles.  N(lam) and
+    M(lam) are built once, through precompose's trusted path, as the
+    targets of phi and psi, which are built through NatTrans._trusted."""
+    return _fill(object.__new__(Interleaving), m, n, lam,
+                 NatTrans._trusted(m, precompose(n, lam), tuple(phi_components)),
+                 NatTrans._trusted(n, precompose(m, lam), tuple(psi_components)))
 
 
 class InterleavingMorphism:
@@ -96,10 +93,7 @@ class InterleavingMorphism:
             raise ValueError("gm must map source M to target M")
         if gn.source != source.n or gn.target != target.n:
             raise ValueError("gn must map source N to target N")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "gm", gm)
-        object.__setattr__(self, "gn", gn)
+        _fill(self, source, target, gm, gn)
 
     def __setattr__(self, name, value):
         raise AttributeError("InterleavingMorphism is immutable")
@@ -111,20 +105,9 @@ class InterleavingMorphism:
                 and self.gm == other.gm and self.gn == other.gn)
 
 
-def validate_interleaving(x: Interleaving) -> Optional[str]:
-    """None if phi and psi are natural and both triangle equations hold.
-
-    Functoriality of M and N themselves is a precondition, checked by
-    validate_representation, not here.
-    """
-    from .rep import validate_nat_trans
-
-    err = validate_nat_trans(x.phi)
-    if err is not None:
-        return f"phi: {err}"
-    err = validate_nat_trans(x.psi)
-    if err is not None:
-        return f"psi: {err}"
+def _triangles(x: Interleaving) -> Optional[str]:
+    """None if psi(lam(i)) phi(i) = M(i <= lam(lam(i))) and symmetrically
+    for N at every i, else a report on the first failing triangle."""
     p = x.m.proset
     lam = x.lam.mapping
     lamlam = compose_translations(x.lam, x.lam).mapping
@@ -138,15 +121,21 @@ def validate_interleaving(x: Interleaving) -> Optional[str]:
     return None
 
 
-def validate_interleaving_morphism(g: InterleavingMorphism) -> Optional[str]:
-    from .rep import validate_nat_trans
+def validate_interleaving(x: Interleaving) -> Optional[str]:
+    """None if phi and psi are natural and both triangle equations hold.
+    Every Interleaving passes; this is the one full check, for selftest and
+    outside callers."""
+    err = validate_nat_trans(x.phi)
+    if err is not None:
+        return f"phi: {err}"
+    err = validate_nat_trans(x.psi)
+    if err is not None:
+        return f"psi: {err}"
+    return _triangles(x)
 
-    err = validate_nat_trans(g.gm)
-    if err is not None:
-        return f"gm: {err}"
-    err = validate_nat_trans(g.gn)
-    if err is not None:
-        return f"gn: {err}"
+
+def validate_interleaving_morphism(g: InterleavingMorphism) -> Optional[str]:
+    """None if gm and gn (natural by construction) commute with phi, psi."""
     lam = g.source.lam.mapping
     p = g.source.m.proset
     for i in range(p.n):
@@ -170,13 +159,11 @@ def pack(x: Interleaving) -> Representation:
         V(i <= j') = N(lam(i) <= j) . phi(i)
         V(i' <= j) = M(lam(i) <= j) . psi(i)
 
-    Raises unless validate_interleaving passes.  The carrier is the one
-    shoelace(M's proset, lam) stores on lam, and the maps are valid by that
-    check, so the result is built through Representation._trusted.
+    An interleaving is valid by construction, so these maps are functorial
+    (the paper's central result) and nothing is checked again.  The carrier
+    is the one shoelace(M's proset, lam) stores on lam, and the result is
+    built through Representation._trusted.
     """
-    err = validate_interleaving(x)
-    if err is not None:
-        raise ValueError(f"invalid interleaving: {err}")
     sh = shoelace(x.m.proset, x.lam)
     lam = x.lam.mapping
     dims = tuple(x.m.dims) + tuple(x.n.dims)
@@ -218,7 +205,8 @@ def unpack(v: Representation) -> Interleaving:
 
 
 def pack_morphism(g: InterleavingMorphism) -> NatTrans:
-    """Pack a morphism of interleavings as a nat trans of packed modules."""
+    """Pack a morphism of interleavings as a nat trans of packed modules,
+    through the public NatTrans, which raises unless g's squares commute."""
     src = pack(g.source)
     tgt = pack(g.target)
     comps = tuple(g.gm.components) + tuple(g.gn.components)
@@ -232,8 +220,9 @@ def unpack_morphism(t: NatTrans) -> InterleavingMorphism:
     n0 = sh.base.n
     src = unpack(t.source)
     tgt = unpack(t.target)
-    gm = NatTrans(src.m, tgt.m, tuple(t.components[:n0]))
-    gn = NatTrans(src.n, tgt.n, tuple(t.components[n0:]))
+    # the restrictions of a natural t to each copy are natural
+    gm = NatTrans._trusted(src.m, tgt.m, tuple(t.components[:n0]))
+    gn = NatTrans._trusted(src.n, tgt.n, tuple(t.components[n0:]))
     return InterleavingMorphism(src, tgt, gm, gn)
 
 
@@ -282,27 +271,22 @@ def untwist_square(a: Interleaving, b: Interleaving) -> Interleaving:
 def transport_interleaving(x: Interleaving, um: NatTrans, un: NatTrans) -> Interleaving:
     """Conjugate an interleaving along isos um: M -> M2, un: N -> N2.
 
-    Components of the isos must be invertible.
+    Components of the isos must be invertible.  The conjugate of a valid
+    interleaving is valid, so it is built through _assemble.
     """
     if um.source != x.m:
         raise ValueError("um must start at M")
     if un.source != x.n:
         raise ValueError("un must start at N")
-    m2 = um.target
-    n2 = un.target
     lam = x.lam.mapping
-    p = x.m.proset
     um_inv = tuple(mat_inverse(c) for c in um.components)
     un_inv = tuple(mat_inverse(c) for c in un.components)
-    phi = NatTrans(m2, precompose(n2, x.lam),
-                   tuple(mat_mul(un.components[lam[i]],
-                                 mat_mul(x.phi.components[i], um_inv[i]))
-                         for i in range(p.n)))
-    psi = NatTrans(n2, precompose(m2, x.lam),
-                   tuple(mat_mul(um.components[lam[i]],
-                                 mat_mul(x.psi.components[i], un_inv[i]))
-                         for i in range(p.n)))
-    return Interleaving(m2, n2, x.lam, phi, psi)
+    return _assemble(
+        um.target, un.target, x.lam,
+        [mat_mul(un.components[lam[i]], mat_mul(c, um_inv[i]))
+         for i, c in enumerate(x.phi.components)],
+        [mat_mul(um.components[lam[i]], mat_mul(c, un_inv[i]))
+         for i, c in enumerate(x.psi.components)])
 
 
 def scale_interleaving(x: Interleaving, c: int) -> Interleaving:

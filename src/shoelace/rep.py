@@ -75,18 +75,16 @@ class Representation:
 
     dims[i] is the dimension at element i; maps[(i, j)] is the dims[j] x
     dims[i] matrix of the structure map i <= j.  The given maps must be keyed
-    by related pairs and include every generating edge.
+    by related pairs and include every generating edge.  Valid by
+    construction: after those frame checks the constructor raises
+    ValueError on the report of validate_representation, its one check.
     """
 
     __slots__ = ("proset", "field", "dims", "maps")
 
     def __init__(self, proset: Proset, field: FieldSpec,
                  dims: Sequence[int], maps: Mapping[tuple[int, int], Matrix]):
-        d = tuple(int(x) for x in dims)
-        if len(d) != proset.n:
-            raise ValueError(f"expected {proset.n} dims, got {len(d)}")
-        if any(x < 0 for x in d):
-            raise ValueError("negative dimension")
+        d = _checked_dims(proset, dims)
         n, rel = proset.n, proset.rel
         extra = sorted((i, j) for (i, j) in maps
                        if not (0 <= i < n and 0 <= j < n and rel[i][j]))
@@ -105,18 +103,20 @@ class Representation:
                     f"map at ({i}, {j}) has shape {m.rows}x{m.cols}, "
                     f"expected {d[j]}x{d[i]}")
             store[(i, j)] = m
-        _fill(self, proset, field, d, store)
+        _fill(self, proset, field, d, _Maps(proset, field, d, store))
+        err = validate_representation(self)
+        if err is not None:
+            raise ValueError(f"invalid representation: {err}")
 
     @classmethod
     def _trusted(cls, proset: Proset, field: FieldSpec, dims: tuple[int, ...],
                  maps: dict[tuple[int, int], Matrix]) -> "Representation":
         """Wrap maps valid by construction, skipping the public checks: dims
         a tuple of proset.n ints >= 0, maps keyed by related pairs, covering
-        every generating edge, each over field and dims[j] x dims[i].  For
-        builders that derive a module from valid ones."""
-        out = object.__new__(cls)
-        _fill(out, proset, field, dims, maps)
-        return out
+        every generating edge, each over field and dims[j] x dims[i], and
+        functorial.  For builders that derive a module from valid ones."""
+        return _fill(object.__new__(cls), proset, field, dims,
+                     _Maps(proset, field, dims, maps))
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
@@ -134,13 +134,20 @@ class Representation:
         return f"Representation(p={self.field.p}, dims={self.dims})"
 
 
-def _fill(m: Representation, proset: Proset, field: FieldSpec,
-          dims: tuple[int, ...], maps: dict[tuple[int, int], Matrix]) -> None:
-    object.__setattr__(m, "proset", proset)
-    object.__setattr__(m, "field", field)
-    object.__setattr__(m, "dims", dims)
-    # read-only, so a cached module cannot be corrupted through its maps
-    object.__setattr__(m, "maps", _Maps(proset, field, dims, maps))
+def _fill(obj, *values):
+    """Set the slots of an immutable obj, in order, to values; returns obj."""
+    for name, value in zip(type(obj).__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _checked_dims(proset: Proset, dims: Sequence[int]) -> tuple[int, ...]:
+    d = tuple(int(x) for x in dims)
+    if len(d) != proset.n:
+        raise ValueError(f"expected {proset.n} dims, got {len(d)}")
+    if any(x < 0 for x in d):
+        raise ValueError("negative dimension")
+    return d
 
 
 def validate_representation(m: Representation) -> Optional[str]:
@@ -239,24 +246,31 @@ def chain_representation(proset: Proset, field: FieldSpec,
                          steps: Sequence[Matrix]) -> Representation:
     """Build a representation of a total chain from its consecutive maps.
 
-    steps[i] sends dims[i] to dims[i + 1]; the steps are the generating
-    maps, so the result is functorial by construction.
+    steps[i] sends dims[i] to dims[i + 1].  After checks that raise
+    ValueError, the steps are the generating maps, so the result is
+    functorial by construction and built through Representation._trusted.
     """
     n = proset.n
     if proset.rel != chain(n).rel:
         raise ValueError("proset is not a total chain in index order")
+    d = _checked_dims(proset, dims)
     if len(steps) != max(n - 1, 0):
         raise ValueError(f"expected {n - 1} step maps, got {len(steps)}")
     for i, s in enumerate(steps):
-        if s.rows != dims[i + 1] or s.cols != dims[i]:
+        if s.field != field:
+            raise ValueError(f"map at ({i}, {i + 1}) is over F_{s.field.p}, "
+                             f"not F_{field.p}")
+        if s.rows != d[i + 1] or s.cols != d[i]:
             raise ValueError(f"step {i} has shape {s.rows}x{s.cols},"
-                             f" expected {dims[i + 1]}x{dims[i]}")
+                             f" expected {d[i + 1]}x{d[i]}")
     maps = {(i, i + 1): s for i, s in enumerate(steps)}
-    return Representation(proset, field, dims, maps)
+    return Representation._trusted(proset, field, d, maps)
 
 
 class NatTrans:
-    """Natural transformation: one matrix per element, squares checked separately."""
+    """Natural transformation: one matrix per element.  Valid by
+    construction: after its frame checks the constructor raises ValueError
+    on the report of validate_nat_trans, its one check."""
 
     __slots__ = ("source", "target", "components")
 
@@ -276,9 +290,18 @@ class NatTrans:
                 raise ValueError(
                     f"component {i} has shape {c.rows}x{c.cols}, expected "
                     f"{target.dims[i]}x{source.dims[i]}")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", comp)
+        _fill(self, source, target, comp)
+        err = validate_nat_trans(self)
+        if err is not None:
+            raise ValueError(f"invalid nattrans: {err}")
+
+    @classmethod
+    def _trusted(cls, source: Representation, target: Representation,
+                 components: tuple[Matrix, ...]) -> "NatTrans":
+        """Wrap a tuple of components natural by construction, skipping
+        the public checks, which they must pass.  For builders that derive
+        a transformation from valid ones."""
+        return _fill(object.__new__(cls), source, target, components)
 
     def __setattr__(self, name, value):
         raise AttributeError("NatTrans is immutable")
@@ -296,8 +319,8 @@ class NatTrans:
 def validate_nat_trans(t: NatTrans) -> Optional[str]:
     """None if natural, else a report on the first failing square.
 
-    Source and target must be functorial: then the squares of the generating
-    edges paste into the square of every related pair.
+    Source and target are functorial by construction, so the squares of
+    the generating edges paste into the square of every related pair.
     """
     p = t.source.proset
     src_dims = t.source.dims
@@ -315,9 +338,11 @@ def validate_nat_trans(t: NatTrans) -> Optional[str]:
 
 
 def zero_nat(source: Representation, target: Representation) -> NatTrans:
-    return NatTrans(source, target,
-                    tuple(Matrix.zeros(source.field, target.dims[i], source.dims[i])
-                          for i in range(source.proset.n)))
+    if source.proset != target.proset or source.field != target.field:
+        raise ValueError("source and target differ in proset or field")
+    return NatTrans._trusted(source, target,
+                             tuple(Matrix.zeros(source.field, target.dims[i], source.dims[i])
+                                   for i in range(source.proset.n)))
 
 
 def precompose(m: Representation, lam: Translation) -> Representation:
@@ -339,8 +364,9 @@ def direct_sum(parts: Sequence[Representation],
                ) -> tuple[Representation, list[list[tuple[int, int]]]]:
     """Block-diagonal sum of general parts, one dense matrix per generating
     edge.  Returns (total, slices) where slices[k][i] is the (start, stop)
-    range of part k inside the total space at element i.  A sum of
-    indicator modules is cheaper through indicator_sum.
+    range of part k inside the total space at element i, built through
+    Representation._trusted.  A sum of indicator modules is cheaper through
+    indicator_sum.
 
     proset and field must be given explicitly when parts is empty.
     """
@@ -373,32 +399,26 @@ def direct_sum(parts: Sequence[Representation],
                 ent[rj + r][ri:ri + block.cols] = block.entries[r]
         maps[(i, j)] = Matrix._trusted(field, dims[j], dims[i],
                                        tuple(map(tuple, ent)))
-    return Representation(proset, field, dims, maps), slices
+    return Representation._trusted(proset, field, dims, maps), slices
 
 
 def permutation_iso(parts: Sequence[Representation], order: Sequence[int],
                     proset: Optional[Proset] = None,
                     field: Optional[FieldSpec] = None) -> NatTrans:
-    """Iso from sum(parts) to sum(parts reordered by order).
+    """Iso from sum(parts) to sum(parts reordered by order), built
+    through NatTrans._trusted.
 
-    order[k] names which original part lands in output slot k.
+    order[k] names which original part lands in output slot k; each
+    target row is the unit row of the source row it copies.
     """
     if sorted(order) != list(range(len(parts))):
         raise ValueError(f"order {order} is not a permutation of 0..{len(parts) - 1}")
     src, src_slices = direct_sum(parts, proset=proset, field=field)
-    tgt_parts = [parts[k] for k in order]
-    tgt, tgt_slices = direct_sum(tgt_parts, proset=src.proset, field=src.field)
-    comps = []
-    for i in range(src.proset.n):
-        ent = [[0] * src.dims[i] for _ in range(tgt.dims[i])]
-        for slot, k in enumerate(order):
-            (cs, _) = src_slices[k][i]
-            (ct, _) = tgt_slices[slot][i]
-            d = parts[k].dims[i]
-            for r in range(d):
-                ent[ct + r][cs + r] = 1
-        comps.append(Matrix(src.field, tgt.dims[i], src.dims[i], ent))
-    return NatTrans(src, tgt, comps)
+    tgt, _ = direct_sum([parts[k] for k in order], proset=src.proset, field=src.field)
+    return NatTrans._trusted(src, tgt, tuple(
+        _unit_matrix(src.field, src.dims[i],
+                     [c for k in order for c in range(*src_slices[k][i])])
+        for i in range(src.proset.n)))
 
 
 def restrict(m: Representation, side: str) -> Representation:
@@ -423,7 +443,7 @@ def subrelation_transfer(m: Representation, q: Proset) -> Representation:
     """Move m to a coarser proset q whose relation is contained in m's.
 
     Keeps the maps of pairs that survive; drops the rest.  Functoriality is
-    inherited, since every q-composite is an m-composite.
+    inherited (every q-composite is an m-composite), so this uses _trusted.
     """
     p = m.proset
     if q.n != p.n:
@@ -433,4 +453,4 @@ def subrelation_transfer(m: Representation, q: Proset) -> Representation:
             raise ValueError(
                 f"target relation is not a subrelation: ({i}, {j}) missing")
     maps = {(i, j): m.maps[(i, j)] for (i, j) in q.generating_edges}
-    return Representation(q, m.field, m.dims, maps)
+    return Representation._trusted(q, m.field, m.dims, maps)

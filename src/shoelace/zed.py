@@ -455,7 +455,7 @@ def barcode(m: Representation, w: Window, boundary: str = "finite") -> Barcode:
     the inner loops are big-int arithmetic.
 
     Only the steps m.maps[(k, k+1)] are read, so the module must be
-    functorial; every document loader validates that.  boundary="infinite"
+    functorial, as every Representation is by construction.  boundary="infinite"
     reports bars touching the window edges with infinite endpoints instead
     of the edge values.
     """
@@ -622,7 +622,7 @@ def canonical_pair(i: Interval, j: Interval, eps: int, w: Window,
     shifted, each the identity on its _canonical_ranges range and zero
     elsewhere.  When the corresponding hom space is nonzero this is its
     canonical generator, and the support formula is exactly the matched-pair
-    recipe.
+    recipe.  Both are natural, so built through NatTrans._trusted.
 
     Needs top headroom beyond realizability: a finite upper endpoint u is
     allowed only if u < w.hi or u + 2*eps <= w.hi, else the clamp of the
@@ -645,9 +645,9 @@ def canonical_pair(i: Interval, j: Interval, eps: int, w: Window,
 
     def build(src, tgt, on: range):
         # on lies where both src and tgt have dimension 1
-        return NatTrans(src, tgt, [
+        return NatTrans._trusted(src, tgt, tuple(
             Matrix.identity(field, 1) if a in on
-            else Matrix.zeros(field, tgt.dims[a], src.dims[a]) for a in range(w.size)])
+            else Matrix.zeros(field, tgt.dims[a], src.dims[a]) for a in range(w.size)))
 
     return (build(m, precompose(n, lam), f_on), build(n, precompose(m, lam), g_on))
 

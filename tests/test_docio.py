@@ -15,7 +15,7 @@ from shoelace.docio import (
     save_document,
 )
 from shoelace.exactlin import FieldSpec, Matrix
-from shoelace.interleave import Interleaving, validate_interleaving
+from shoelace.interleave import Interleaving
 from shoelace.proset import (
     HeightFunction,
     Translation,
@@ -232,15 +232,21 @@ def test_interleaving_payload_errors():
     m = interval_to_module(Interval(0, 2), w)
     n = interval_to_module(Interval(1, 3), w)
     lam = lambda_eps(w, 1)
-    invalid = Interleaving(m, n, lam,
-                           zero_nat(m, precompose(n, lam)),
-                           zero_nat(n, precompose(m, lam)))
-    assert validate_interleaving(invalid) is not None
-    text = save_document("interleaving", invalid)
-    with pytest.raises(DocumentValidationError, match="invalid interleaving"):
-        load_document(text)
     f, g = canonical_pair(Interval(0, 2), Interval(1, 3), 1, w)
     good = document_dict("interleaving", Interleaving(m, n, lam, f, g))
+    # an invalid interleaving cannot be built, so its document is edited
+    zeros = json.loads(json.dumps(good))
+    for side in ("phi", "psi"):
+        zeros["payload"][side] = [[[0] * len(row) for row in c]
+                                  for c in zeros["payload"][side]]
+    with pytest.raises(DocumentValidationError,
+                       match="^invalid interleaving: triangle for M fails at 0$"):
+        load_document(json.dumps(zeros))
+    unnatural = json.loads(json.dumps(good))
+    unnatural["payload"]["phi"][3] = [[0]]
+    with pytest.raises(DocumentValidationError, match="^invalid interleaving: "
+                       "phi: naturality fails over 1 <= 2$"):
+        load_document(json.dumps(unnatural))
     mismatched = json.loads(json.dumps(good))
     mismatched["payload"]["translation"]["base"] = {
         "n": 2, "labels": None, "rel": [[1, 1], [0, 1]]}

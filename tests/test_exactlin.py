@@ -176,3 +176,41 @@ def test_solver_basis_satisfies_constraints(seed):
     if flat and flat[0]:
         stacked = Matrix(F5, len(flat), len(flat[0]), flat)
         assert mat_rank(stacked) == dim
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10 ** 6))
+def test_results_built_unchecked_equal_the_public_construction(seed):
+    """mat_scale, mat_inverse and the solver basis wrap their entries
+    through Matrix._trusted; each result equals the matrix the checking
+    public constructor builds from the same entries."""
+    import random
+
+    from shoelace.selftest import _rand_invertible
+
+    rng = random.Random(seed)
+    field = FieldSpec(rng.choice((2, 3, 5, 7, 2 ** 31 - 1)))
+
+    def rand(rows, cols):
+        return Matrix(field, rows, cols, [[rng.randrange(field.p) for _ in range(cols)]
+                                          for _ in range(rows)])
+
+    def same_as_public(m):
+        ref = Matrix(field, m.rows, m.cols, m.entries)
+        assert m == ref and hash(m) == hash(ref)
+        assert type(m.entries) is tuple and all(type(r) is tuple for r in m.entries)
+
+    same_as_public(mat_scale(rng.randint(-3 * field.p, 3 * field.p),
+                             rand(rng.randint(0, 3), rng.randint(0, 3))))
+    same_as_public(mat_inverse(_rand_invertible(rng, field, rng.randint(0, 4))))
+    shapes = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(3)]
+    constraints = []
+    for _ in range(rng.randint(0, 3)):
+        k, l = rng.randrange(3), rng.randrange(3)
+        constraints.append((rand(shapes[l][0], shapes[k][0]), k,
+                            rand(shapes[l][1], shapes[k][1]), l))
+    dim, basis = mat_solve_homogeneous(field, shapes, constraints)
+    assert dim == len(basis)
+    for sol in basis:
+        for x in sol:
+            same_as_public(x)

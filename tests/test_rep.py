@@ -82,20 +82,18 @@ def test_stored_composite_zero_reports_triple():
         (0, 1): one, (1, 2): one,
         (0, 2): Matrix(F2, 1, 1, [[0]]),
     }
-    m = Representation(p, F2, (1, 1, 1), maps)
-    report = validate_representation(m)
-    assert report is not None
-    assert "0 <= 1 <= 2" in report
+    with pytest.raises(ValueError, match="invalid representation: "
+                       "composition fails over 0 <= 1 <= 2"):
+        Representation(p, F2, (1, 1, 1), maps)
 
 
 def test_non_identity_diagonal_reported():
     p = chain(2)
     two = Matrix(F5, 1, 1, [[2]])
     one = Matrix(F5, 1, 1, [[1]])
-    m = Representation(p, F5, (1, 1), {(0, 0): two, (1, 1): one, (0, 1): one})
-    report = validate_representation(m)
-    assert report is not None
-    assert "identity" in report
+    with pytest.raises(ValueError, match=r"invalid representation: "
+                       r"map at \(0, 0\) is not the identity"):
+        Representation(p, F5, (1, 1), {(0, 0): two, (1, 1): one, (0, 1): one})
 
 
 def test_interval_module_is_valid():
@@ -141,10 +139,9 @@ def test_identity_and_zero_nats_are_natural():
 
 def test_inconsistent_scaling_breaks_naturality():
     m = _ones_chain(2, F5)
-    t = NatTrans(m, m, (Matrix(F5, 1, 1, [[1]]), Matrix(F5, 1, 1, [[2]])))
-    report = validate_nat_trans(t)
-    assert report is not None
-    assert "0 <= 1" in report
+    with pytest.raises(ValueError,
+                       match="invalid nattrans: naturality fails over 0 <= 1"):
+        NatTrans(m, m, (Matrix(F5, 1, 1, [[1]]), Matrix(F5, 1, 1, [[2]])))
     # uniform scaling commutes with everything
     two = Matrix(F5, 1, 1, [[2]])
     assert validate_nat_trans(NatTrans(m, m, (two, two))) is None
@@ -175,6 +172,13 @@ def test_chain_representation_rejects_bad_input():
         chain_representation(chain(3), F2, (1, 1, 1), [step])
     with pytest.raises(ValueError, match="step 0 has shape"):
         chain_representation(chain(2), F2, (1, 2), [step])
+    # dims count, then signs, then step fields, before any step is read
+    with pytest.raises(ValueError, match="expected 3 dims, got 2"):
+        chain_representation(chain(3), F2, (1, 1), [step, step])
+    with pytest.raises(ValueError, match="negative dimension"):
+        chain_representation(chain(2), F2, (-1, 1), [step])
+    with pytest.raises(ValueError, match=r"map at \(0, 1\) is over F_5, not F_2"):
+        chain_representation(chain(2), F2, (1, 1), [Matrix(F5, 1, 1, [[1]])])
 
 
 def test_precompose_with_identity_is_identity():
@@ -453,8 +457,8 @@ def test_composite_mutation_is_detected(seed):
     bumped[r][c] = (bumped[r][c] + 1) % field.p
     maps = dict(m.maps)
     maps[(i, k)] = Matrix(field, dims[k], dims[i], bumped)
-    bad = Representation(chain(n), field, dims, maps)
-    assert validate_representation(bad) is not None
+    with pytest.raises(ValueError, match="invalid representation: composition fails"):
+        Representation(chain(n), field, dims, maps)
 
 
 @settings(max_examples=40, deadline=None)
@@ -550,7 +554,8 @@ def _corrupt_one_map(rng, m):
     entries[r][c] += rng.randrange(1, m.field.p)
     maps = dict(m.maps)
     maps[(i, j)] = Matrix(m.field, m.dims[j], m.dims[i], entries)
-    return Representation(m.proset, m.field, m.dims, maps)
+    # the public constructor would refuse the invalid half
+    return Representation._trusted(m.proset, m.field, m.dims, maps)
 
 
 @pytest.mark.parametrize("family", ["chain", "closure", "carrier"])
@@ -628,7 +633,7 @@ def test_equality_compares_every_pair_either_side_was_given():
     assert steps == Representation(p, F2, (1, 1, 1), full)
     # a given composite that differs from the path product
     full[(0, 2)] = zero
-    lying = Representation(p, F2, (1, 1, 1), full)
+    lying = Representation._trusted(p, F2, (1, 1, 1), full)
     assert steps != lying and lying != steps
     assert dict(steps.maps) != dict(lying.maps)
 
@@ -689,7 +694,8 @@ def test_generating_edges_agree_with_all_pairs(family):
             entries = [list(row) for row in bad[a].entries]
             entries[rng.randrange(bad[a].rows)][rng.randrange(bad[a].cols)] += 1
             bad[a] = Matrix(m.field, bad[a].rows, bad[a].cols, entries)
-            t = NatTrans(m, n, bad)
+            # the public constructor would refuse the unnatural half
+            t = NatTrans._trusted(m, n, tuple(bad))
             got = validate_nat_trans(t) is None
             assert got == _natural_on_all_pairs(t)
             natural[got] += 1

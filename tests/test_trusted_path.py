@@ -1,31 +1,80 @@
-"""The trusted construction path and the shared shoelace carrier.
+"""The trusted construction paths and the shared shoelace carrier.
 
-precompose, restrict, pack and indicator_sum build their results through
-Representation._trusted, skipping the checks of the public constructor.
-Each is compared here with a reference built through the public
-constructor, over selftest's random prosets and translations and over
-window chains with their shoelace_window carriers.  shoelace(p, lam) builds
-and checks its carrier once per translation and stores it there.
+Representation, NatTrans and Interleaving are valid by construction: each
+public constructor raises on the report of its one check, and builders
+whose output is valid by construction skip it through
+Representation._trusted, NatTrans._trusted and interleave._assemble.  Each
+builder is compared here with a reference built through the public
+constructors, which must accept it, over selftest's random prosets and
+translations and over window chains with their shoelace_window carriers.
+shoelace(p, lam) builds and checks its carrier once per translation and
+stores it there.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from shoelace.exactlin import FieldSpec, Matrix, mat_mul
-from shoelace.interleave import pack, unpack
-from shoelace.proset import Translation, chain, proset_from_pairs, shoelace
+import shoelace.interleave as interleave_module
+import shoelace.rep as rep_module
+
+from shoelace.exactlin import FieldSpec, Matrix, mat_inverse, mat_mul, mat_scale
+from shoelace.interleave import (
+    Interleaving,
+    InterleavingMorphism,
+    pack,
+    pack_morphism,
+    scale_interleaving,
+    transport_interleaving,
+    unpack,
+    unpack_morphism,
+    upgrade_interleaving,
+    validate_interleaving,
+    validate_interleaving_morphism,
+)
+from shoelace.proset import (
+    Translation,
+    chain,
+    compare_translations,
+    proset_from_pairs,
+    shoelace,
+)
 from shoelace.rep import (
+    NatTrans,
     Representation,
+    chain_representation,
+    direct_sum,
     indicator_sum,
+    permutation_iso,
     precompose,
     restrict,
+    validate_nat_trans,
     validate_representation,
+    zero_nat,
 )
-from shoelace.selftest import _rand_proset, _rand_rep, _rand_translation
-from shoelace.zed import Window, lambda_eps, shoelace_window, window_chain
+from shoelace.selftest import (
+    _conjugate,
+    _rand_essential_matching,
+    _rand_invertible,
+    _rand_proset,
+    _rand_rep,
+    _rand_translation,
+)
+from shoelace.zed import (
+    NEG_INF,
+    POS_INF,
+    Interval,
+    Window,
+    canonical_pair,
+    interval_to_module,
+    lambda_eps,
+    matching_interleaving,
+    shoelace_window,
+    window_chain,
+)
 
 FAMILIES = ["selftest", "window"]
 
@@ -137,6 +186,201 @@ def test_indicator_sum_equals_the_public_construction(family, seed):
         _check_trusted(got, Representation(q, field, dims, maps))
 
 
+def _public_rep(m):
+    """m rebuilt through the public constructor from every related pair."""
+    return Representation(m.proset, m.field, m.dims,
+                          {pair: m.maps[pair] for pair in m.proset.related_pairs})
+
+
+def _public_nat(t):
+    return NatTrans(_public_rep(t.source), _public_rep(t.target), t.components)
+
+
+def _check_nat(got, ref):
+    """got, from a trusted builder, equals ref, which the test built through
+    the public constructors, and the public constructors accept it."""
+    assert type(got.components) is tuple
+    assert got == ref == _public_nat(got)
+    assert validate_nat_trans(got) is None
+
+
+def _check_interleaving(got, ref):
+    for t in (got.phi, got.psi):
+        assert type(t.components) is tuple
+    public = Interleaving(_public_rep(got.m), _public_rep(got.n), got.lam,
+                          _public_nat(got.phi), _public_nat(got.psi))
+    assert got == ref == public
+    assert validate_interleaving(got) is None
+
+
+def _entries(rows, cols, at):
+    """A rows x cols list of lists, at(r, c) at each entry."""
+    return [[at(r, c) for c in range(cols)] for r in range(rows)]
+
+
+def _bar(rng, w):
+    """An interval whose finite upper end leaves canonical_pair headroom."""
+    lo = rng.randint(w.lo, w.hi - 1)
+    hi = rng.randint(lo, w.hi - 1)
+    return Interval(rng.choice([NEG_INF, lo]), rng.choice([POS_INF, hi]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_canonical_pair_equals_the_public_construction(seed):
+    rng = random.Random(seed)
+    lo = rng.randint(-4, 4)
+    w = Window(lo, lo + rng.randint(1, 8))
+    eps = rng.randint(0, 3)
+    field = FieldSpec(rng.choice((2, 5)))
+    i, j = _bar(rng, w), _bar(rng, w)
+    lam = lambda_eps(w, eps)
+    m, n = interval_to_module(i, w, field), interval_to_module(j, w, field)
+    f, g = canonical_pair(i, j, eps, w, field)
+    _check_nat(f, NatTrans(m, precompose(n, lam), f.components))
+    _check_nat(g, NatTrans(n, precompose(m, lam), g.components))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_sums_and_zero_maps_equal_the_public_construction(family, seed):
+    """zero_nat, direct_sum and permutation_iso, against dense references
+    written on every related pair."""
+    rng = random.Random(seed)
+    p, _, _ = _base_and_translation(rng, family)
+    field = FieldSpec(rng.choice((2, 5)))
+    parts = [_rand_rep(rng, p, field, max_dim=2) for _ in range(rng.randint(0, 3))]
+    a, b = _rand_rep(rng, p, field, max_dim=2), _rand_rep(rng, p, field, max_dim=2)
+    _check_nat(zero_nat(a, b), NatTrans(a, b, [
+        Matrix(field, b.dims[x], a.dims[x], _entries(b.dims[x], a.dims[x], lambda r, c: 0))
+        for x in range(p.n)]))
+
+    def dense_sum(ms):
+        offs = [[sum(m.dims[x] for m in ms[:k]) for x in range(p.n)] for k in range(len(ms))]
+        dims = [sum(m.dims[x] for m in ms) for x in range(p.n)]
+
+        def block(x, y, r, c):
+            # the part whose rows at y and columns at x hold (r, c), if any
+            for k, m in enumerate(ms):
+                rr, cc = r - offs[k][y], c - offs[k][x]
+                if 0 <= rr < m.dims[y] and 0 <= cc < m.dims[x]:
+                    return m.maps[(x, y)].entries[rr][cc]
+            return 0
+
+        return Representation(p, field, dims, {
+            (x, y): Matrix(field, dims[y], dims[x],
+                           _entries(dims[y], dims[x], lambda r, c: block(x, y, r, c)))
+            for (x, y) in p.related_pairs}), offs
+
+    total, slices = direct_sum(parts, proset=p, field=field)
+    ref, offs = dense_sum(parts)
+    _check_trusted(total, ref)
+    assert [[start for start, _ in row] for row in slices] == offs
+    order = list(range(len(parts)))
+    rng.shuffle(order)
+    moved, moved_offs = dense_sum([parts[k] for k in order])
+    # target row moved_offs[slot][x] + r copies source row offs[k][x] + r
+    comps = []
+    for x in range(p.n):
+        ones = {(moved_offs[slot][x] + r, offs[k][x] + r)
+                for slot, k in enumerate(order) for r in range(parts[k].dims[x])}
+        comps.append(Matrix(field, moved.dims[x], ref.dims[x],
+                            _entries(moved.dims[x], ref.dims[x],
+                                     lambda r, c: int((r, c) in ones))))
+    _check_nat(permutation_iso(parts, order, proset=p, field=field),
+               NatTrans(ref, moved, comps))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_chain_representation_equals_the_public_construction(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    field = FieldSpec(rng.choice((2, 5, 7)))
+    dims = [rng.randint(0, 3) for _ in range(n)]
+    steps = [Matrix(field, dims[i + 1], dims[i],
+                    _entries(dims[i + 1], dims[i], lambda r, c: rng.randrange(field.p)))
+             for i in range(n - 1)]
+    maps = {}
+    for i in range(n):
+        maps[(i, i)] = Matrix.identity(field, dims[i])
+        for k in range(i + 1, n):
+            maps[(i, k)] = mat_mul(steps[k - 1], maps[(i, k - 1)])
+    _check_trusted(chain_representation(chain(n), field, dims, steps),
+                   Representation(chain(n), field, dims, maps))
+
+
+def _rand_interleaving(rng, family):
+    _, _, carriers = _base_and_translation(rng, family)
+    field = FieldSpec(rng.choice((2, 5)))
+    return unpack(_rand_rep(rng, carriers[0], field, max_dim=2)), field
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_interleaving_builders_equal_the_public_construction(family, seed):
+    """transport_interleaving, upgrade_interleaving, scale_interleaving and
+    unpack_morphism, against components computed here and assembled through
+    the public constructors."""
+    rng = random.Random(seed)
+    x, field = _rand_interleaving(rng, family)
+    p, lam, lm = x.m.proset, x.lam, x.lam.mapping
+
+    def public(m, n, gamma, phi, psi):
+        return Interleaving(m, n, gamma, NatTrans(m, precompose(n, gamma), phi),
+                            NatTrans(n, precompose(m, gamma), psi))
+
+    us_m = [_rand_invertible(rng, field, d) for d in x.m.dims]
+    us_n = [_rand_invertible(rng, field, d) for d in x.n.dims]
+    m2, um = _conjugate(x.m, us_m)
+    n2, un = _conjugate(x.n, us_n)
+    inv_m = [mat_inverse(u) for u in us_m]
+    inv_n = [mat_inverse(u) for u in us_n]
+    _check_interleaving(transport_interleaving(x, um, un), public(
+        m2, n2, lam,
+        [mat_mul(us_n[lm[i]], mat_mul(x.phi.components[i], inv_m[i])) for i in range(p.n)],
+        [mat_mul(us_m[lm[i]], mat_mul(x.psi.components[i], inv_n[i])) for i in range(p.n)]))
+
+    gamma = Translation(p, [lm[lm[i]] for i in range(p.n)])
+    assert compare_translations(lam, gamma) in ("leq", "equal")
+    g = gamma.mapping
+    _check_interleaving(upgrade_interleaving(x, gamma), public(
+        x.m, x.n, gamma,
+        [mat_mul(x.n.maps[(lm[i], g[i])], x.phi.components[i]) for i in range(p.n)],
+        [mat_mul(x.m.maps[(lm[i], g[i])], x.psi.components[i]) for i in range(p.n)]))
+
+    c = rng.randrange(1, field.p)
+    inv = pow(c, field.p - 2, field.p)
+
+    def times(k, t):
+        return Matrix(field, t.rows, t.cols, _entries(t.rows, t.cols,
+                                                      lambda r, s: k * t.entries[r][s]))
+
+    _check_interleaving(scale_interleaving(x, c), public(
+        x.m, x.n, lam, [times(c, t) for t in x.phi.components],
+        [times(inv, t) for t in x.psi.components]))
+
+    v = pack(x)
+    v3, t = _conjugate(v, [_rand_invertible(rng, field, d) for d in v.dims])
+    got = unpack_morphism(t)
+    src, tgt = unpack(v), unpack(v3)
+    _check_nat(got.gm, NatTrans(src.m, tgt.m, t.components[:p.n]))
+    _check_nat(got.gn, NatTrans(src.n, tgt.n, t.components[p.n:]))
+    assert pack_morphism(got) == t
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_matching_interleaving_is_accepted_by_the_public_constructors(seed):
+    rng = random.Random(seed)
+    field = FieldSpec(rng.choice((2, 5)))
+    sigma, w = _rand_essential_matching(rng)
+    got = matching_interleaving(sigma, w, field)
+    _check_interleaving(got, Interleaving(got.m, got.n, got.lam, got.phi, got.psi))
+
+
 def test_trusted_builders_skip_the_public_constructor(monkeypatch):
     rng = random.Random(3)
     p = _rand_proset(rng, max_n=4)
@@ -144,14 +388,64 @@ def test_trusted_builders_skip_the_public_constructor(monkeypatch):
     field = FieldSpec(5)
     m = _rand_rep(rng, p, field)
     x = unpack(_rand_rep(rng, shoelace(p, lam), field))
+    _, um = _conjugate(x.m, [_rand_invertible(rng, field, d) for d in x.m.dims])
+    _, un = _conjugate(x.n, [_rand_invertible(rng, field, d) for d in x.n.dims])
+    v = pack(x)
+    _, t = _conjugate(v, [_rand_invertible(rng, field, d) for d in v.dims])
+    sigma, w = _rand_essential_matching(random.Random(5), need_pair=True)
+    step = Matrix(field, 1, 1, [[2]])
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("public Representation constructor called")
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return refused
 
-    monkeypatch.setattr(Representation, "__init__", refuse)
+    for cls in (Representation, NatTrans, Interleaving):
+        monkeypatch.setattr(cls, "__init__", refuse(f"public {cls.__name__}"))
+    for module in (rep_module, interleave_module):
+        for name in ("validate_representation", "validate_nat_trans",
+                     "validate_interleaving"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse(name))
+    # pack checks nothing again: an Interleaving is valid by construction
     precompose(m, lam)
     restrict(pack(x), "right")
     indicator_sum(shoelace(p, lam), [{0}], field)
+    canonical_pair(Interval(0, 2), Interval(1, 3), 1, Window(-1, 5), field)
+    zero_nat(m, m)
+    direct_sum([m, m])
+    permutation_iso([m, x.m], [1, 0], proset=p, field=field)
+    chain_representation(chain(3), field, (1, 1, 1), [step, step])
+    unpack_morphism(t)
+    transport_interleaving(x, um, un)
+    upgrade_interleaving(x, Translation(p, [lam.mapping[i] for i in lam.mapping]))
+    scale_interleaving(x, 2)
+    matching_interleaving(sigma, w, field)
+
+
+def test_cli_unpack_builds_only_the_loaded_representation(tmp_path, monkeypatch):
+    from shoelace.cli import main
+    from shoelace.docio import save_document
+
+    w = Window(-1, 4)
+    f, g = canonical_pair(Interval(0, 2), Interval(1, 3), 1, w)
+    x = Interleaving(interval_to_module(Interval(0, 2), w),
+                     interval_to_module(Interval(1, 3), w), lambda_eps(w, 1), f, g)
+    rep, lam = tmp_path / "v.json", tmp_path / "lam.json"
+    rep.write_text(save_document("representation", pack(x)), encoding="utf-8")
+    lam.write_text(save_document("translation", x.lam), encoding="utf-8")
+    calls = []
+    public = Representation.__init__
+
+    def counting(self, *args):
+        calls.append(1)
+        public(self, *args)
+
+    monkeypatch.setattr(Representation, "__init__", counting)
+    assert main(["unpack", "--rep", str(rep), "--translation", str(lam),
+                 "--out", str(tmp_path / "x.json")]) == 0
+    # the loader's construction of the document, and no re-rooting copy
+    assert calls == [1]
 
 
 def test_zeros_and_identity_still_refuse_negative_shapes():
@@ -212,3 +506,91 @@ def test_path_covers_are_tuples():
     assert sh.path_step(0, 2) == 1
     assert type(sh._covers) is tuple
     assert all(type(c) is tuple for c in sh._covers)
+
+
+def _bumped(rng, t):
+    """t, a nonempty matrix, with one entry moved."""
+    entries = [list(row) for row in t.entries]
+    entries[rng.randrange(t.rows)][rng.randrange(t.cols)] += rng.randrange(1, t.field.p)
+    return Matrix(t.field, t.rows, t.cols, entries)
+
+
+def _agrees(build, trusted, report, kind):
+    """build(), a public construction, gives trusted when the check passes
+    and raises its report otherwise."""
+    if report is None:
+        assert build() == trusted
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"invalid {kind}: {report}")):
+            build()
+
+
+# Each public constructor accepts what its one check accepts and raises the
+# report otherwise; the invalid objects are built through the trusted
+# paths, which check nothing.
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_representation_raises_exactly_on_what_its_check_rejects(family, seed):
+    rng = random.Random(seed)
+    p, _, carriers = _base_and_translation(rng, family)
+    field = FieldSpec(rng.choice((2, 5)))
+    m = _rand_rep(rng, rng.choice([p] + carriers), field, max_dim=2)
+    maps = {pair: m.maps[pair] for pair in m.proset.related_pairs}
+    nonempty = [pair for pair in maps if maps[pair].rows and maps[pair].cols]
+    if nonempty:
+        pair = rng.choice(nonempty)
+        maps[pair] = _bumped(rng, maps[pair])
+    bad = Representation._trusted(m.proset, field, m.dims, maps)
+    _agrees(lambda: Representation(m.proset, field, m.dims, maps), bad,
+            validate_representation(bad), "representation")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_nattrans_raises_exactly_on_what_its_check_rejects(family, seed):
+    rng = random.Random(seed)
+    x, _ = _rand_interleaving(rng, family)
+    comps = list(x.phi.components)
+    nonempty = [i for i, c in enumerate(comps) if c.rows and c.cols]
+    if nonempty:
+        i = rng.choice(nonempty)
+        comps[i] = _bumped(rng, comps[i])
+    bad = NatTrans._trusted(x.m, x.phi.target, tuple(comps))
+    _agrees(lambda: NatTrans(x.m, x.phi.target, comps), bad,
+            validate_nat_trans(bad), "nattrans")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_interleaving_raises_exactly_on_what_its_check_rejects(family, seed):
+    rng = random.Random(seed)
+    x, field = _rand_interleaving(rng, family)
+    # a scaled phi stays natural but can break the triangles
+    c = rng.randrange(2, field.p) if field.p > 2 else 0
+    phi = NatTrans(x.m, x.phi.target, [mat_scale(c, t) for t in x.phi.components])
+    bad = interleave_module._assemble(x.m, x.n, x.lam, phi.components, x.psi.components)
+    report = validate_interleaving(bad)
+    assert report is None or report.startswith("triangle")
+    _agrees(lambda: Interleaving(x.m, x.n, x.lam, phi, x.psi), bad, report,
+            "interleaving")
+
+
+def test_pack_morphism_refuses_a_morphism_that_does_not_commute():
+    w = Window(-1, 4)
+    f, g = canonical_pair(Interval(0, 2), Interval(1, 3), 1, w)
+    x = Interleaving(interval_to_module(Interval(0, 2), w),
+                     interval_to_module(Interval(1, 3), w), lambda_eps(w, 1), f, g)
+    one = NatTrans(x.m, x.m, [Matrix.identity(x.m.field, d) for d in x.m.dims])
+    half = InterleavingMorphism(x, x, one, zero_nat(x.n, x.n))
+    assert validate_interleaving_morphism(half) == "phi square fails at 0"
+    with pytest.raises(ValueError, match="invalid nattrans: naturality fails"):
+        pack_morphism(half)
+    whole = InterleavingMorphism(x, x, one, NatTrans(
+        x.n, x.n, [Matrix.identity(x.n.field, d) for d in x.n.dims]))
+    assert pack_morphism(whole) == NatTrans(pack(x), pack(x), [
+        Matrix.identity(x.m.field, d) for d in pack(x).dims])
