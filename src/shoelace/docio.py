@@ -1,8 +1,9 @@
 """JSON interchange documents.
 
-Every file is an envelope {"kind", "version", "payload"}.  Loading validates
-the payload with the owning module's validator or validating constructor, so
-a document that parses but violates the mathematical rules raises
+Every file is an envelope {"kind", "version", "payload"}.  Loading builds
+each object through its type's validating public constructor (a height is
+checked by validate_height), and nothing is checked again, so a document
+that parses but violates the mathematical rules raises
 DocumentValidationError, while a structurally malformed file raises
 DocumentFormatError.  Emission uses a fixed key order and canonical array
 orders, so output is byte-stable.
@@ -13,17 +14,10 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
 from .exactlin import FieldSpec, Matrix
-from .proset import (
-    HeightFunction,
-    Proset,
-    Translation,
-    validate_height,
-    validate_proset,
-    validate_translation,
-)
+from .proset import HeightFunction, Proset, Translation, validate_height
 from .rep import NatTrans, Representation, chain_representation, precompose
 from .interleave import Interleaving
 from .zed import (
@@ -75,24 +69,23 @@ def _load_dims(payload: dict, kind: str) -> list[int]:
     return dims
 
 
-def _validated(report: Optional[str], kind: str):
-    if report is not None:
-        raise DocumentValidationError(f"invalid {kind}: {report}")
-
-
 @contextmanager
-def _constructing(kind: str, own: str = "", context: str = ""):
+def _constructing(kind: str, own: str = "", context: str = "",
+                  frame_is_format: bool = False):
     """Raise a constructor's refusal as the loader's: the report r of its
     one check, "invalid <own or kind>: r", becomes "invalid <kind>:
-    <context>r", and a frame error "inconsistent <kind>: <message>"."""
+    <context>r", and a frame error "inconsistent <kind>: <message>" (with
+    frame_is_format, the DocumentFormatError "bad <kind> payload: ...")."""
     try:
         yield
     except (ValueError, TypeError) as e:
         message, head = str(e), f"invalid {own or kind}: "
-        if not message.startswith(head):
-            raise DocumentValidationError(f"inconsistent {kind}: {message}") from None
-        raise DocumentValidationError(
-            f"invalid {kind}: {context}{message.removeprefix(head)}") from None
+        if message.startswith(head):
+            raise DocumentValidationError(
+                f"invalid {kind}: {context}{message.removeprefix(head)}") from None
+        if frame_is_format:
+            raise DocumentFormatError(f"bad {kind} payload: {message}") from None
+        raise DocumentValidationError(f"inconsistent {kind}: {message}") from None
 
 
 # per-kind payload builders
@@ -110,12 +103,8 @@ def _load_proset(payload: dict) -> Proset:
     n = _as_int(_need(payload, "n", "proset"), "n")
     rel = _need(payload, "rel", "proset")
     labels = payload.get("labels")
-    try:
-        p = Proset(n, rel, labels)
-    except (ValueError, TypeError) as e:
-        raise DocumentFormatError(f"bad proset payload: {e}") from None
-    _validated(validate_proset(p), "proset")
-    return p
+    with _constructing("proset", frame_is_format=True):
+        return Proset(n, rel, labels)
 
 
 def _translation_payload(t: Translation) -> dict:
@@ -125,12 +114,8 @@ def _translation_payload(t: Translation) -> dict:
 def _load_translation(payload: dict) -> Translation:
     base = _load_proset(_need(payload, "base", "translation"))
     mapping = _as_list(_need(payload, "mapping", "translation"), "mapping")
-    try:
-        t = Translation(base, mapping)
-    except (ValueError, TypeError) as e:
-        raise DocumentFormatError(f"bad translation payload: {e}") from None
-    _validated(validate_translation(t), "translation")
-    return t
+    with _constructing("translation", frame_is_format=True):
+        return Translation(base, mapping)
 
 
 def _height_payload(p: Proset, h: HeightFunction) -> dict:
@@ -145,7 +130,9 @@ def _load_height(payload: dict) -> tuple[Proset, HeightFunction]:
         h = HeightFunction(Fraction(v) for v in raw)
     except (ValueError, TypeError, ZeroDivisionError) as e:
         raise DocumentFormatError(f"bad height values: {e}") from None
-    _validated(validate_height(p, h), "height")
+    report = validate_height(p, h)
+    if report is not None:
+        raise DocumentValidationError(f"invalid height: {report}")
     return p, h
 
 

@@ -112,6 +112,8 @@ class Matrix:
         return all(x == 0 for row in self.entries for x in row)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Matrix):
             return NotImplemented
         return ((self.field is other.field or self.field == other.field)

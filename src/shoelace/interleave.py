@@ -11,6 +11,7 @@ from .exactlin import Matrix, mat_mul, mat_inverse, mat_scale
 from .proset import (
     ShoelaceProset,
     Translation,
+    _fill,
     compare_translations,
     compose_translations,
     induced_translation,
@@ -19,7 +20,6 @@ from .proset import (
 from .rep import (
     NatTrans,
     Representation,
-    _fill,
     precompose,
     restrict,
     validate_nat_trans,
@@ -81,7 +81,8 @@ def _assemble(m: Representation, n: Representation, lam: Translation,
 
 class InterleavingMorphism:
     """A pair of nat transes commuting with the comparison maps of two
-    interleavings over the same translation."""
+    interleavings over the same translation, valid by construction: the
+    constructor raises ValueError on validate_interleaving_morphism's report."""
 
     __slots__ = ("source", "target", "gm", "gn")
 
@@ -94,6 +95,14 @@ class InterleavingMorphism:
         if gn.source != source.n or gn.target != target.n:
             raise ValueError("gn must map source N to target N")
         _fill(self, source, target, gm, gn)
+        err = validate_interleaving_morphism(self)
+        if err is not None:
+            raise ValueError(f"invalid interleaving morphism: {err}")
+
+    @classmethod
+    def _trusted(cls, source, target, gm, gn) -> "InterleavingMorphism":
+        """Wrap a morphism that passes the public checks, unchecked."""
+        return _fill(object.__new__(cls), source, target, gm, gn)
 
     def __setattr__(self, name, value):
         raise AttributeError("InterleavingMorphism is immutable")
@@ -205,25 +214,23 @@ def unpack(v: Representation) -> Interleaving:
 
 
 def pack_morphism(g: InterleavingMorphism) -> NatTrans:
-    """Pack a morphism of interleavings as a nat trans of packed modules,
-    through the public NatTrans, which raises unless g's squares commute."""
-    src = pack(g.source)
-    tgt = pack(g.target)
-    comps = tuple(g.gm.components) + tuple(g.gn.components)
-    return NatTrans(src, tgt, comps)
+    """Pack a morphism of interleavings as a nat trans of packed modules, through
+    NatTrans._trusted: g's squares commute, so it is natural on cross edges."""
+    return NatTrans._trusted(pack(g.source), pack(g.target),
+                             g.gm.components + g.gn.components)
 
 
 def unpack_morphism(t: NatTrans) -> InterleavingMorphism:
+    """Unpack a natural t through the trusted paths: its parts are natural."""
     sh = t.source.proset
     if not isinstance(sh, ShoelaceProset):
         raise ValueError("unpack_morphism needs a shoelace carrier")
     n0 = sh.base.n
     src = unpack(t.source)
     tgt = unpack(t.target)
-    # the restrictions of a natural t to each copy are natural
     gm = NatTrans._trusted(src.m, tgt.m, tuple(t.components[:n0]))
     gn = NatTrans._trusted(src.n, tgt.n, tuple(t.components[n0:]))
-    return InterleavingMorphism(src, tgt, gm, gn)
+    return InterleavingMorphism._trusted(src, tgt, gm, gn)
 
 
 def square_interleave(a: Interleaving, b: Interleaving) -> Interleaving:

@@ -12,11 +12,19 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 
+def _fill(obj, *values, cls=None):
+    """Set obj's slots, or those cls declares, in order to values; returns obj."""
+    for name, value in zip((cls or type(obj)).__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class Proset:
     """Finite proset with a dense relation table.
 
     rel[i][j] is True when i <= j.  Equality compares (n, rel, labels) only,
     so two prosets with the same table and labels are interchangeable.
+    Valid by construction: the constructor raises on validate_proset's report.
     """
 
     __slots__ = ("n", "rel", "labels", "_pairs", "_edges", "_covers")
@@ -28,15 +36,16 @@ class Proset:
         table = tuple(tuple(bool(x) for x in row) for row in rel)
         if len(table) != n or any(len(row) != n for row in table):
             raise ValueError(f"relation table is not {n}x{n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rel", table)
-        object.__setattr__(self, "labels",
-                           None if labels is None else tuple(str(x) for x in labels))
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError(f"expected {n} labels, got {len(self.labels)}")
-        object.__setattr__(self, "_pairs", None)
-        object.__setattr__(self, "_edges", None)
-        object.__setattr__(self, "_covers", None)
+        _fill(self, n, table, _labels(n, labels), None, None, None, cls=Proset)
+        err = validate_proset(self)
+        if err is not None:
+            raise ValueError(f"invalid proset: {err}")
+
+    @classmethod
+    def _trusted(cls, n: int, rel: tuple, labels: Optional[Sequence[str]]):
+        """Skip validate_proset: rel must be n tuples of n bools, a proset."""
+        return _fill(object.__new__(cls), n, rel, _labels(n, labels),
+                     None, None, None, cls=Proset)
 
     def __setattr__(self, name, value):
         raise AttributeError("Proset is immutable")
@@ -114,10 +123,20 @@ class Proset:
         return f"Proset(n={self.n})"
 
 
+def _labels(n: int, labels: Optional[Sequence[str]]) -> Optional[tuple[str, ...]]:
+    """The frame that no proset skips: n >= 0, and None or n labels."""
+    if n < 0:
+        raise ValueError(f"negative size {n}")
+    out = None if labels is None else tuple(str(x) for x in labels)
+    if out is not None and len(out) != n:
+        raise ValueError(f"expected {n} labels, got {len(out)}")
+    return out
+
+
 def chain(n: int, labels: Optional[Sequence[str]] = None) -> Proset:
     """The linear order 0 <= 1 <= ... <= n-1."""
-    return Proset(n, tuple(tuple(i <= j for j in range(n)) for i in range(n)),
-                  labels)
+    return Proset._trusted(n, tuple(tuple(i <= j for j in range(n)) for i in range(n)),
+                           labels)
 
 
 def proset_from_pairs(n: int, pairs: Iterable[tuple[int, int]],
@@ -136,33 +155,34 @@ def proset_from_pairs(n: int, pairs: Iterable[tuple[int, int]],
                 for j in range(n):
                     if rk[j]:
                         ri[j] = True
-    return Proset(n, rel, labels)
+    return Proset._trusted(n, tuple(map(tuple, rel)), labels)
 
 
 def validate_proset(p: Proset) -> Optional[str]:
-    """None if reflexive and transitive, else a report naming the first violation."""
+    """None if reflexive and transitive, else a report on the first failure in
+    index order.  Row i, read as binary digits, is the int up[i], so a related
+    pair (i, j) first fails at the highest bit of up[j] & ~up[i]."""
     for i in range(p.n):
         if not p.rel[i][i]:
             return f"not reflexive: {p.label(i)} !<= {p.label(i)}"
+    up = [int("".join(map("01".__getitem__, row)), 2) for row in p.rel]
     for i in range(p.n):
-        for j in range(p.n):
-            if not p.rel[i][j]:
-                continue
-            for k in range(p.n):
-                if p.rel[j][k] and not p.rel[i][k]:
-                    return (f"not transitive: {p.label(i)} <= {p.label(j)} <= "
-                            f"{p.label(k)} but {p.label(i)} !<= {p.label(k)}")
+        outside = ~up[i]
+        for j, related in enumerate(p.rel[i]):
+            if related and (bad := up[j] & outside):
+                k = p.n - bad.bit_length()
+                return (f"not transitive: {p.label(i)} <= {p.label(j)} <= "
+                        f"{p.label(k)} but {p.label(i)} !<= {p.label(k)}")
     return None
 
 
 class Translation:
     """An inflationary monotone self-map of a proset.
 
-    Validity (i <= mapping[i], monotonicity) is checked by
-    validate_translation, not the constructor, so invalid candidates can be
-    built and reported on.  A valid translation holds its shoelace carrier,
-    built by the first shoelace(base, t) call and shared by every later one,
-    so the carrier lives exactly as long as the translation.
+    Valid by construction: the constructor raises on validate_translation's
+    report.  A translation holds its shoelace carrier, built by the first
+    shoelace(base, t) call and shared by every later one, so the carrier
+    lives exactly as long as the translation.
     """
 
     __slots__ = ("base", "mapping", "_carrier")
@@ -173,9 +193,15 @@ class Translation:
             raise ValueError(f"expected {base.n} mapping entries, got {len(m)}")
         if any(not (0 <= x < base.n) for x in m):
             raise ValueError("mapping entry out of range")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "mapping", m)
-        object.__setattr__(self, "_carrier", None)
+        _fill(self, base, m, None)
+        err = validate_translation(self)
+        if err is not None:
+            raise ValueError(f"invalid translation: {err}")
+
+    @classmethod
+    def _trusted(cls, base: Proset, mapping: tuple[int, ...]) -> "Translation":
+        """Wrap a tuple of base.n points, inflationary and monotone, unchecked."""
+        return _fill(object.__new__(cls), base, mapping, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Translation is immutable")
@@ -196,7 +222,7 @@ class Translation:
 
 
 def identity_translation(p: Proset) -> Translation:
-    return Translation(p, tuple(range(p.n)))
+    return Translation._trusted(p, tuple(range(p.n)))
 
 
 def validate_translation(t: Translation) -> Optional[str]:
@@ -216,7 +242,7 @@ def compose_translations(a: Translation, b: Translation) -> Translation:
     """a after b: i |-> a(b(i))."""
     if a.base != b.base:
         raise ValueError("translations live on different prosets")
-    return Translation(a.base, tuple(a.mapping[b.mapping[i]] for i in range(a.base.n)))
+    return Translation._trusted(a.base, tuple(a.mapping[k] for k in b.mapping))
 
 
 def power_translation(t: Translation, k: int) -> Translation:
@@ -260,7 +286,7 @@ class ShoelaceProset(Proset):
     well as the relation table: over a non-antisymmetric base, distinct
     translations can induce identical tables, and pack/unpack needs the
     translation.  Comparison against a plain Proset falls back to
-    relation-table equality.
+    relation-table equality.  laced builds every carrier, unchecked.
     """
 
     __slots__ = ("base", "lam")
@@ -268,8 +294,7 @@ class ShoelaceProset(Proset):
     def __init__(self, n: int, rel: Sequence[Sequence[bool]],
                  labels: Optional[Sequence[str]], base: Proset, lam: Translation):
         super().__init__(n, rel, labels)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "lam", lam)
+        _fill(self, base, lam)
 
     def origin(self, k: int) -> tuple[int, bool]:
         """Base element and primed flag for a carrier element."""
@@ -298,19 +323,13 @@ def shoelace(p: Proset, lam: Translation) -> ShoelaceProset:
     """Disjoint union of two copies of p laced together by lam.
 
     Within each copy the relation is p's own.  Between copies, i <= j' and
-    i' <= j both hold exactly when lam(i) <= j.  The result of a valid
-    translation is transitively closed by construction.
-
-    The first call validates lam and stores the carrier on it; later calls
-    with lam return that same object.  An invalid translation stores
-    nothing, so it raises on every call.
+    i' <= j both hold exactly when lam(i) <= j.  A translation is valid by
+    construction, so the result is a proset; only lam's base is checked.
+    The first call stores the carrier on lam, and later calls return it.
     """
     if lam.base != p:
         raise ValueError("translation is not defined on this proset")
     if lam._carrier is None:
-        err = validate_translation(lam)
-        if err is not None:
-            raise ValueError(f"invalid translation: {err}")
         object.__setattr__(lam, "_carrier",
                            laced(p, lam, tuple(p.rel[k] for k in lam.mapping)))
     return lam._carrier
@@ -320,13 +339,13 @@ def laced(p: Proset, lam: Translation,
           cross: Sequence[Sequence[bool]]) -> ShoelaceProset:
     """The layout of every shoelace carrier: plain copy 0..n-1 and primed
     copy n..2n-1 of p, each with p's relation, and i <= j' and i' <= j both
-    exactly when cross[i][j], the caller's rule.  Nothing is checked."""
+    exactly when cross[i][j]: bools by a rule that gives a proset, unchecked."""
     n = p.n
     rel = tuple(tuple(p.rel[i]) + tuple(cross[i]) for i in range(n)) + tuple(
         tuple(cross[i]) + tuple(p.rel[i]) for i in range(n))
     labels = tuple(p.label(i) for i in range(n)) + tuple(
         p.label(i) + "'" for i in range(n))
-    return ShoelaceProset(2 * n, rel, labels, p, lam)
+    return _fill(ShoelaceProset._trusted(2 * n, rel, labels), p, lam)
 
 
 def iso_pairs(p: Proset) -> frozenset[frozenset[int]]:
@@ -347,15 +366,18 @@ def induced_translation(sh: ShoelaceProset, gamma: Translation,
                         twist: bool = False) -> Translation:
     """Lift a base translation gamma to the shoelace carrier.
 
-    Requires gamma to commute with the lacing translation as a map.  The
-    plain lift sends i -> gamma(i), i' -> gamma(i)'.  The twisted lift
-    (twist=True) swaps copies, i -> gamma(i)', i' -> gamma(i), and
-    additionally requires lam <= gamma pointwise, else the result would not
-    be inflationary across the lacing.
+    Requires sh to be the full shoelace of its translation lam, and gamma to
+    commute with lam as a map.  The plain lift sends i -> gamma(i), i' ->
+    gamma(i)'.  The twisted lift (twist=True) swaps copies, i -> gamma(i)',
+    i' -> gamma(i), and additionally requires lam <= gamma pointwise, else
+    the result would not be inflationary across the lacing.  Either lift is
+    then valid.
     """
     lam = sh.lam
     if gamma.base != sh.base:
         raise ValueError("gamma is not a translation of the base proset")
+    if shoelace(sh.base, lam) != sh:
+        raise ValueError("induced translations live on the full shoelace carrier")
     n = sh.base.n
     for i in range(n):
         if lam.mapping[gamma.mapping[i]] != gamma.mapping[lam.mapping[i]]:
@@ -370,7 +392,7 @@ def induced_translation(sh: ShoelaceProset, gamma: Translation,
     else:
         mapping = tuple(gamma.mapping[i] for i in range(n)) + tuple(
             n + gamma.mapping[i] for i in range(n))
-    return Translation(sh, mapping)
+    return Translation._trusted(sh, mapping)
 
 
 @dataclass(frozen=True)

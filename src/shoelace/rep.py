@@ -19,7 +19,7 @@ from collections.abc import Collection, Mapping
 from typing import Optional, Sequence
 
 from .exactlin import FieldSpec, Matrix, _unit_row, mat_mul
-from .proset import Proset, ShoelaceProset, Translation, chain
+from .proset import Proset, ShoelaceProset, Translation, _fill, chain
 
 
 class _Maps(Mapping):
@@ -132,13 +132,6 @@ class Representation:
 
     def __repr__(self) -> str:
         return f"Representation(p={self.field.p}, dims={self.dims})"
-
-
-def _fill(obj, *values):
-    """Set the slots of an immutable obj, in order, to values; returns obj."""
-    for name, value in zip(type(obj).__slots__, values):
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def _checked_dims(proset: Proset, dims: Sequence[int]) -> tuple[int, ...]:

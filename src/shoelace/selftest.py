@@ -124,9 +124,10 @@ def _rand_proset(rng: random.Random, max_n: int = 7) -> Proset:
 def _rand_translation(rng: random.Random, p: Proset, tries: int = 40) -> Translation:
     ups = [[j for j in range(p.n) if p.rel[i][j]] for i in range(p.n)]
     for _ in range(tries):
-        t = Translation(p, tuple(rng.choice(ups[i]) for i in range(p.n)))
-        if validate_translation(t) is None:
-            return t
+        try:
+            return Translation(p, tuple(rng.choice(ups[i]) for i in range(p.n)))
+        except ValueError:
+            pass
     return identity_translation(p)
 
 

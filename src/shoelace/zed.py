@@ -399,7 +399,7 @@ def lambda_eps(w: Window, eps: int) -> Translation:
     if eps < 0:
         raise ValueError(f"negative epsilon {eps}")
     p, _ = window_chain(w)
-    return Translation(p, tuple(min(i + eps, w.size - 1) for i in range(w.size)))
+    return Translation._trusted(p, tuple(min(i + eps, w.size - 1) for i in range(w.size)))
 
 
 @lru_cache(maxsize=1024)

@@ -15,7 +15,14 @@ from shoelace.interleave import (
     untwist_square,
     upgrade_interleaving,
 )
-from shoelace.proset import Translation, chain, induced_translation, iso_pairs, shoelace
+from shoelace.proset import (
+    Proset,
+    Translation,
+    chain,
+    induced_translation,
+    iso_pairs,
+    shoelace,
+)
 from shoelace.rep import chain_representation
 from shoelace.exactlin import Matrix
 from shoelace.zed import (
@@ -84,6 +91,30 @@ def test_validate_validation_error(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["validate", str(path)]) == 1
     assert "invalid proset" in capsys.readouterr().err
+
+
+def test_validate_a_full_relation_of_600_points(tmp_path, capsys):
+    """A 1 MB proset document validates in bitset time, and one removed
+    entry is refused with the triple loop's report."""
+    from test_proset import reference_validate_proset
+
+    n = 600
+    rel = [[1] * n for _ in range(n)]
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps({"kind": "proset", "version": "1", "payload": {
+        "n": n, "labels": None, "rel": rel}}), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == 0
+    assert time.perf_counter() - start < 3
+    assert capsys.readouterr().out == "ok: proset\n"
+    rel[5][123] = 0
+    path.write_text(json.dumps({"kind": "proset", "version": "1", "payload": {
+        "n": n, "labels": None, "rel": rel}}), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    report = reference_validate_proset(Proset._trusted(
+        n, tuple(tuple(map(bool, row)) for row in rel), None))
+    assert report == "not transitive: 5 <= 0 <= 123 but 5 !<= 123"
+    assert capsys.readouterr().err == f"error: invalid proset: {report}\n"
 
 
 def test_validate_missing_file(tmp_path, capsys):

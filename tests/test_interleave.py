@@ -122,10 +122,11 @@ def test_morphism_validation():
     assert validate_interleaving_morphism(ident) is None
     zero = InterleavingMorphism(x, x, zero_nat(x.m, x.m), zero_nat(x.n, x.n))
     assert validate_interleaving_morphism(zero) is None
-    half = InterleavingMorphism(x, x, _identity(x.m), zero_nat(x.n, x.n))
+    half = InterleavingMorphism._trusted(x, x, _identity(x.m), zero_nat(x.n, x.n))
     report = validate_interleaving_morphism(half)
-    assert report is not None
-    assert "square fails" in report
+    assert report == "phi square fails at 0"
+    with pytest.raises(ValueError, match=f"invalid interleaving morphism: {report}"):
+        InterleavingMorphism(x, x, _identity(x.m), zero_nat(x.n, x.n))
 
 
 def test_morphism_constructor_rejects_mismatches():

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from hypothesis import given
@@ -30,19 +33,64 @@ def test_chain_is_valid():
     assert len(p.related_pairs) == 10
 
 
+def _table(rows):
+    return tuple(tuple(bool(x) for x in row) for row in rows)
+
+
 def test_transitivity_violation_reported():
     rel = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
-    p = Proset(3, rel)
-    report = validate_proset(p)
-    assert report is not None
-    assert "transitiv" in report
+    report = validate_proset(Proset._trusted(3, _table(rel), None))
+    assert report == "not transitive: 0 <= 1 <= 2 but 0 !<= 2"
+    with pytest.raises(ValueError, match=re.escape(f"invalid proset: {report}")):
+        Proset(3, rel)
 
 
 def test_reflexivity_violation_reported():
-    p = Proset(2, [[1, 1], [0, 0]])
-    report = validate_proset(p)
-    assert report is not None
-    assert "reflexive" in report
+    rel = [[1, 1], [0, 0]]
+    report = validate_proset(Proset._trusted(2, _table(rel), None))
+    assert report == "not reflexive: 1 !<= 1"
+    with pytest.raises(ValueError, match=re.escape(f"invalid proset: {report}")):
+        Proset(2, rel)
+
+
+def reference_validate_proset(p):
+    """The plain triple loop that validate_proset's bitsets replace: the
+    first i not <= i, else the first (i, j, k) with i <= j <= k, not i <= k."""
+    for i in range(p.n):
+        if not p.rel[i][i]:
+            return f"not reflexive: {p.label(i)} !<= {p.label(i)}"
+    for i in range(p.n):
+        for j in range(p.n):
+            if not p.rel[i][j]:
+                continue
+            for k in range(p.n):
+                if p.rel[j][k] and not p.rel[i][k]:
+                    return (f"not transitive: {p.label(i)} <= {p.label(j)} <= "
+                            f"{p.label(k)} but {p.label(i)} !<= {p.label(k)}")
+    return None
+
+
+@given(st.integers(0, 10 ** 6))
+def test_validate_proset_agrees_with_the_triple_loop(seed):
+    """On random tables, closed ones with a few entries flipped, so that
+    valid, non-reflexive and non-transitive tables all occur; the public
+    constructor raises exactly the reference report."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 9)
+    rel = [list(row) for row in proset_from_pairs(
+        n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]).rel]
+    for _ in range(rng.randint(0, 3) if n else 0):
+        i, j = rng.randrange(n), rng.randrange(n)
+        rel[i][j] = not rel[i][j]
+    labels = None if rng.random() < 0.5 else [f"x{i}" for i in range(n)]
+    p = Proset._trusted(n, _table(rel), None if labels is None else tuple(labels))
+    report = reference_validate_proset(p)
+    assert validate_proset(p) == report
+    if report is None:
+        assert Proset(n, rel, labels) == p
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"invalid proset: {report}")):
+            Proset(n, rel, labels)
 
 
 def test_two_cycle_is_a_valid_proset():
@@ -70,19 +118,19 @@ def test_worked_translation_ok():
 
 def test_deflating_map_rejected():
     p = chain(3)
-    t = Translation(p, (0, 1, 1))
-    report = validate_translation(t)
-    assert report is not None
-    assert "inflationary" in report
+    report = validate_translation(Translation._trusted(p, (0, 1, 1)))
+    assert report == "not inflationary: 2 !<= 1 = image of 2"
+    with pytest.raises(ValueError, match=re.escape(f"invalid translation: {report}")):
+        Translation(p, (0, 1, 1))
 
 
 def test_nonmonotone_map_rejected():
-    # relate 0 <= 1 only; send 0 above 1's image
+    # 0 <= 1, but 0's image 2 lies above 1's image 1
     p = proset_from_pairs(3, [(0, 1), (0, 2), (1, 2)])
-    t = Translation(p, (2, 1, 2))
-    report = validate_translation(t)
-    assert report is not None
-    assert "monotone" in report
+    report = validate_translation(Translation._trusted(p, (2, 1, 2)))
+    assert report == "not monotone: 0 <= 1 but 2 !<= 1"
+    with pytest.raises(ValueError, match=re.escape(f"invalid translation: {report}")):
+        Translation(p, (2, 1, 2))
 
 
 def test_compose_identity_is_neutral():
@@ -202,6 +250,17 @@ def test_induced_rejects_noncommuting_gamma():
         induced_translation(sh, gamma)
 
 
+def test_induced_refuses_a_carrier_that_is_not_the_full_shoelace():
+    from shoelace.zed import Window, lambda_eps, shoelace_window
+
+    w = Window(0, 4)
+    sh, _ = shoelace_window(w, 1)
+    # on the window carrier 1 <= 2', but the plain lift sends them to 4 and 4'
+    for twist in (False, True):
+        with pytest.raises(ValueError, match="full shoelace carrier"):
+            induced_translation(sh, lambda_eps(w, 3), twist=twist)
+
+
 def test_twist_requires_dominating_gamma():
     p = chain(4)
     lam = Translation(p, (2, 3, 3, 3))
@@ -232,3 +291,24 @@ def test_compare_is_a_preorder(seed):
     if (compare_translations(ts[0], ts[1]) in rel
             and compare_translations(ts[1], ts[2]) in rel):
         assert compare_translations(ts[0], ts[2]) in rel
+
+
+def test_rand_translation_draws_as_the_validator_filter_did():
+    """selftest._rand_translation tries the constructor on each candidate;
+    the reference builds each one unchecked and filters it through
+    validate_translation.  Same translation, same RNG state after."""
+    from shoelace.selftest import _rand_proset, _rand_translation
+
+    for seed in range(300):
+        p = _rand_proset(random.Random(-seed), max_n=6)
+        got_rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = _rand_translation(got_rng, p)
+        ups = [[j for j in range(p.n) if p.rel[i][j]] for i in range(p.n)]
+        for _ in range(40):
+            ref = Translation._trusted(p, tuple(ref_rng.choice(ups[i]) for i in range(p.n)))
+            if validate_translation(ref) is None:
+                break
+        else:
+            ref = identity_translation(p)
+        assert got == ref
+        assert got_rng.getstate() == ref_rng.getstate()

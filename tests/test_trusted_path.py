@@ -1,14 +1,15 @@
 """The trusted construction paths and the shared shoelace carrier.
 
-Representation, NatTrans and Interleaving are valid by construction: each
-public constructor raises on the report of its one check, and builders
-whose output is valid by construction skip it through
-Representation._trusted, NatTrans._trusted and interleave._assemble.  Each
-builder is compared here with a reference built through the public
-constructors, which must accept it, over selftest's random prosets and
-translations and over window chains with their shoelace_window carriers.
-shoelace(p, lam) builds and checks its carrier once per translation and
-stores it there.
+Proset, Translation, Representation, NatTrans, Interleaving and
+InterleavingMorphism are valid by construction: each public constructor
+raises on the report of its one check, and builders whose output is valid
+by construction skip it through Proset._trusted, Translation._trusted,
+Representation._trusted, NatTrans._trusted, interleave._assemble and
+InterleavingMorphism._trusted.  Each builder is compared here with a
+reference built through the public constructors, which must accept it,
+over selftest's random prosets and translations and over window chains
+with their shoelace_window carriers.  shoelace(p, lam) builds its carrier
+once per translation, through laced, and stores it there.
 """
 
 import random
@@ -19,7 +20,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import shoelace.interleave as interleave_module
+import shoelace.proset as proset_module
 import shoelace.rep as rep_module
+import shoelace.zed as zed_module
 
 from shoelace.exactlin import FieldSpec, Matrix, mat_inverse, mat_mul, mat_scale
 from shoelace.interleave import (
@@ -36,11 +39,18 @@ from shoelace.interleave import (
     validate_interleaving_morphism,
 )
 from shoelace.proset import (
+    Proset,
+    ShoelaceProset,
     Translation,
     chain,
     compare_translations,
+    compose_translations,
+    identity_translation,
+    induced_translation,
+    power_translation,
     proset_from_pairs,
     shoelace,
+    validate_translation,
 )
 from shoelace.rep import (
     NatTrans,
@@ -394,19 +404,36 @@ def test_trusted_builders_skip_the_public_constructor(monkeypatch):
     _, t = _conjugate(v, [_rand_invertible(rng, field, d) for d in v.dims])
     sigma, w = _rand_essential_matching(random.Random(5), need_pair=True)
     step = Matrix(field, 1, 1, [[2]])
+    # a translation whose carrier is not stored yet, so shoelace builds one
+    fresh = Translation(p, lam.mapping)
 
     def refuse(name):
         def refused(*args, **kwargs):
             raise AssertionError(f"{name} called")
         return refused
 
-    for cls in (Representation, NatTrans, Interleaving):
+    for cls in (Proset, ShoelaceProset, Translation, Representation, NatTrans,
+                Interleaving, InterleavingMorphism):
         monkeypatch.setattr(cls, "__init__", refuse(f"public {cls.__name__}"))
-    for module in (rep_module, interleave_module):
-        for name in ("validate_representation", "validate_nat_trans",
-                     "validate_interleaving"):
+    for module in (proset_module, rep_module, interleave_module, zed_module):
+        for name in ("validate_proset", "validate_translation",
+                     "validate_representation", "validate_nat_trans",
+                     "validate_interleaving", "validate_interleaving_morphism"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse(name))
+    chain(4, "abcd")
+    proset_from_pairs(4, [(0, 1), (2, 1)], "abcd")
+    sh = shoelace(p, fresh)
+    assert sh is not shoelace(p, lam)
+    # past the caches, so that the builders run here
+    shoelace_window.__wrapped__(Window(-9, 9), 2)
+    lambda_eps.__wrapped__(Window(-9, 9), 2)
+    identity_translation(p)
+    compose_translations(lam, lam)
+    power_translation(lam, 3)
+    induced_translation(sh, power_translation(lam, 2))
+    induced_translation(sh, power_translation(lam, 2), twist=True)
+    pack_morphism(unpack_morphism(t))
     # pack checks nothing again: an Interleaving is valid by construction
     precompose(m, lam)
     restrict(pack(x), "right")
@@ -416,9 +443,8 @@ def test_trusted_builders_skip_the_public_constructor(monkeypatch):
     direct_sum([m, m])
     permutation_iso([m, x.m], [1, 0], proset=p, field=field)
     chain_representation(chain(3), field, (1, 1, 1), [step, step])
-    unpack_morphism(t)
     transport_interleaving(x, um, un)
-    upgrade_interleaving(x, Translation(p, [lam.mapping[i] for i in lam.mapping]))
+    upgrade_interleaving(x, compose_translations(lam, lam))
     scale_interleaving(x, 2)
     matching_interleaving(sigma, w, field)
 
@@ -485,10 +511,71 @@ def test_equal_but_distinct_translations_give_equal_carriers():
 
 def test_an_invalid_translation_raises_on_every_call():
     p = chain(3)
-    lam = Translation(p, (1, 0, 2))
+    report = validate_translation(Translation._trusted(p, (1, 0, 2)))
+    assert report == "not inflationary: 1 !<= 0 = image of 1"
     for _ in range(3):
-        with pytest.raises(ValueError, match="invalid translation"):
-            shoelace(p, lam)
+        with pytest.raises(ValueError, match=re.escape(f"invalid translation: {report}")):
+            Translation(p, (1, 0, 2))
+
+
+# Invalid objects that the public constructors used to let through; each
+# failed deep inside a builder, or not at all.
+
+
+def test_precompose_never_sees_an_invalid_translation():
+    m = _rand_rep(random.Random(1), chain(3), FieldSpec(2))
+    with pytest.raises(ValueError, match=re.escape(
+            "invalid translation: not inflationary: 1 !<= 0 = image of 1")):
+        precompose(m, Translation(chain(3), (1, 0, 2)))
+
+
+def test_upgrade_interleaving_never_sees_a_nonmonotone_gamma():
+    w = Window(-1, 4)
+    f, g = canonical_pair(Interval(0, 2), Interval(1, 3), 1, w)
+    x = Interleaving(interval_to_module(Interval(0, 2), w),
+                     interval_to_module(Interval(1, 3), w), lambda_eps(w, 1), f, g)
+    # above lam pointwise and inflationary, but 0 <= 1 while 5 !<= 2
+    with pytest.raises(ValueError, match=re.escape(
+            "invalid translation: not monotone: -1 <= 0 but 4 !<= 1")):
+        upgrade_interleaving(x, Translation(x.lam.base, (5, 2, 3, 4, 5, 5)))
+
+
+def test_no_carrier_on_a_table_that_is_not_transitive():
+    with pytest.raises(ValueError, match=re.escape(
+            "invalid proset: not transitive: 0 <= 1 <= 2 but 0 !<= 2")):
+        q = Proset(3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+        shoelace(q, identity_translation(q))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_trusted_prosets_translations_and_morphisms_pass_the_public_constructors(
+        family, seed):
+    """chain, proset_from_pairs, laced, identity_translation,
+    compose_translations, power_translation, both lifts of
+    induced_translation, lambda_eps, unpack_morphism and pack_morphism."""
+    rng = random.Random(seed)
+    p, lam, carriers = _base_and_translation(rng, family)
+    for q in (p, chain(p.n, p.labels)):
+        assert Proset(q.n, q.rel, q.labels) == q
+    for sh in carriers:
+        public = ShoelaceProset(sh.n, sh.rel, sh.labels, sh.base, sh.lam)
+        assert public == sh and public.lam is sh.lam
+    a, b = (power_translation(lam, rng.randint(0, 3)) for _ in range(2))
+    lifts = [identity_translation(p), lam, a, compose_translations(a, b),
+             induced_translation(carriers[0], a)]
+    if compare_translations(lam, a) in ("leq", "equal"):
+        lifts.append(induced_translation(carriers[0], a, twist=True))
+    for t in lifts:
+        assert Translation(t.base, t.mapping) == t
+    field = FieldSpec(rng.choice((2, 5)))
+    v = _rand_rep(rng, carriers[0], field, max_dim=2)
+    _, t = _conjugate(v, [_rand_invertible(rng, field, d) for d in v.dims])
+    g = unpack_morphism(t)
+    assert InterleavingMorphism(g.source, g.target, g.gm, g.gn) == g
+    packed = pack_morphism(g)
+    assert NatTrans(packed.source, packed.target, packed.components) == packed == t
 
 
 def test_a_translation_of_another_proset_is_refused():
@@ -586,10 +673,17 @@ def test_pack_morphism_refuses_a_morphism_that_does_not_commute():
     x = Interleaving(interval_to_module(Interval(0, 2), w),
                      interval_to_module(Interval(1, 3), w), lambda_eps(w, 1), f, g)
     one = NatTrans(x.m, x.m, [Matrix.identity(x.m.field, d) for d in x.m.dims])
-    half = InterleavingMorphism(x, x, one, zero_nat(x.n, x.n))
-    assert validate_interleaving_morphism(half) == "phi square fails at 0"
+    half = InterleavingMorphism._trusted(x, x, one, zero_nat(x.n, x.n))
+    report = validate_interleaving_morphism(half)
+    assert report == "phi square fails at 0"
+    with pytest.raises(ValueError, match=re.escape(
+            f"invalid interleaving morphism: {report}")):
+        InterleavingMorphism(x, x, one, zero_nat(x.n, x.n))
+    # pack_morphism trusts its morphism: packing the invalid half gives a
+    # transformation that the public NatTrans refuses
+    packed = pack_morphism(half)
     with pytest.raises(ValueError, match="invalid nattrans: naturality fails"):
-        pack_morphism(half)
+        NatTrans(packed.source, packed.target, packed.components)
     whole = InterleavingMorphism(x, x, one, NatTrans(
         x.n, x.n, [Matrix.identity(x.n.field, d) for d in x.n.dims]))
     assert pack_morphism(whole) == NatTrans(pack(x), pack(x), [
