@@ -8,7 +8,6 @@ or format error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -16,6 +15,7 @@ from typing import Optional
 from .docio import (
     DocumentFormatError,
     DocumentValidationError,
+    _dumps,
     load_document,
     save_document,
 )
@@ -221,7 +221,7 @@ def _cmd_selftest(args) -> int:
                 f"SHOELACE_SEED must be an integer, got {env!r}") from None
     results = selftest_mod.run_suites(seed, cases=args.cases, only=args.suite)
     rep = selftest_mod.report(results, seed)
-    _emit(json.dumps(rep, indent=2) + "\n", args.out)
+    _emit(_dumps(rep) + "\n", args.out)
     for r in results:
         if not r.passed:
             print(f"suite {r.name} failed: {r.first_counterexample}",

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any
 
-from .exactlin import FieldSpec, Matrix
+from .exactlin import _INT, FieldSpec, Matrix
 from .proset import HeightFunction, Proset, Translation, validate_height
 from .rep import NatTrans, Representation, chain_representation, precompose
 from .interleave import Interleaving
@@ -31,6 +31,7 @@ from .zed import (
 )
 
 VERSION = "1"
+_BITS = frozenset((0, 1))
 
 
 class DocumentFormatError(Exception):
@@ -101,7 +102,14 @@ def _proset_payload(p: Proset) -> dict:
 
 def _load_proset(payload: dict) -> Proset:
     n = _as_int(_need(payload, "n", "proset"), "n")
-    rel = _need(payload, "rel", "proset")
+    rel = _as_list(_need(payload, "rel", "proset"), "rel")
+    for row in rel:
+        # the saver writes 0 and 1; true, 1.0 or "1" would not round-trip
+        if not (_INT.issuperset(map(type, _as_list(row, "relation row")))
+                and _BITS.issuperset(row)):
+            bad = next(x for x in row if type(x) is not int or x not in _BITS)
+            raise DocumentFormatError(
+                f"bad proset payload: relation entries must be 0 or 1, got {bad!r}")
     labels = payload.get("labels")
     with _constructing("proset", frame_is_format=True):
         return Proset(n, rel, labels)
@@ -435,8 +443,60 @@ def document_dict(kind: str, obj: Any) -> dict:
     return {"kind": kind, "version": VERSION, "payload": _SAVERS[kind](obj)}
 
 
+# The writer.  json.dumps(obj, indent=2) runs the pure-Python encoder, one
+# generator step per token; _dumps gives the same bytes with Python walking
+# only the dict/list skeleton.  Each list of scalars, and each matrix (a list
+# of non-empty lists of scalars), is one call of the C encoder whose item
+# separator already holds the newline and indent.  Under ensure_ascii a
+# string never holds a literal newline, so the only newlines in its output
+# come from separators, and a matrix's row boundaries are exactly the
+# occurrences of "],\n<indent>[".
+
+_CONTAINERS = frozenset((list, tuple, dict))
+_ENCODERS: list = []
+
+
+def _encoder(level: int):
+    """The C encoder whose items are separated by ",\n" and level indents."""
+    while len(_ENCODERS) <= level:
+        _ENCODERS.append(json.encoder.c_make_encoder(
+            None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+            None, ": ", ",\n" + "  " * len(_ENCODERS), False, False, True))
+    return _ENCODERS[level]
+
+
+def _dumps(obj, level: int = 0) -> str:
+    """json.dumps(obj, indent=2), byte for byte, for a JSON tree (dicts with
+    str keys, lists or tuples, str, int, float, bool and None) written at
+    the given nesting level."""
+    kind = type(obj)
+    outer, inner = "  " * level, "  " * (level + 1)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        key = json.encoder.encode_basestring_ascii
+        items = [f"{inner}{key(k)}: {_dumps(v, level + 1)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + f"\n{outer}}}"
+    if kind is not list and kind is not tuple:
+        return "".join(_encoder(level)(obj, 0))
+    if not obj:
+        return "[]"
+    kinds = set(map(type, obj))
+    if _CONTAINERS.isdisjoint(kinds):
+        flat = "".join(_encoder(level + 1)(obj, 0))
+        return f"[\n{inner}{flat[1:-1]}\n{outer}]"
+    if kinds == {list} and all(row and _CONTAINERS.isdisjoint(map(type, row))
+                               for row in obj):
+        cells = "  " * (level + 2)
+        flat = "".join(_encoder(level + 2)(obj, 0))[2:-2].replace(
+            f"],\n{cells}[", f"\n{inner}],\n{inner}[\n{cells}")
+        return f"[\n{inner}[\n{cells}{flat}\n{inner}]\n{outer}]"
+    items = [_dumps(x, level + 1) for x in obj]
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{outer}]"
+
+
 def save_document(kind: str, obj: Any) -> str:
-    return json.dumps(document_dict(kind, obj), indent=2) + "\n"
+    return _dumps(document_dict(kind, obj)) + "\n"
 
 
 def load_document(text: str) -> tuple[str, Any]:

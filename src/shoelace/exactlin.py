@@ -10,6 +10,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 
@@ -25,6 +26,16 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+_INT = frozenset((int,))
+
+
+def check_ints(values: tuple, what: str) -> None:
+    """Raise TypeError unless every value is an int and none a bool."""
+    if not _INT.issuperset(map(type, values)):
+        bad = next(x for x in values if type(x) is not int)
+        raise TypeError(f"{what} must be integers, got {bad!r}")
 
 
 @lru_cache(maxsize=4096)
@@ -61,8 +72,9 @@ class Matrix:
     """Immutable matrix over a FieldSpec.
 
     Entries are stored as a tuple of row tuples, already reduced mod p.
-    A 0xN or Nx0 matrix is legal and represents a map to or from the zero
-    space.
+    The constructor takes entries that are ints, and no bools: anything
+    else raises TypeError rather than being converted.  A 0xN or Nx0 matrix
+    is legal and represents a map to or from the zero space.
     """
 
     __slots__ = ("field", "rows", "cols", "entries")
@@ -71,7 +83,12 @@ class Matrix:
                  entries: Iterable[Iterable[int]]):
         if rows < 0 or cols < 0:
             raise ValueError(f"negative matrix shape {rows}x{cols}")
-        ent = tuple(tuple(int(x) % field.p for x in row) for row in entries)
+        ent = tuple(map(tuple, entries))
+        cells = tuple(chain.from_iterable(ent))
+        check_ints(cells, "matrix entries")
+        p = field.p
+        if cells and (min(cells) < 0 or max(cells) >= p):
+            ent = tuple(tuple(map(operator.mod, row, repeat(p))) for row in ent)
         if len(ent) != rows or any(len(r) != cols for r in ent):
             raise ValueError(
                 f"entries do not form a {rows}x{cols} array: "
@@ -195,20 +212,15 @@ def mat_inverse(a: Matrix) -> Matrix:
     return Matrix._trusted(a.field, n, n, tuple(tuple(row[n:]) for row in aug))
 
 
-def mat_solve_homogeneous(
+def _eliminate(
     field: FieldSpec,
     shapes: Sequence[tuple[int, int]],
     constraints: Sequence[tuple[Matrix, int, Matrix, int]],
-) -> tuple[int, list[tuple[Matrix, ...]]]:
-    """Solve a homogeneous linear system over a family of unknown matrices.
-
-    shapes[k] = (rows, cols) of unknown X_k.  Each constraint (A, k, B, l)
-    imposes A @ X_k == X_l @ B entrywise.  Returns the solution space
-    dimension and a basis, each basis vector a tuple of concrete matrices.
-
-    With no constraints the answer is the full product space and the basis is
-    the standard one (one matrix entry set to 1 at a time).
-    """
+) -> tuple[list[int], list[list[int]], list[int]]:
+    """The elimination under mat_solve_homogeneous and homogeneous_dimension:
+    the offset of each unknown in the flat vector of all their entries,
+    followed by its length; the equation rows in reduced row echelon form;
+    and their pivot columns."""
     offsets: list[int] = []
     total = 0
     for (r, c) in shapes:
@@ -243,11 +255,38 @@ def mat_solve_homogeneous(
                 for t in range(cl):
                     row[var(l, i, t)] = (row[var(l, i, t)] - b.entries[t][j]) % p
                 eq_rows.append(row)
+    _, pivots = _rref(field, eq_rows, total) if eq_rows else (0, [])
+    offsets.append(total)
+    return offsets, eq_rows, pivots
 
-    if not eq_rows:
-        pivots: list[int] = []
-    else:
-        _, pivots = _rref(field, eq_rows, total)
+
+def homogeneous_dimension(
+    field: FieldSpec,
+    shapes: Sequence[tuple[int, int]],
+    constraints: Sequence[tuple[Matrix, int, Matrix, int]],
+) -> int:
+    """The dimension of mat_solve_homogeneous's solution space, without
+    building a basis: the number of unknown entries less the rank."""
+    offsets, _, pivots = _eliminate(field, shapes, constraints)
+    return offsets[-1] - len(pivots)
+
+
+def mat_solve_homogeneous(
+    field: FieldSpec,
+    shapes: Sequence[tuple[int, int]],
+    constraints: Sequence[tuple[Matrix, int, Matrix, int]],
+) -> tuple[int, list[tuple[Matrix, ...]]]:
+    """Solve a homogeneous linear system over a family of unknown matrices.
+
+    shapes[k] = (rows, cols) of unknown X_k.  Each constraint (A, k, B, l)
+    imposes A @ X_k == X_l @ B entrywise.  Returns the solution space
+    dimension and a basis, each basis vector a tuple of concrete matrices.
+
+    With no constraints the answer is the full product space and the basis is
+    the standard one (one matrix entry set to 1 at a time).
+    """
+    offsets, eq_rows, pivots = _eliminate(field, shapes, constraints)
+    total, p = offsets[-1], field.p
     pivot_set = set(pivots)
     free = [v for v in range(total) if v not in pivot_set]
 

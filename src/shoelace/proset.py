@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .exactlin import check_ints
+
 
 def _fill(obj, *values, cls=None):
     """Set obj's slots, or those cls declares, in order to values; returns obj."""
@@ -33,7 +35,7 @@ class Proset:
                  labels: Optional[Sequence[str]] = None):
         if n < 0:
             raise ValueError(f"negative size {n}")
-        table = tuple(tuple(bool(x) for x in row) for row in rel)
+        table = tuple(tuple(map(bool, row)) for row in rel)
         if len(table) != n or any(len(row) != n for row in table):
             raise ValueError(f"relation table is not {n}x{n}")
         _fill(self, n, table, _labels(n, labels), None, None, None, cls=Proset)
@@ -165,7 +167,7 @@ def validate_proset(p: Proset) -> Optional[str]:
     for i in range(p.n):
         if not p.rel[i][i]:
             return f"not reflexive: {p.label(i)} !<= {p.label(i)}"
-    up = [int("".join(map("01".__getitem__, row)), 2) for row in p.rel]
+    up = [_bits(row) for row in p.rel]
     for i in range(p.n):
         outside = ~up[i]
         for j, related in enumerate(p.rel[i]):
@@ -179,6 +181,8 @@ def validate_proset(p: Proset) -> Optional[str]:
 class Translation:
     """An inflationary monotone self-map of a proset.
 
+    The constructor takes mapping entries that are ints, and no bools:
+    anything else raises TypeError rather than being converted.
     Valid by construction: the constructor raises on validate_translation's
     report.  A translation holds its shoelace carrier, built by the first
     shoelace(base, t) call and shared by every later one, so the carrier
@@ -188,7 +192,8 @@ class Translation:
     __slots__ = ("base", "mapping", "_carrier")
 
     def __init__(self, base: Proset, mapping: Sequence[int]):
-        m = tuple(int(x) for x in mapping)
+        m = tuple(mapping)
+        check_ints(m, "mapping entries")
         if len(m) != base.n:
             raise ValueError(f"expected {base.n} mapping entries, got {len(m)}")
         if any(not (0 <= x < base.n) for x in m):
@@ -225,16 +230,31 @@ def identity_translation(p: Proset) -> Translation:
     return Translation._trusted(p, tuple(range(p.n)))
 
 
+def _bits(row) -> int:
+    """A non-empty row of bools as an int whose highest of len(row) bits is
+    row[0]."""
+    return int("".join(map("01".__getitem__, row)), 2)
+
+
 def validate_translation(t: Translation) -> Optional[str]:
-    p = t.base
+    """None if inflationary and monotone, else a report on the first failure
+    in index order.  Row i is the int up[i] as in validate_proset, and
+    kept[a] has bit j set when a <= image of j, so a related pair (i, j)
+    first fails at the highest bit of up[i] & ~kept[image of i]."""
+    p, m = t.base, t.mapping
     for i in range(p.n):
-        if not p.rel[i][t.mapping[i]]:
+        if not p.rel[i][m[i]]:
             return (f"not inflationary: {p.label(i)} !<= "
-                    f"{p.label(t.mapping[i])} = image of {p.label(i)}")
-    for (i, j) in p.related_pairs:
-        if not p.rel[t.mapping[i]][t.mapping[j]]:
+                    f"{p.label(m[i])} = image of {p.label(i)}")
+    kept: dict[int, int] = {}
+    for i in range(p.n):
+        a = m[i]
+        if a not in kept:
+            kept[a] = _bits(tuple(map(p.rel[a].__getitem__, m)))
+        if bad := _bits(p.rel[i]) & ~kept[a]:
+            j = p.n - bad.bit_length()
             return (f"not monotone: {p.label(i)} <= {p.label(j)} but "
-                    f"{p.label(t.mapping[i])} !<= {p.label(t.mapping[j])}")
+                    f"{p.label(a)} !<= {p.label(m[j])}")
     return None
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
-from .exactlin import FieldSpec, Matrix, mat_solve_homogeneous
+from .exactlin import FieldSpec, Matrix, homogeneous_dimension
 from .proset import (
     HeightFunction,
     Proset,
@@ -594,8 +594,7 @@ def _hom_dimension(m: Representation, n: Representation) -> int:
     constraints = [(n.maps[(a, b)], a, m.maps[(a, b)], b)
                    for (a, b) in m.proset.generating_edges
                    if m.dims[a] and n.dims[b]]
-    dim, _ = mat_solve_homogeneous(m.field, shapes, constraints)
-    return dim
+    return homogeneous_dimension(m.field, shapes, constraints)
 
 
 def _headroom(i: Interval, w: Window, eps: int) -> bool:

@@ -475,6 +475,20 @@ def test_validate_refuses_non_integer_endpoints_in_one_line(tmp_path, capsys,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("entry", ["1", 1.5, True, None])
+def test_barcode_refuses_a_step_entry_that_is_not_an_integer(tmp_path, capsys, entry):
+    # the saver writes integers, so anything else would not round-trip
+    m = chain_representation(chain(2), F2, (1, 1), [Matrix(F2, 1, 1, [[1]])])
+    doc = json.loads(save_document("window_module", (Window(0, 1), m)))
+    doc["payload"]["steps"][0][0][0] = entry
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["barcode", "--module", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad matrix for step 0: matrix entries must be integers, "
+        f"got {entry!r}\n")
+
+
 def test_find_matching_takes_an_epsilon_beyond_float_range(tmp_path, capsys):
     # an infinite lower end meets eps in the search; eps must not become a float
     whole = _write(tmp_path, "a.json", "barcode", Barcode([Interval("-inf", "+inf")]))

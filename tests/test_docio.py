@@ -1,6 +1,9 @@
+import ast
 import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from shoelace.docio import (
     KINDS,
     DocumentFormatError,
     DocumentValidationError,
+    _dumps,
     document_dict,
     load_document,
     save_document,
@@ -78,6 +82,7 @@ def test_every_kind_round_trips():
     assert set(examples) == set(KINDS)
     for kind, obj in examples.items():
         text = save_document(kind, obj)
+        assert text == json.dumps(document_dict(kind, obj), indent=2) + "\n"
         got_kind, loaded = load_document(text)
         assert got_kind == kind
         if kind in ("height", "window_module"):
@@ -93,6 +98,55 @@ def test_output_is_byte_stable():
         assert save_document(kind, loaded) == text
         assert text.endswith("\n")
         assert json.loads(text)["version"] == "1"
+
+
+# the writer: _dumps against json.dumps(obj, indent=2)
+
+_AWKWARD = ["", "\n]", "],[", "],\n  [", '"],\n    ["', "\\", "\x00\t", "é", "日本語", "💡"]
+_SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(-10 ** 40, 10 ** 40), st.integers(-3, 3),
+    st.floats(), st.sampled_from(_AWKWARD), st.text(max_size=6))
+# matrices of 0 to 3 columns, so 0-column ones and lists of empty lists occur
+_MATRICES = st.integers(0, 3).flatmap(
+    lambda cols: st.lists(st.lists(_SCALARS, min_size=cols, max_size=cols), max_size=3))
+_TREES = st.recursive(
+    _SCALARS | _MATRICES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3),
+        st.lists(st.lists(kids | _SCALARS, max_size=3), max_size=3),
+        st.dictionaries(st.sampled_from(_AWKWARD) | st.text(max_size=4), kids,
+                        max_size=3)),
+    max_leaves=24)
+
+
+@settings(max_examples=400)
+@given(_TREES)
+def test_writer_matches_the_indenting_encoder(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    [], {}, [[]], [[], []], [{}], {"a": []}, {"a": {}}, [[[]]], [[[], []]],
+    {"a": [[], [[]], {"b": [{}]}]}, [[1, [2]], [3]], [[1, 2], []], [[], [1]],
+    [[1, {"x": 2}], ["y"]], [1, [2, 3], [[4]]], [[[1, 2], [3, 4]], [[5, 6]]],
+    ["\n]", "],[", "],\n  [", "é日本"], [["],\n    [", "\n]"], ["é", "],["]],
+    [True, False, None, -7, 10 ** 40, -10 ** 40, 0.1, -0.0, 1e300,
+     float("inf"), float("-inf"), float("nan")],
+    "x", 3, None, 2.5, {"é": "],[", "": [[None]]},
+], ids=repr)
+def test_writer_matches_on_edge_cases(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_no_indenting_dumps_is_left_in_the_package():
+    """json.dumps with indent= takes the pure-Python encoder; the package
+    writes every indented document through docio._dumps."""
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "shoelace").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("dumps", "dump")):
+                assert all(k.arg != "indent" for k in node.keywords), path.name
 
 
 def test_infinite_matching_round_trips():
@@ -172,6 +226,46 @@ def test_translation_payload_errors():
         load_document(_doc("translation", {"base": base, "mapping": [0]}))
     with pytest.raises(DocumentValidationError, match="invalid translation"):
         load_document(_doc("translation", {"base": base, "mapping": [0, 0]}))
+
+
+@pytest.mark.parametrize("entry", [True, False, 2, -1, 1.0, "1", None, [1]],
+                         ids=repr)
+def test_proset_relation_entries_are_zero_or_one(entry):
+    # the saver writes 0 and 1, so anything else would not round-trip
+    rel = [[1, 1], [0, 1]]
+    rel[0][1] = entry
+    with pytest.raises(DocumentFormatError, match=re.escape(
+            f"bad proset payload: relation entries must be 0 or 1, got {entry!r}")):
+        load_document(_doc("proset", {"n": 2, "labels": None, "rel": rel}))
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, 1.5, "1", None], ids=repr)
+def test_translation_mapping_entries_are_integers(entry):
+    base = {"n": 2, "labels": None, "rel": [[1, 1], [0, 1]]}
+    with pytest.raises(DocumentFormatError, match=re.escape(
+            f"bad translation payload: mapping entries must be integers, "
+            f"got {entry!r}")):
+        load_document(_doc("translation", {"base": base, "mapping": [entry, 1]}))
+
+
+_MATRICES_OF = {
+    "representation": lambda payload: [m["entries"] for m in payload["maps"]],
+    "nattrans": lambda payload: payload["components"],
+    "interleaving": lambda payload: payload["phi"],
+    "window_module": lambda payload: payload["steps"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MATRICES_OF))
+@pytest.mark.parametrize("entry", [True, 1.0, "1", None], ids=repr)
+def test_matrix_entries_are_integers_in_every_kind(kind, entry):
+    doc = document_dict(kind, _examples()[kind])
+    matrix = next(m for m in _MATRICES_OF[kind](doc["payload"]) if m and m[0])
+    matrix[0][0] = entry
+    with pytest.raises(DocumentFormatError, match=re.escape(
+            f": matrix entries must be integers, got {entry!r}")) as e:
+        load_document(json.dumps(doc))
+    assert str(e.value).startswith("bad matrix for ")
 
 
 def test_height_payload_errors():

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from shoelace.exactlin import (
     FieldSpec,
     Matrix,
+    homogeneous_dimension,
     mat_inverse,
     mat_mul,
     mat_rank,
@@ -35,6 +36,8 @@ def test_fieldspec_inverse():
 def test_matrix_reduces_entries_mod_p():
     m = Matrix(F5, 2, 2, [[7, -1], [10, 3]])
     assert m.entries == ((2, 4), (0, 3))
+    assert Matrix(F5, 1, 2, [[7, 3]]).entries == ((2, 3),)
+    assert Matrix(F5, 1, 2, [[4, 0]]).entries == ((4, 0),)
 
 
 def test_matrix_shape_mismatch():
@@ -176,6 +179,38 @@ def test_solver_basis_satisfies_constraints(seed):
     if flat and flat[0]:
         stacked = Matrix(F5, len(flat), len(flat[0]), flat)
         assert mat_rank(stacked) == dim
+
+
+@given(st.integers(0, 10 ** 6))
+def test_dimension_without_a_basis_is_the_basis_size(seed):
+    """homogeneous_dimension shares the solver's elimination and skips the
+    basis; on random systems over small fields and F_(2^31-1), with empty
+    unknowns, zero maps and unknowns tied to themselves, it counts the basis
+    mat_solve_homogeneous builds."""
+    import random
+
+    rng = random.Random(seed)
+    field = FieldSpec(rng.choice((2, 3, 5, 2 ** 31 - 1)))
+    shapes = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 4))]
+    constraints = []
+    for _ in range(rng.randint(0, 4)):
+        k, l = rng.randrange(len(shapes)), rng.randrange(len(shapes))
+        zero = rng.random() < 0.2
+        a = Matrix(field, shapes[l][0], shapes[k][0],
+                   [[0 if zero else rng.randrange(field.p) for _ in range(shapes[k][0])]
+                    for _ in range(shapes[l][0])])
+        b = Matrix(field, shapes[l][1], shapes[k][1],
+                   [[rng.randrange(field.p) for _ in range(shapes[k][1])]
+                    for _ in range(shapes[l][1])])
+        constraints.append((a, k, b, l))
+    dim, basis = mat_solve_homogeneous(field, shapes, constraints)
+    assert homogeneous_dimension(field, shapes, constraints) == dim == len(basis)
+
+
+@pytest.mark.parametrize("entry", [1.5, "1", True, None, [1]])
+def test_matrix_takes_only_int_entries(entry):
+    with pytest.raises(TypeError, match="matrix entries must be integers"):
+        Matrix(F5, 1, 2, [[1, entry]])
 
 
 @settings(max_examples=60)

@@ -133,6 +133,50 @@ def test_nonmonotone_map_rejected():
         Translation(p, (2, 1, 2))
 
 
+def reference_validate_translation(t):
+    """The loop over related pairs that validate_translation's bitsets
+    replace: the first i not <= its image, else the first related (i, j),
+    in index order, whose images are not related."""
+    p = t.base
+    for i in range(p.n):
+        if not p.rel[i][t.mapping[i]]:
+            return (f"not inflationary: {p.label(i)} !<= "
+                    f"{p.label(t.mapping[i])} = image of {p.label(i)}")
+    for (i, j) in p.related_pairs:
+        if not p.rel[t.mapping[i]][t.mapping[j]]:
+            return (f"not monotone: {p.label(i)} <= {p.label(j)} but "
+                    f"{p.label(t.mapping[i])} !<= {p.label(t.mapping[j])}")
+    return None
+
+
+@given(st.integers(0, 10 ** 6))
+def test_validate_translation_agrees_with_the_pair_loop(seed):
+    """On random prosets and maps, mostly into each point's up-set so that
+    valid, non-monotone and non-inflationary maps all occur; the public
+    constructor raises exactly the reference report."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 9)
+    p = proset_from_pairs(
+        n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))],
+        None if rng.random() < 0.5 else [f"x{i}" for i in range(n)])
+    ups = [[j for j in range(n) if p.rel[i][j]] for i in range(n)]
+    mapping = tuple(rng.choice(ups[i]) if rng.random() < 0.9 else rng.randrange(n)
+                    for i in range(n))
+    report = reference_validate_translation(Translation._trusted(p, mapping))
+    assert validate_translation(Translation._trusted(p, mapping)) == report
+    if report is None:
+        assert Translation(p, mapping).mapping == mapping
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"invalid translation: {report}")):
+            Translation(p, mapping)
+
+
+@pytest.mark.parametrize("entry", [1.5, "1", True, None])
+def test_translation_takes_only_int_mapping_entries(entry):
+    with pytest.raises(TypeError, match="mapping entries must be integers"):
+        Translation(chain(2), (entry, 1))
+
+
 def test_compose_identity_is_neutral():
     p = chain(4)
     t = Translation(p, (1, 2, 3, 3))
