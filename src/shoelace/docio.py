@@ -111,6 +111,11 @@ def _load_proset(payload: dict) -> Proset:
             raise DocumentFormatError(
                 f"bad proset payload: relation entries must be 0 or 1, got {bad!r}")
     labels = payload.get("labels")
+    # the saver writes strings; Proset would turn 1 or true into "1" or "True"
+    if labels is not None and not all(type(x) is str for x in _as_list(labels, "labels")):
+        bad = next(x for x in labels if type(x) is not str)
+        raise DocumentFormatError(
+            f"bad proset payload: labels must be strings, got {bad!r}")
     with _constructing("proset", frame_is_format=True):
         return Proset(n, rel, labels)
 
@@ -134,6 +139,11 @@ def _height_payload(p: Proset, h: HeightFunction) -> dict:
 def _load_height(payload: dict) -> tuple[Proset, HeightFunction]:
     p = _load_proset(_need(payload, "proset", "height"))
     raw = _as_list(_need(payload, "values", "height"), "values")
+    # the saver writes strings such as "1/2"; 0.5 or true would not round-trip
+    if not all(type(v) in (int, str) for v in raw):
+        bad = next(v for v in raw if type(v) not in (int, str))
+        raise DocumentFormatError(
+            f"bad height values: values must be integers or strings, got {bad!r}")
     try:
         h = HeightFunction(Fraction(v) for v in raw)
     except (ValueError, TypeError, ZeroDivisionError) as e:

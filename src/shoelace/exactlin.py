@@ -150,16 +150,28 @@ def _check_same_field(a: Matrix, b: Matrix) -> None:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a @ b.  A zero row of a gives the shared zero row, and a
+    unit row (one 1, all else 0) gives the row of b that its 1 picks, shared
+    and already reduced mod p; every other row takes the dot products."""
     _check_same_field(a, b)
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch in mat_mul: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    p = a.field.p
+    p, n = a.field.p, a.cols
     mul = operator.mul
-    bt = tuple(zip(*b.entries)) if b.entries else ((),) * b.cols
-    ent = tuple(
-        tuple(sum(map(mul, row, col)) % p for col in bt)
-        for row in a.entries)
-    return Matrix._trusted(a.field, a.rows, b.cols, ent)
+    bent = b.entries
+    bt = None
+    ent = []
+    for row in a.entries:
+        nz = n - row.count(0)
+        if nz == 0:
+            ent.append(_unit_row(b.cols, -1))
+        elif nz == 1 and 1 in row:
+            ent.append(bent[row.index(1)])
+        else:
+            if bt is None:
+                bt = tuple(zip(*bent)) if bent else ((),) * b.cols
+            ent.append(tuple(sum(map(mul, row, col)) % p for col in bt))
+    return Matrix._trusted(a.field, a.rows, b.cols, tuple(ent))
 
 
 def mat_scale(c: int, a: Matrix) -> Matrix:

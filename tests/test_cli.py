@@ -436,11 +436,31 @@ def test_expand_refuses_a_dimension_above_the_limit(tmp_path, capsys):
         f"error: expansion has dimension {MAX_POINT_DIM + 1} at carrier point 0, "
         f"more than the limit of {MAX_POINT_DIM}\n")
     # at the limit the expansion loads back; a two-point window keeps its
-    # document, which lists a dense map for every related pair, near 8 MB
+    # document, which lists a dense map for every related pair, near 8 MB,
+    # where window 0:7 would write 127 MB (see the 128-pair test below)
     at = _whole_line_pairs(tmp_path, MAX_POINT_DIM, 1)
     out = str(tmp_path / "v.json")
     assert main(["expand", "--decomposed", at, "--out", out]) == 0
     assert main(["validate", out]) == 0
+
+
+def test_expand_and_validate_of_128_whole_line_pairs_on_a_wide_window(tmp_path, capsys):
+    # the path products of the expansion and the checks of validate are
+    # products of unit and zero rows; multiplied densely they took 8.5 s
+    # and 14 s on a 2-core host, against 0.6 s each when mat_mul copies rows
+    pairs = _whole_line_pairs(tmp_path, 128, 7)
+    out = tmp_path / "v.json"
+    start = time.perf_counter()
+    assert main(["expand", "--decomposed", pairs, "--out", str(out)]) == 0
+    middle = time.perf_counter()
+    assert main(["validate", str(out)]) == 0
+    end = time.perf_counter()
+    data = out.read_bytes()
+    assert len(data) == 31_865_466
+    assert hashlib.sha256(data).hexdigest() == (
+        "f28694efdf02cec77f1230bc17cba523785b3a60aa6caf93f88b2d855c3698fc")
+    assert capsys.readouterr().out == "ok: representation\n"
+    assert middle - start < 4 and end - middle < 4
 
 
 def test_validate_rejects_a_huge_bar_count_in_one_line(tmp_path, capsys):
@@ -487,6 +507,27 @@ def test_barcode_refuses_a_step_entry_that_is_not_an_integer(tmp_path, capsys, e
     assert capsys.readouterr().err == (
         f"error: bad matrix for step 0: matrix entries must be integers, "
         f"got {entry!r}\n")
+
+
+def test_validate_refuses_labels_that_are_not_strings(tmp_path, capsys):
+    # loaded as str(x), these labels would save as ["1", "True"]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"kind": "proset", "version": "1", "payload": {
+        "n": 2, "labels": [1, True], "rel": [[1, 1], [0, 1]]}}), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad proset payload: labels must be strings, got 1\n")
+
+
+def test_validate_refuses_a_height_value_that_is_a_float(tmp_path, capsys):
+    # loaded as Fraction(0.5), this value would save as "1/2"
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"kind": "height", "version": "1", "payload": {
+        "proset": {"n": 2, "labels": None, "rel": [[1, 1], [0, 1]]},
+        "values": [0.5, 1]}}), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad height values: values must be integers or strings, got 0.5\n")
 
 
 def test_find_matching_takes_an_epsilon_beyond_float_range(tmp_path, capsys):

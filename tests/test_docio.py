@@ -276,6 +276,36 @@ def test_height_payload_errors():
         load_document(_doc("height", {"proset": base, "values": ["1", "0"]}))
 
 
+@pytest.mark.parametrize("label", [1, True, 1.5, None, ["a"]], ids=repr)
+def test_proset_labels_are_strings(label):
+    # the saver writes strings; Proset would keep str(label)
+    with pytest.raises(DocumentFormatError, match=re.escape(
+            f"bad proset payload: labels must be strings, got {label!r}")):
+        load_document(_doc("proset", {"n": 2, "labels": ["a", label],
+                                      "rel": [[1, 1], [0, 1]]}))
+    with pytest.raises(DocumentFormatError, match="labels must be a list"):
+        load_document(_doc("proset", {"n": 2, "labels": "ab", "rel": [[1, 1], [0, 1]]}))
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, True, False, None, [1]], ids=repr)
+def test_height_values_are_integers_or_strings(value):
+    # the saver writes str(Fraction); 0.5 would come back as "1/2"
+    base = {"n": 2, "labels": None, "rel": [[1, 1], [0, 1]]}
+    with pytest.raises(DocumentFormatError, match=re.escape(
+            f"bad height values: values must be integers or strings, got {value!r}")):
+        load_document(_doc("height", {"proset": base, "values": [value, "7"]}))
+
+
+def test_height_values_keep_integers_and_the_saved_strings():
+    base = {"n": 3, "labels": ["x", "y", "z"], "rel": [[1, 1, 1], [0, 1, 1], [0, 0, 1]]}
+    doc = _doc("height", {"proset": base, "values": [-2, "-1/3", "7"]})
+    kind, (p, h) = load_document(doc)
+    assert kind == "height" and p.labels == ("x", "y", "z")
+    assert h.values == (-2, Fraction(-1, 3), 7)
+    assert json.loads(save_document("height", (p, h)))["payload"]["values"] == [
+        "-2", "-1/3", "7"]
+
+
 def test_representation_payload_errors():
     good = document_dict("representation",
                          chain_representation(chain(3), F2, (1, 1, 1),

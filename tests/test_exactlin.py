@@ -249,3 +249,70 @@ def test_results_built_unchecked_equal_the_public_construction(seed):
     for sol in basis:
         for x in sol:
             same_as_public(x)
+
+
+F_BIG = FieldSpec(2 ** 31 - 1)
+
+
+def _dense_mul(a, b):
+    """The reference product: every entry a dot product, no row skipped."""
+    p = a.field.p
+    return [[sum(a.entries[i][t] * b.entries[t][j] for t in range(a.cols)) % p
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+@st.composite
+def _mixed_products(draw):
+    """A product a @ b over F_2, F_5 or F_(2^31-1) whose rows of a mix zero
+    rows, unit rows, rows with one nonzero entry other than 1, and dense
+    rows; any of the three dimensions may be 0."""
+    field = draw(st.sampled_from((F2, F5, F_BIG)))
+    m, n, k = (draw(st.integers(0, 5)) for _ in range(3))
+    entry = st.integers(0, field.p - 1)
+    kinds = ["zero", "dense"] + (["unit", "single"] if n else [])
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "dense":
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+            continue
+        row = [0] * n
+        if kind != "zero":
+            # a single 2 or p - 1 must still be multiplied; in F_2 they are
+            # 0 and 1, a zero row and a unit row
+            values = [1] if kind == "unit" else [2 % field.p, field.p - 1]
+            row[draw(st.integers(0, n - 1))] = draw(st.sampled_from(values))
+        rows.append(row)
+    b = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    return Matrix(field, m, n, rows), Matrix(field, n, k, b)
+
+
+@settings(max_examples=300)
+@given(_mixed_products())
+def test_mul_matches_the_dense_product(ab):
+    """Zero and unit rows of a copy a row of b; the product still equals
+    the dense one and the matrix the public constructor builds."""
+    a, b = ab
+    got = mat_mul(a, b)
+    ref = Matrix(a.field, a.rows, b.cols, _dense_mul(a, b))
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert got == ref and hash(got) == hash(ref)
+    assert type(got.entries) is tuple and all(type(r) is tuple for r in got.entries)
+
+
+@pytest.mark.parametrize("field", [F2, F5, F_BIG], ids=lambda f: f"F{f.p}")
+@pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0)])
+def test_mul_of_empty_shapes_is_the_zero_matrix(field, shape):
+    m, n, k = shape
+    a = Matrix(field, m, n, [[field.p - 1] * n for _ in range(m)])
+    b = Matrix(field, n, k, [[1] * k for _ in range(n)])
+    assert mat_mul(a, b) == Matrix.zeros(field, m, k)
+
+
+def test_single_entries_other_than_one_are_multiplied():
+    b = Matrix(F5, 2, 2, [[1, 2], [3, 4]])
+    a = Matrix(F5, 3, 2, [[2, 0], [0, 4], [0, 1]])
+    assert mat_mul(a, b).entries == ((2, 4), (2, 1), (3, 4))
+    top = F_BIG.p - 1
+    b = Matrix(F_BIG, 1, 2, [[1, top]])
+    assert mat_mul(Matrix(F_BIG, 1, 1, [[top]]), b).entries == ((top, 1),)
