@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from fractions import Fraction
 from typing import Any
 
 from .exactlin import _INT, FieldSpec, Matrix
@@ -145,7 +144,7 @@ def _load_height(payload: dict) -> tuple[Proset, HeightFunction]:
         raise DocumentFormatError(
             f"bad height values: values must be integers or strings, got {bad!r}")
     try:
-        h = HeightFunction(Fraction(v) for v in raw)
+        h = HeightFunction(raw)
     except (ValueError, TypeError, ZeroDivisionError) as e:
         raise DocumentFormatError(f"bad height values: {e}") from None
     report = validate_height(p, h)
@@ -413,7 +412,7 @@ def _load_window_module(payload: dict) -> tuple[Window, Representation]:
         _load_matrix(field, dims[i + 1], dims[i], raw_steps[i], f"step {i}")
         for i in range(w.size - 1)
     ]
-    p, _ = window_chain(w)
+    p = window_chain(w)
     with _constructing("window module"):
         return w, chain_representation(p, field, dims, steps)
 

@@ -8,7 +8,6 @@ be compared for exact equality.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 from typing import Iterable, Sequence
@@ -47,19 +46,33 @@ def _unit_row(width: int, col: int) -> tuple[int, ...]:
     return (0,) * col + (1,) + (0,) * (width - col - 1)
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """The prime field F_p, for 2 <= p <= 2**31 - 1."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or isinstance(self.p, bool):
-            raise ValueError(f"field characteristic must be an int, got {self.p!r}")
-        if not (2 <= self.p <= 2**31 - 1):
-            raise ValueError(f"field characteristic {self.p} out of range [2, 2**31-1]")
-        if not _is_prime(self.p):
-            raise ValueError(f"field characteristic {self.p} is not prime")
+    def __init__(self, p: int):
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValueError(f"field characteristic must be an int, got {p!r}")
+        if not (2 <= p <= 2**31 - 1):
+            raise ValueError(f"field characteristic {p} out of range [2, 2**31-1]")
+        if not _is_prime(p):
+            raise ValueError(f"field characteristic {p} is not prime")
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldSpec is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.p,))
+
+    def __repr__(self) -> str:
+        return f"FieldSpec(p={self.p!r})"
 
     def inv(self, x: int) -> int:
         x %= self.p

@@ -7,8 +7,6 @@ the integers 0..n-1 with optional display labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import check_ints
@@ -415,17 +413,27 @@ def induced_translation(sh: ShoelaceProset, gamma: Translation,
     return Translation._trusted(sh, mapping)
 
 
-@dataclass(frozen=True)
 class HeightFunction:
-    """Monotone rational height on a proset's elements."""
+    """Rational heights of a proset's elements, values[i] for element i, each
+    read by fractions.Fraction (imported on first use, as nothing else in the
+    package needs it).  validate_height checks them against a proset."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = ("values",)
 
     def __init__(self, values: Iterable):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in values))
+        from fractions import Fraction
+        object.__setattr__(self, "values", tuple(map(Fraction, values)))
 
-    def __call__(self, i: int) -> Fraction:
-        return self.values[i]
+    def __setattr__(self, name, value):
+        raise AttributeError("HeightFunction is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HeightFunction):
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
 
 
 def validate_height(p: Proset, h: HeightFunction) -> Optional[str]:

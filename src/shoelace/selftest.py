@@ -13,8 +13,7 @@ import math
 import random
 import time
 import traceback
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .exactlin import FieldSpec, Matrix, mat_inverse, mat_mul
 from .proset import (
@@ -90,8 +89,7 @@ from .zed import (
 )
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     cases: int
     passed: bool
@@ -393,7 +391,7 @@ def _suite_interleaved_interleavings(rng: random.Random, cases: int) -> int:
         sq = square_interleave(a, b)
         err = validate_interleaving(sq)
         _check(err is None, case=k, what="square validity", report=err)
-        p0, _ = window_chain(w)
+        p0 = window_chain(w)
         sh = shoelace(p0, a.lam)
         _check(sq.lam == induced_translation(sh, a.lam, twist=True),
                case=k, what="square runs over the twisted lift")
@@ -484,7 +482,7 @@ def _suite_barcode_oracle(rng: random.Random, cases: int) -> int:
             x, y = sorted((rng.randint(w.lo, w.hi), rng.randint(w.lo, w.hi)))
             bars.append(Interval(x, y))
         truth = Barcode(bars)
-        p, _ = window_chain(w)
+        p = window_chain(w)
         parts = [interval_to_module(bar, w, field) for bar in bars]
         total, _slices = direct_sum(parts, proset=p, field=field)
         us = [_rand_invertible(rng, field, total.dims[idx])
@@ -505,7 +503,7 @@ def _suite_barcode_oracle(rng: random.Random, cases: int) -> int:
 
 
 def _expansion_invariants(l: DecomposedShoelaceRep):
-    sh, _ = shoelace_window(l.window, l.epsilon)
+    sh = shoelace_window(l.window, l.epsilon)
     for s in l.summands:
         single = DecomposedShoelaceRep(l.window, l.epsilon, l.field, [s])
         r1 = expand_decomposed(single)
@@ -636,7 +634,7 @@ def _suite_matching_vs_interleaving(rng: random.Random, cases: int) -> int:
         sq = square_interleave(a, b)
         err = validate_interleaving(sq)
         _check(err is None, case=k, what="square validity", report=err)
-        p0, _ = window_chain(w)
+        p0 = window_chain(w)
         sh = shoelace(p0, a.lam)
         _check(sq.lam == induced_translation(sh, a.lam, twist=True),
                case=k, what="square runs over the twisted lift")

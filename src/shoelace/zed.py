@@ -17,16 +17,15 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
-from .exactlin import FieldSpec, Matrix, homogeneous_dimension
+from .exactlin import FieldSpec, Matrix, check_ints, homogeneous_dimension
 from .proset import (
-    HeightFunction,
     Proset,
     ShoelaceProset,
     Translation,
+    _fill,
     chain,
     laced,
     shoelace,
@@ -268,26 +267,40 @@ MAX_POINT_DIM = 256
 MAX_BARCODE_BARS = 4096
 
 
-@dataclass(frozen=True)
 class Window:
     """Finite integer range [lo, hi] serving as the carrier for the chain.
 
-    Carrier tables grow with the square of the width, so a window has at
-    most MAX_WINDOW_POINTS points; like a finite endpoint, each value lies
-    within +-MAX_ENDPOINT."""
+    The ends are ints, not bools (TypeError).  Carrier tables grow with the
+    square of the width, so a window has at most MAX_WINDOW_POINTS points;
+    like a finite endpoint, each value lies within +-MAX_ENDPOINT."""
 
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty window [{self.lo}, {self.hi}]")
-        if max(-self.lo, self.hi) > MAX_ENDPOINT:
+    def __init__(self, lo: int, hi: int):
+        check_ints((lo, hi), "window ends")
+        if lo > hi:
+            raise ValueError(f"empty window [{lo}, {hi}]")
+        if max(-lo, hi) > MAX_ENDPOINT:
             raise ValueError("a window value lies beyond the limit of +-10**300")
-        if self.size > MAX_WINDOW_POINTS:
+        if hi - lo + 1 > MAX_WINDOW_POINTS:
             raise ValueError(
-                f"window [{self.lo}, {self.hi}] has {self.size} points, "
+                f"window [{lo}, {hi}] has {hi - lo + 1} points, "
                 f"more than the limit of {MAX_WINDOW_POINTS}")
+        _fill(self, lo, hi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Window is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Window):
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"Window(lo={self.lo!r}, hi={self.hi!r})"
 
     @property
     def size(self) -> int:
@@ -355,7 +368,6 @@ class Matching:
         return f"Matching(eps={self.epsilon}, pairs={len(self.pairs)})"
 
 
-@dataclass(frozen=True)
 class DecomposedShoelaceRep:
     """Certificate that a windowed shoelace representation splits into
     interval-shaped summands, each a (left bar, right bar) pair with at
@@ -363,16 +375,25 @@ class DecomposedShoelaceRep:
     any iterable of summands and raises ValueError on the report of
     validate_decomposed, its one check."""
 
-    window: Window
-    epsilon: int
-    field: FieldSpec
-    summands: tuple[tuple[Optional[Interval], Optional[Interval]], ...]
+    __slots__ = ("window", "epsilon", "field", "summands")
 
-    def __post_init__(self):
-        object.__setattr__(self, "summands", tuple((s[0], s[1]) for s in self.summands))
+    def __init__(self, window: Window, epsilon: int, field: FieldSpec, summands: Iterable):
+        _fill(self, window, epsilon, field, tuple((s[0], s[1]) for s in summands))
         err = validate_decomposed(self)
         if err is not None:
             raise ValueError(f"invalid decomposed representation: {err}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DecomposedShoelaceRep is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DecomposedShoelaceRep):
+            return NotImplemented
+        return (self.window, self.epsilon, self.field, self.summands) == (
+            other.window, other.epsilon, other.field, other.summands)
+
+    def __hash__(self) -> int:
+        return hash((self.window, self.epsilon, self.field, self.summands))
 
     def canonical(self) -> "DecomposedShoelaceRep":
         return DecomposedShoelaceRep(
@@ -387,10 +408,9 @@ def _summand_key(s: tuple[Optional[Interval], Optional[Interval]]):
 
 
 @lru_cache(maxsize=1024)
-def window_chain(w: Window) -> tuple[Proset, HeightFunction]:
-    """The window as a chain proset with its values as labels and heights."""
-    p = chain(w.size, tuple(str(w.value(i)) for i in range(w.size)))
-    return p, HeightFunction(w.value(i) for i in range(w.size))
+def window_chain(w: Window) -> Proset:
+    """The window as a chain proset: element i is w.value(i), its label and height."""
+    return chain(w.size, tuple(str(w.value(i)) for i in range(w.size)))
 
 
 @lru_cache(maxsize=1024)
@@ -398,25 +418,24 @@ def lambda_eps(w: Window, eps: int) -> Translation:
     """Uniform shift by eps, clamped at the window top."""
     if eps < 0:
         raise ValueError(f"negative epsilon {eps}")
-    p, _ = window_chain(w)
+    p = window_chain(w)
     return Translation._trusted(p, tuple(min(i + eps, w.size - 1) for i in range(w.size)))
 
 
 @lru_cache(maxsize=1024)
-def shoelace_window(w: Window, eps: int) -> tuple[ShoelaceProset, HeightFunction]:
+def shoelace_window(w: Window, eps: int) -> ShoelaceProset:
     """Restriction of the doubled integer chain to the window.
 
     Cross relations use the unclamped rule i + eps <= j, so this is exactly
     the full shoelace of the integers cut down to the window; see the module
     docstring for why this differs from shoelace(window_chain, lambda_eps).
-    The carrier's height repeats the window value on both copies.
+    Elements i and w.size + i both stand for the value w.value(i).
     """
     if eps < 0:
         raise ValueError(f"negative epsilon {eps}")
     n = w.size
-    sh = laced(window_chain(w)[0], lambda_eps(w, eps),
-               [[i + eps <= j for j in range(n)] for i in range(n)])
-    return sh, HeightFunction([w.value(i) for i in range(n)] * 2)
+    return laced(window_chain(w), lambda_eps(w, eps),
+                 [[i + eps <= j for j in range(n)] for i in range(n)])
 
 
 @lru_cache(maxsize=8192)
@@ -433,7 +452,7 @@ def interval_to_module(i: Interval, w: Window,
             raise ValueError(
                 f"finite endpoint {e} of {i} lies outside window "
                 f"[{w.lo}, {w.hi}]; refusing a lossy clamp")
-    p, _ = window_chain(w)
+    p = window_chain(w)
     return indicator_module(p, w.indices(*i.ends), field)
 
 
@@ -464,7 +483,7 @@ def barcode(m: Representation, w: Window, boundary: str = "finite") -> Barcode:
     n = w.size
     if m.proset.n != n:
         raise ValueError(f"module has {m.proset.n} points, window has {n}")
-    if m.proset.rel != window_chain(w)[0].rel:
+    if m.proset.rel != window_chain(w).rel:
         raise ValueError("module does not live on the chain of the window")
     p, dims = m.field.p, m.dims
     mul, lshift = operator.mul, operator.lshift
@@ -811,7 +830,7 @@ def pack_decomposed(l: DecomposedShoelaceRep) -> Representation:
     each two-sided summand.  Like expand_decomposed, it refuses a
     dimension above MAX_POINT_DIM at a point."""
     w = l.window
-    return _indicator_sum(l, shoelace(window_chain(w)[0], lambda_eps(w, l.epsilon)))
+    return _indicator_sum(l, shoelace(window_chain(w), lambda_eps(w, l.epsilon)))
 
 
 def expand_decomposed(l: DecomposedShoelaceRep) -> Representation:
@@ -821,7 +840,7 @@ def expand_decomposed(l: DecomposedShoelaceRep) -> Representation:
     without building a module per summand; pack_decomposed builds the same
     sum on the clamped carrier.  An expansion with dimension above
     MAX_POINT_DIM at some point is refused before any matrix is built."""
-    return _indicator_sum(l, shoelace_window(l.window, l.epsilon)[0])
+    return _indicator_sum(l, shoelace_window(l.window, l.epsilon))
 
 
 def matching_interleaving(s: Matching, w: Window,
@@ -841,7 +860,7 @@ def matching_interleaving(s: Matching, w: Window,
     src_bars = list(s.source)
     tgt_bars = list(s.target)
     _require_padding(src_bars + tgt_bars, w, eps)
-    p, _ = window_chain(w)
+    p = window_chain(w)
     lam = lambda_eps(w, eps)
     up = lam.mapping
     m, m_pos = indicator_sum(p, [w.indices(*bar.ends) for bar in src_bars], field)
@@ -927,16 +946,28 @@ def iter_matchings(bm: Barcode, bn: Barcode, eps: int,
     yield from rec(0)
 
 
-@dataclass(frozen=True)
 class HallWitness:
     """Why no eps-matching exists: bars of one side (with multiplicity), each
     of length >= 2*eps and so unable to stay unmatched, that together have
     fewer admissible partners (bars of the other side, with multiplicity)
     than there are bars."""
 
-    side: str
-    bars: tuple[Interval, ...]
-    partners: tuple[Interval, ...]
+    __slots__ = ("side", "bars", "partners")
+
+    def __init__(self, side: str, bars: tuple[Interval, ...], partners: tuple[Interval, ...]):
+        _fill(self, side, bars, partners)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HallWitness is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HallWitness):
+            return NotImplemented
+        return (self.side, self.bars, self.partners) == (
+            other.side, other.bars, other.partners)
+
+    def __hash__(self) -> int:
+        return hash((self.side, self.bars, self.partners))
 
     def __str__(self) -> str:
         other = "target" if self.side == "source" else "source"

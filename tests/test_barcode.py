@@ -72,11 +72,11 @@ def _rand_matrix(rng: random.Random, field: FieldSpec, rows: int, cols: int) -> 
 def _rand_steps_module(rng: random.Random, field: FieldSpec, w: Window) -> Representation:
     dims = [rng.choice((0, 1, 2, 3, 4)) for _ in range(w.size)]
     steps = [_rand_matrix(rng, field, dims[k + 1], dims[k]) for k in range(w.size - 1)]
-    return chain_representation(window_chain(w)[0], field, dims, steps)
+    return chain_representation(window_chain(w), field, dims, steps)
 
 
 def _scrambled_sum(rng: random.Random, field: FieldSpec, w: Window, bars) -> Representation:
-    p, _ = window_chain(w)
+    p = window_chain(w)
     total, _ = direct_sum([interval_to_module(bar, w, field) for bar in bars],
                           proset=p, field=field)
     return _conjugate(total, [_rand_invertible(rng, field, d) for d in total.dims])[0]
@@ -113,7 +113,7 @@ def test_differential_cases_cover_the_edges():
     for field in FIELDS:
         w1 = Window(3, 3)
         for d in (0, 1, 3):
-            m = chain_representation(window_chain(w1)[0], field, (d,), ())
+            m = chain_representation(window_chain(w1), field, (d,), ())
             assert barcode(m, w1) == _rank_barcode(m, w1) == Barcode([Interval(3, 3)] * d)
             assert barcode(m, w1, "infinite") == Barcode([Interval("-inf", "+inf")] * d)
         w = Window(-2, 4)
@@ -123,7 +123,7 @@ def test_differential_cases_cover_the_edges():
         assert m.dims == (0, 2, 2, 0, 2, 1, 0)
         assert barcode(m, w) == _rank_barcode(m, w) == Barcode(bars)
         assert barcode(m, w, "infinite") == _rank_barcode(m, w, "infinite")
-        zero = chain_representation(window_chain(w)[0], field, (0,) * 7,
+        zero = chain_representation(window_chain(w), field, (0,) * 7,
                                     [Matrix.zeros(field, 0, 0)] * 6)
         assert barcode(zero, w) == Barcode([])
 
@@ -134,7 +134,7 @@ def test_barcode_reads_only_the_steps(monkeypatch):
     bars = _rand_bars(rng, w) + [Interval(0, 9)]
     scrambled = _scrambled_sum(rng, FieldSpec(5), w, bars)
     # given only its steps, so that a composite would have to be built
-    m = chain_representation(window_chain(w)[0], scrambled.field, scrambled.dims,
+    m = chain_representation(window_chain(w), scrambled.field, scrambled.dims,
                              [scrambled.maps[(k, k + 1)] for k in range(w.size - 1)])
     known_before = dict(m.maps._known)
     read = []
@@ -213,7 +213,7 @@ def _planted_module(rng: random.Random, field: FieldSpec, n: int,
         steps.append(Matrix(field, dims[i + 1], dims[i],
                             [[sum(map(operator.mul, row, col)) for col in cols]
                              for row in sel]))
-    m = chain_representation(window_chain(w)[0], field, dims, steps)
+    m = chain_representation(window_chain(w), field, dims, steps)
     return w, m, Barcode(Interval(a, b) for a, b in bars)
 
 

@@ -248,7 +248,7 @@ def test_upgrade_and_refusal(tmp_path, capsys):
 
 def test_barcode_boundaries(tmp_path):
     w = Window(0, 2)
-    m = chain_representation(window_chain(w)[0], F2, (1, 2, 1),
+    m = chain_representation(window_chain(w), F2, (1, 2, 1),
                              [Matrix(F2, 2, 1, [[1], [0]]),
                               Matrix(F2, 1, 2, [[0, 1]])])
     mod_path = _write(tmp_path, "m.json", "window_module", (w, m))

@@ -56,7 +56,7 @@ def _examples():
     i02, i13, i55 = Interval(0, 2), Interval(1, 3), Interval(5, 5)
     s = Matching(Barcode([i02, i55]), Barcode([i13]), [(i02, i13)], 1)
     wm = chain_representation(
-        window_chain(Window(0, 3))[0], F5, (1, 0, 2, 2),
+        window_chain(Window(0, 3)), F5, (1, 0, 2, 2),
         [Matrix(F5, 0, 1, []),
          Matrix(F5, 2, 0, [[], []]),
          Matrix(F5, 2, 2, [[1, 2], [0, 3]])])

@@ -198,7 +198,7 @@ def test_unpack_rejects_non_shoelace_carriers():
     m = interval_to_module(Interval(0, 1), Window(0, 2))
     with pytest.raises(ValueError, match="shoelace carrier"):
         unpack(m)
-    sh, _ = shoelace_window(Window(0, 2), 1)
+    sh = shoelace_window(Window(0, 2), 1)
     with pytest.raises(ValueError, match="transfer to the full shoelace"):
         unpack(zero_representation(sh, F2))
 

@@ -298,7 +298,7 @@ def test_induced_refuses_a_carrier_that_is_not_the_full_shoelace():
     from shoelace.zed import Window, lambda_eps, shoelace_window
 
     w = Window(0, 4)
-    sh, _ = shoelace_window(w, 1)
+    sh = shoelace_window(w, 1)
     # on the window carrier 1 <= 2', but the plain lift sends them to 4 and 4'
     for twist in (False, True):
         with pytest.raises(ValueError, match="full shoelace carrier"):

@@ -304,7 +304,7 @@ def _rand_carrier(rng: random.Random, family: str) -> Proset:
         p = _rand_proset(rng, max_n=5)
         return shoelace(p, _rand_translation(rng, p))
     lo = rng.randint(-5, 5)
-    return shoelace_window(Window(lo, lo + rng.randint(0, 7)), rng.randint(0, 3))[0]
+    return shoelace_window(Window(lo, lo + rng.randint(0, 7)), rng.randint(0, 3))
 
 
 FAMILIES = ["chain", "shoelace", "shoelace_window"]
@@ -532,7 +532,7 @@ def _rand_rep_family(rng, family):
     if rng.random() < 0.3:
         # window carriers: at eps 0 every {i, i'} is a two-way pair
         lo = rng.randint(-2, 2)
-        sh, _ = shoelace_window(Window(lo, lo + rng.randint(0, 5)),
+        sh = shoelace_window(Window(lo, lo + rng.randint(0, 5)),
                                 rng.randint(0, 3))
         return _rand_rep(rng, sh, field, max_dim=2)
     # the identity translation makes every {i, i'} a two-way pair

@@ -100,8 +100,8 @@ def _base_and_translation(rng, family):
     lo = rng.randint(-5, 5)
     w = Window(lo, lo + rng.randint(0, 6))
     eps = rng.randint(0, 3)
-    p, lam = window_chain(w)[0], lambda_eps(w, eps)
-    return p, lam, [shoelace(p, lam), shoelace_window(w, eps)[0]]
+    p, lam = window_chain(w), lambda_eps(w, eps)
+    return p, lam, [shoelace(p, lam), shoelace_window(w, eps)]
 
 
 def _check_trusted(got, ref):

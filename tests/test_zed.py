@@ -2,7 +2,6 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
@@ -271,11 +270,22 @@ def test_window_basics():
         Window(0, 1024)
 
 
+@pytest.mark.parametrize("lo, hi, bad", [(0.5, 2.5, "0.5"), (True, 3, "True"),
+                                         (0, 3.0, "3.0"), (0, "3", "'3'")])
+def test_window_refuses_ends_that_are_not_ints(lo, hi, bad):
+    with pytest.raises(TypeError, match=f"^window ends must be integers, got {bad}$"):
+        Window(lo, hi)
+
+
 def test_window_chain_labels_and_heights():
-    p, h = window_chain(Window(-1, 2))
+    w = Window(-1, 2)
+    p = window_chain(w)
     assert p.n == 4
     assert [p.label(i) for i in range(4)] == ["-1", "0", "1", "2"]
-    assert h.values == (Fraction(-1), Fraction(0), Fraction(1), Fraction(2))
+    # element i has height w.value(i), and the chain is ordered by it
+    assert [w.value(i) for i in range(4)] == [-1, 0, 1, 2]
+    assert all(p.rel[i][j] == (w.value(i) <= w.value(j))
+               for i in range(4) for j in range(4))
 
 
 def test_lambda_eps_examples():
@@ -288,23 +298,23 @@ def test_lambda_eps_examples():
 
 def test_lambda_eps_interior_height_is_uniform():
     w = Window(0, 5)
-    _, h = window_chain(w)
     t = lambda_eps(w, 2)
-    shifts = [h(t(i)) - h(i) for i in range(w.size)]
+    shifts = [w.value(t(i)) - w.value(i) for i in range(w.size)]
     # the shift is 2 away from the clamp, and less at the window top
-    assert shifts[:4] == [Fraction(2)] * 4
-    assert max(shifts) == Fraction(2)
-    assert shifts[4:] == [Fraction(1), Fraction(0)]
+    assert shifts[:4] == [2] * 4
+    assert max(shifts) == 2
+    assert shifts[4:] == [1, 0]
 
 
 def test_shoelace_window_iso_pairs_at_eps_zero():
-    sh, _ = shoelace_window(Window(0, 1), 0)
+    sh = shoelace_window(Window(0, 1), 0)
     assert iso_pairs(sh) == frozenset(
         {frozenset({0, 2}), frozenset({1, 3})})
 
 
 def test_shoelace_window_cross_pairs():
-    sh, h = shoelace_window(Window(0, 3), 2)
+    w = Window(0, 3)
+    sh = shoelace_window(w, 2)
     assert validate_proset(sh) is None
     plain_to_primed = {(i, j) for i in range(4) for j in range(4)
                        if sh.rel[i][4 + j]}
@@ -313,7 +323,9 @@ def test_shoelace_window_cross_pairs():
     assert plain_to_primed == {(0, 2), (0, 3), (1, 3)}
     assert primed_to_plain == {(0, 2), (0, 3), (1, 3)}
     assert sh.label(5) == "1'"
-    assert h.values[2] == h.values[6] == Fraction(2)
+    # i <= j' exactly when the heights satisfy w.value(i) + eps <= w.value(j)
+    assert plain_to_primed == {(i, j) for i in range(4) for j in range(4)
+                               if w.value(i) + 2 <= w.value(j)}
     with pytest.raises(ValueError, match="negative epsilon"):
         shoelace_window(Window(0, 3), -1)
 
@@ -339,7 +351,7 @@ def test_barcode_single_bar():
 
 def test_barcode_two_bar_example():
     w = Window(0, 2)
-    p, _ = window_chain(w)
+    p = window_chain(w)
     m = chain_representation(p, F2, (1, 2, 1),
                              [Matrix(F2, 2, 1, [[1], [0]]),
                               Matrix(F2, 1, 2, [[0, 1]])])
@@ -584,7 +596,7 @@ def test_summand_support_and_interval_check():
     assert summand_support((None, Interval(1, 2)), w, 1) == frozenset({5, 6})
     assert summand_support((Interval(0, 1), Interval(1, 2)), w, 1) == frozenset(
         {0, 1, 5, 6})
-    p, _ = window_chain(w)
+    p = window_chain(w)
     assert support_is_interval(p, frozenset({0, 1}))
     assert support_is_interval(p, frozenset({2}))
     assert not support_is_interval(p, frozenset())
@@ -601,7 +613,7 @@ def test_expand_summand_is_thin():
     assert restrict(e, "right") == interval_to_module(Interval(1, 3), w)
     support = frozenset(k for k, d in enumerate(e.dims) if d)
     assert support == summand_support(pair, w, 1)
-    sh, _ = shoelace_window(w, 1)
+    sh = shoelace_window(w, 1)
     assert support_is_interval(sh, support)
     single = pack_decomposed(
         DecomposedShoelaceRep(Window(-2, 7), 1, F2, [(Interval(5, 5), None)]))
@@ -613,7 +625,7 @@ def _per_summand_pack(l):
     interleaving on its own carrier, then summed on an explicit carrier: the
     reference for pack_decomposed."""
     w, eps, field = l.window, l.epsilon, l.field
-    p, _ = window_chain(w)
+    p = window_chain(w)
     lam = lambda_eps(w, eps)
     zero = zero_representation(p, field)
     parts = []
@@ -673,7 +685,7 @@ def test_pack_decomposed_matches_per_summand_packs():
             for variant, s, l in certs:
                 ref = _per_summand_pack(l)
                 assert pack_decomposed(l) == ref
-                sh, _ = shoelace_window(l.window, eps)
+                sh = shoelace_window(l.window, eps)
                 assert expand_decomposed(l) == subrelation_transfer(ref, sh)
                 seen[variant] += 1
                 seen["single"] += sum(None in summand for summand in l.summands)
@@ -689,7 +701,7 @@ def _per_pair_comparison_maps(s, w, field):
     slots of the first unused equal bars, the reference for
     matching_interleaving.  canonical_pair itself gives the zero blocks of a
     pair that fails (*)."""
-    p, _ = window_chain(w)
+    p = window_chain(w)
     lam = lambda_eps(w, s.epsilon).mapping
     src, tgt = list(s.source), list(s.target)
     m, ms = direct_sum([interval_to_module(bar, w, field) for bar in src],
@@ -852,7 +864,7 @@ def test_support_rule_matches_the_general_check():
     for eps in range(6):
         for size in set(range(1, eps + 3)) | set(range(4 * eps + 1, 4 * eps + 10)):
             w = Window(0, size - 1)
-            sh, _ = shoelace_window(w, eps)
+            sh = shoelace_window(w, eps)
             # a finite endpoint outside [2*eps, size-1-2*eps] fails the padding rule
             bars = _bars(2 * eps, size - 1 - 2 * eps)
             for summand in ([(a, None) for a in bars] + [(None, b) for b in bars]
@@ -879,7 +891,7 @@ def test_expand_decomposed_restriction_barcodes():
     w = Window(-2, 7)
     cert = matching_to_rep(s, w)
     v = expand_decomposed(cert)
-    sh, _ = shoelace_window(w, 1)
+    sh = shoelace_window(w, 1)
     assert v.proset == sh
     assert validate_representation(v) is None
     assert barcode(restrict(v, "left"), w) == Barcode([i02, i55])
