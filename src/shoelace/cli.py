@@ -110,7 +110,7 @@ def _cmd_unpack(args) -> int:
     _, v = _load(args.rep, "representation")
     _, lam = _load(args.translation, "translation")
     sh = shoelace(lam.base, lam)
-    if v.proset.n != sh.n or v.proset.rel != sh.rel:
+    if v.proset.up != sh.up:
         raise ValueError(
             "representation does not live on the shoelace carrier of the "
             "given translation")

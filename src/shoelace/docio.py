@@ -95,7 +95,7 @@ def _proset_payload(p: Proset) -> dict:
     return {
         "n": p.n,
         "labels": list(p.labels) if p.labels is not None else None,
-        "rel": [[1 if x else 0 for x in row] for row in p.rel],
+        "rel": [list(map(int, reversed(f"{u:0{p.n}b}"))) for u in p.up],
     }
 
 

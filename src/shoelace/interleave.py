@@ -204,7 +204,7 @@ def unpack(v: Representation) -> Interleaving:
     n0 = sh.base.n
     lam_map = sh.lam.mapping
     for i in range(n0):
-        if not sh.rel[i][n0 + lam_map[i]] or not sh.rel[n0 + i][lam_map[i]]:
+        if not sh.leq(i, n0 + lam_map[i]) or not sh.leq(n0 + i, lam_map[i]):
             raise ValueError(
                 f"carrier does not relate {sh.label(i)} across the lacing; "
                 f"transfer to the full shoelace relation before unpacking")

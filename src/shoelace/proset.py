@@ -7,45 +7,67 @@ the integers 0..n-1 with optional display labels.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import compress, repeat, zip_longest
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import check_ints
 
 
 def _fill(obj, *values, cls=None):
-    """Set obj's slots, or those cls declares, in order to values; returns obj."""
-    for name, value in zip((cls or type(obj)).__slots__, values):
+    """Set obj's slots, or those cls declares, in order to values, and the
+    slots after them, its empty caches, to None; returns obj."""
+    for name, value in zip_longest((cls or type(obj)).__slots__, values):
         object.__setattr__(obj, name, value)
     return obj
 
 
+# bit rows to and from bytes of 0 and 1, one per element, at C speed
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _flags(x: int, n: int) -> bytes:
+    """Bits 0..n-1 of x, bit j as byte j, 0 or 1."""
+    return f"{x:0{n}b}"[::-1].encode().translate(_FLAGS)
+
+
+def _members(x: int, n: int) -> list[int]:
+    """The set bits of x below n, lowest first."""
+    return list(compress(range(n), _flags(x, n)))
+
+
+def _row(flags: Sequence) -> int:
+    """A non-empty row of truth values as an int, flags[j] at bit j."""
+    return int(bytes(map(bool, reversed(flags))).translate(_DIGITS), 2)
+
+
 class Proset:
-    """Finite proset with a dense relation table.
+    """Finite proset stored as bit rows: up[i] has bit j set when i <= j, and
+    down[j], derived on first use, has bit i set then.  The constructor takes
+    an n x n table of truth values, as documents write it.  Equality compares
+    (n, up, labels) only, so prosets with the same relation and labels are
+    interchangeable.  Valid by construction: the constructor raises on
+    validate_proset's report."""
 
-    rel[i][j] is True when i <= j.  Equality compares (n, rel, labels) only,
-    so two prosets with the same table and labels are interchangeable.
-    Valid by construction: the constructor raises on validate_proset's report.
-    """
-
-    __slots__ = ("n", "rel", "labels", "_pairs", "_edges", "_covers")
+    __slots__ = ("n", "up", "labels", "_down", "_pairs", "_edges", "_covers")
 
     def __init__(self, n: int, rel: Sequence[Sequence[bool]],
                  labels: Optional[Sequence[str]] = None):
-        if n < 0:
-            raise ValueError(f"negative size {n}")
-        table = tuple(tuple(map(bool, row)) for row in rel)
+        labels = _labels(n, labels)
+        table = tuple(map(tuple, rel))
         if len(table) != n or any(len(row) != n for row in table):
             raise ValueError(f"relation table is not {n}x{n}")
-        _fill(self, n, table, _labels(n, labels), None, None, None, cls=Proset)
+        _fill(self, n, tuple(map(_row, table)), labels, cls=Proset)
         err = validate_proset(self)
         if err is not None:
             raise ValueError(f"invalid proset: {err}")
 
     @classmethod
-    def _trusted(cls, n: int, rel: tuple, labels: Optional[Sequence[str]]):
-        """Skip validate_proset: rel must be n tuples of n bools, a proset."""
-        return _fill(object.__new__(cls), n, rel, _labels(n, labels),
-                     None, None, None, cls=Proset)
+    def _trusted(cls, n: int, up: tuple[int, ...], labels: Optional[Sequence[str]]):
+        """Skip validate_proset: up must be n bit rows of a proset."""
+        return _fill(object.__new__(cls), n, up, _labels(n, labels), cls=Proset)
 
     def __setattr__(self, name, value):
         raise AttributeError("Proset is immutable")
@@ -55,12 +77,24 @@ class Proset:
             return str(i)
         return self.labels[i]
 
+    def leq(self, i: int, j: int) -> bool:
+        """Whether i <= j."""
+        return self.up[i] >> j & 1 == 1
+
+    @property
+    def down(self) -> tuple[int, ...]:
+        """down[j] has bit i set when i <= j: the columns of up."""
+        if self._down is None:
+            cols = zip(*(_flags(u, self.n) for u in self.up))
+            object.__setattr__(self, "_down", tuple(map(_row, cols)))
+        return self._down
+
     @property
     def related_pairs(self) -> tuple[tuple[int, int], ...]:
         """All ordered pairs (i, j) with i <= j, including every (i, i)."""
         if self._pairs is None:
-            pairs = tuple((i, j) for i in range(self.n) for j in range(self.n)
-                          if self.rel[i][j])
+            pairs = tuple((i, j) for i, u in enumerate(self.up)
+                          for j in _members(u, self.n))
             object.__setattr__(self, "_pairs", pairs)
         return self._pairs
 
@@ -71,22 +105,17 @@ class Proset:
         (j, k) is generating when also k <= j (one iso class), or when no
         element lies strictly between the classes of j and k in the quotient
         order.  Every related pair is a path of generating edges, so
-        proset_from_pairs(n, generating_edges) reproduces rel.
+        proset_from_pairs(n, generating_edges) reproduces the relation.
         """
         if self._edges is None:
-            n, rel = self.n, self.rel
-            up = [sum(1 << k for k in range(n) if rel[j][k]) for j in range(n)]
-            down = [sum(1 << j for j in range(n) if rel[j][k]) for k in range(n)]
+            n, up, down = self.n, self.up, self.down
             # above[j]: elements strictly above the class of j
-            above = [up[j] & ~down[j] for j in range(n)]
+            above = [u & ~d for u, d in zip(up, down)]
             edges = []
             for j in range(n):
-                beyond = 0
-                for m in range(n):
-                    if above[j] >> m & 1:
-                        beyond |= above[m]
+                beyond = reduce(or_, map(above.__getitem__, _members(above[j], n)), 0)
                 gen = (up[j] & down[j] & ~(1 << j)) | (above[j] & ~beyond)
-                edges.extend((j, k) for k in range(n) if gen >> k & 1)
+                edges.extend(zip(repeat(j), _members(gen, n)))
             object.__setattr__(self, "_edges", tuple(edges))
         return self._edges
 
@@ -98,13 +127,13 @@ class Proset:
         if self._covers is None:
             covers: list[list[int]] = [[] for _ in range(self.n)]
             for (a, b) in self.generating_edges:
-                if not self.rel[b][a]:
+                if not self.leq(b, a):
                     covers[b].append(a)
             # a tuple, as carriers are shared and nothing mutable may hang off them
             object.__setattr__(self, "_covers", tuple(map(tuple, covers)))
-        rel_i = self.rel[i]
+        up_i = self.up[i]
         for j in self._covers[k]:
-            if rel_i[j]:
+            if up_i >> j & 1:
                 return j
         raise ValueError(f"{self.label(k)} is not strictly above {self.label(i)}")
 
@@ -113,11 +142,11 @@ class Proset:
             return True
         if not isinstance(other, Proset):
             return NotImplemented
-        return (self.n == other.n and self.rel == other.rel
+        return (self.n == other.n and self.up == other.up
                 and self.labels == other.labels)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.rel, self.labels))
+        return hash((self.n, self.up, self.labels))
 
     def __repr__(self) -> str:
         return f"Proset(n={self.n})"
@@ -135,44 +164,42 @@ def _labels(n: int, labels: Optional[Sequence[str]]) -> Optional[tuple[str, ...]
 
 def chain(n: int, labels: Optional[Sequence[str]] = None) -> Proset:
     """The linear order 0 <= 1 <= ... <= n-1."""
-    return Proset._trusted(n, tuple(tuple(i <= j for j in range(n)) for i in range(n)),
-                           labels)
+    full = (1 << n) - 1
+    return Proset._trusted(n, tuple(full >> i << i for i in range(n)), labels)
 
 
 def proset_from_pairs(n: int, pairs: Iterable[tuple[int, int]],
                       labels: Optional[Sequence[str]] = None) -> Proset:
     """Smallest proset containing the given pairs: reflexive-transitive closure."""
-    rel = [[i == j for j in range(n)] for i in range(n)]
+    up = [1 << i for i in range(n)]
     for (i, j) in pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"pair ({i}, {j}) out of range for n={n}")
-        rel[i][j] = True
+        up[i] |= 1 << j
     for k in range(n):
-        rk = rel[k]
-        for i in range(n):
-            if rel[i][k]:
-                ri = rel[i]
-                for j in range(n):
-                    if rk[j]:
-                        ri[j] = True
-    return Proset._trusted(n, tuple(map(tuple, rel)), labels)
+        bit, row = 1 << k, up[k]
+        up = [u | row if u & bit else u for u in up]
+    return Proset._trusted(n, tuple(up), labels)
 
 
 def validate_proset(p: Proset) -> Optional[str]:
     """None if reflexive and transitive, else a report on the first failure in
-    index order.  Row i, read as binary digits, is the int up[i], so a related
-    pair (i, j) first fails at the highest bit of up[j] & ~up[i]."""
-    for i in range(p.n):
-        if not p.rel[i][i]:
+    index order.  A row is transitive when the rows of the elements above
+    add nothing to it, checked once per row, as isomorphic elements share
+    one; the first failing pair (i, j) has the least j whose row adds
+    something, and the least element it adds is the witness."""
+    n, up = p.n, p.up
+    for i in range(n):
+        if not up[i] >> i & 1:
             return f"not reflexive: {p.label(i)} !<= {p.label(i)}"
-    up = [_bits(row) for row in p.rel]
-    for i in range(p.n):
-        outside = ~up[i]
-        for j, related in enumerate(p.rel[i]):
-            if related and (bad := up[j] & outside):
-                k = p.n - bad.bit_length()
-                return (f"not transitive: {p.label(i)} <= {p.label(j)} <= "
-                        f"{p.label(k)} but {p.label(i)} !<= {p.label(k)}")
+    for row in dict.fromkeys(up):
+        above = _members(row, n)
+        if reduce(or_, map(up.__getitem__, above), row) != row:
+            i, j = up.index(row), next(j for j in above if up[j] & ~row)
+            bad = up[j] & ~row
+            k = (bad & -bad).bit_length() - 1
+            return (f"not transitive: {p.label(i)} <= {p.label(j)} <= "
+                    f"{p.label(k)} but {p.label(i)} !<= {p.label(k)}")
     return None
 
 
@@ -196,7 +223,7 @@ class Translation:
             raise ValueError(f"expected {base.n} mapping entries, got {len(m)}")
         if any(not (0 <= x < base.n) for x in m):
             raise ValueError("mapping entry out of range")
-        _fill(self, base, m, None)
+        _fill(self, base, m)
         err = validate_translation(self)
         if err is not None:
             raise ValueError(f"invalid translation: {err}")
@@ -204,7 +231,7 @@ class Translation:
     @classmethod
     def _trusted(cls, base: Proset, mapping: tuple[int, ...]) -> "Translation":
         """Wrap a tuple of base.n points, inflationary and monotone, unchecked."""
-        return _fill(object.__new__(cls), base, mapping, None)
+        return _fill(object.__new__(cls), base, mapping)
 
     def __setattr__(self, name, value):
         raise AttributeError("Translation is immutable")
@@ -228,29 +255,24 @@ def identity_translation(p: Proset) -> Translation:
     return Translation._trusted(p, tuple(range(p.n)))
 
 
-def _bits(row) -> int:
-    """A non-empty row of bools as an int whose highest of len(row) bits is
-    row[0]."""
-    return int("".join(map("01".__getitem__, row)), 2)
-
-
 def validate_translation(t: Translation) -> Optional[str]:
     """None if inflationary and monotone, else a report on the first failure
-    in index order.  Row i is the int up[i] as in validate_proset, and
-    kept[a] has bit j set when a <= image of j, so a related pair (i, j)
-    first fails at the highest bit of up[i] & ~kept[image of i]."""
+    in index order.  kept[a] is the bit row of the j with a <= image of j,
+    so a related pair (i, j) first fails at the lowest bit of
+    up[i] & ~kept[image of i]."""
     p, m = t.base, t.mapping
-    for i in range(p.n):
-        if not p.rel[i][m[i]]:
+    n, up = p.n, p.up
+    for i in range(n):
+        if not up[i] >> m[i] & 1:
             return (f"not inflationary: {p.label(i)} !<= "
                     f"{p.label(m[i])} = image of {p.label(i)}")
     kept: dict[int, int] = {}
-    for i in range(p.n):
+    for i in range(n):
         a = m[i]
         if a not in kept:
-            kept[a] = _bits(tuple(map(p.rel[a].__getitem__, m)))
-        if bad := _bits(p.rel[i]) & ~kept[a]:
-            j = p.n - bad.bit_length()
+            kept[a] = _row(bytes(map(_flags(up[a], n).__getitem__, m)))
+        if bad := up[i] & ~kept[a]:
+            j = (bad & -bad).bit_length() - 1
             return (f"not monotone: {p.label(i)} <= {p.label(j)} but "
                     f"{p.label(a)} !<= {p.label(m[j])}")
     return None
@@ -281,9 +303,8 @@ def compare_translations(a: Translation, b: Translation) -> str:
     """
     if a.base != b.base:
         raise ValueError("translations live on different prosets")
-    p = a.base
-    ab = all(p.rel[a.mapping[i]][b.mapping[i]] for i in range(p.n))
-    ba = all(p.rel[b.mapping[i]][a.mapping[i]] for i in range(p.n))
+    ab = all(map(a.base.leq, a.mapping, b.mapping))
+    ba = all(map(a.base.leq, b.mapping, a.mapping))
     if ab and ba:
         return "equal"
     if ab:
@@ -301,10 +322,12 @@ class ShoelaceProset(Proset):
     lam(i) <= j in the base.
 
     Equality between two ShoelaceProsets compares base and translation as
-    well as the relation table: over a non-antisymmetric base, distinct
-    translations can induce identical tables, and pack/unpack needs the
+    well as the relation: over a non-antisymmetric base, distinct
+    translations can induce identical relations, and pack/unpack needs the
     translation.  Comparison against a plain Proset falls back to
-    relation-table equality.  laced builds every carrier, unchecked.
+    relation equality.  laced builds every carrier, unchecked.  The public
+    constructor checks the layout: 2 * base.n points, lam on base, base's
+    relation on each copy, and cross blocks that agree.
     """
 
     __slots__ = ("base", "lam")
@@ -312,6 +335,12 @@ class ShoelaceProset(Proset):
     def __init__(self, n: int, rel: Sequence[Sequence[bool]],
                  labels: Optional[Sequence[str]], base: Proset, lam: Translation):
         super().__init__(n, rel, labels)
+        b, up, low = base.n, self.up, (1 << base.n) - 1
+        # rows i and b + i: base's row in their own copy, one cross row
+        if n != 2 * b or lam.base != base or any(
+                (u & low, v >> b, u >> b) != (w, w, v & low)
+                for u, v, w in zip(up, up[b:], base.up)):
+            raise ValueError("relation is not a shoelace layout over the base")
         _fill(self, base, lam)
 
     def origin(self, k: int) -> tuple[int, bool]:
@@ -349,21 +378,21 @@ def shoelace(p: Proset, lam: Translation) -> ShoelaceProset:
         raise ValueError("translation is not defined on this proset")
     if lam._carrier is None:
         object.__setattr__(lam, "_carrier",
-                           laced(p, lam, tuple(p.rel[k] for k in lam.mapping)))
+                           laced(p, lam, [p.up[k] for k in lam.mapping]))
     return lam._carrier
 
 
-def laced(p: Proset, lam: Translation,
-          cross: Sequence[Sequence[bool]]) -> ShoelaceProset:
+def laced(p: Proset, lam: Translation, cross: Sequence[int]) -> ShoelaceProset:
     """The layout of every shoelace carrier: plain copy 0..n-1 and primed
     copy n..2n-1 of p, each with p's relation, and i <= j' and i' <= j both
-    exactly when cross[i][j]: bools by a rule that gives a proset, unchecked."""
+    exactly when bit j of cross[i] is set: bit rows by a rule that gives a
+    proset, unchecked."""
     n = p.n
-    rel = tuple(tuple(p.rel[i]) + tuple(cross[i]) for i in range(n)) + tuple(
-        tuple(cross[i]) + tuple(p.rel[i]) for i in range(n))
+    up = tuple(u | c << n for u, c in zip(p.up, cross)) + tuple(
+        c | u << n for u, c in zip(p.up, cross))
     labels = tuple(p.label(i) for i in range(n)) + tuple(
         p.label(i) + "'" for i in range(n))
-    return _fill(ShoelaceProset._trusted(2 * n, rel, labels), p, lam)
+    return _fill(ShoelaceProset._trusted(2 * n, up, labels), p, lam)
 
 
 def iso_pairs(p: Proset) -> frozenset[frozenset[int]]:
@@ -372,12 +401,8 @@ def iso_pairs(p: Proset) -> frozenset[frozenset[int]]:
     Always empty on a poset.  On a shoelace carrier, {i, i'} shows up
     exactly when lam(i) <= i in the base.
     """
-    out = []
-    for x in range(p.n):
-        for y in range(x + 1, p.n):
-            if p.rel[x][y] and p.rel[y][x]:
-                out.append(frozenset((x, y)))
-    return frozenset(out)
+    return frozenset(frozenset((x, y)) for x in range(p.n)
+                     for y in _members(p.up[x] & p.down[x], p.n) if y > x)
 
 
 def induced_translation(sh: ShoelaceProset, gamma: Translation,

@@ -9,6 +9,8 @@ cluster over the doubled window carrier.
 
 from __future__ import annotations
 
+from operator import and_
+
 from .proset import Proset
 from .zed import DecomposedShoelaceRep, lambda_eps, summand_support
 
@@ -18,39 +20,24 @@ def _quote(s: str) -> str:
 
 
 def hasse_dot(p: Proset) -> str:
-    # group by mutual relation, then order groups by least member
-    seen = [False] * p.n
-    classes = []
-    for i in range(p.n):
-        if seen[i]:
-            continue
-        cls = [j for j in range(p.n) if p.rel[i][j] and p.rel[j][i]]
-        for j in cls:
-            seen[j] = True
-        classes.append(cls)
-
-    def cls_lt(a: int, b: int) -> bool:
-        x, y = classes[a][0], classes[b][0]
-        return a != b and p.rel[x][y]
-
+    """The Hasse diagram of p in DOT.  A class is the set bits of up & down.
+    Covers between classes are the one-way generating edges, in order of
+    the least members of both classes, then of the ends; a class of two or
+    more is drawn as a cycle that does not constrain the layout."""
+    least = [(c & -c).bit_length() - 1 for c in map(and_, p.up, p.down)]
     lines = ["digraph hasse {", "  rankdir=BT;", '  node [shape=plaintext];']
     for i in range(p.n):
         lines.append(f"  n{i} [label={_quote(p.label(i))}];")
-    for a in range(len(classes)):
-        for b in range(len(classes)):
-            if not cls_lt(a, b):
-                continue
-            if any(cls_lt(a, c) and cls_lt(c, b) for c in range(len(classes))):
-                continue
-            for x in classes[a]:
-                for y in classes[b]:
-                    lines.append(f"  n{x} -> n{y};")
-    for cls in classes:
-        if len(cls) < 2:
-            continue
-        for k in range(len(cls)):
-            x, y = cls[k], cls[(k + 1) % len(cls)]
-            lines.append(f"  n{x} -> n{y} [constraint=false];")
+    covers = sorted((least[j], least[k], j, k) for (j, k) in p.generating_edges
+                    if not p.leq(k, j))
+    lines.extend(f"  n{j} -> n{k};" for (_, _, j, k) in covers)
+    classes: dict[int, list[int]] = {}
+    for i, x in enumerate(least):
+        classes.setdefault(x, []).append(i)
+    for cls in classes.values():
+        if len(cls) > 1:
+            lines.extend(f"  n{x} -> n{y} [constraint=false];"
+                         for x, y in zip(cls, cls[1:] + cls[:1]))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

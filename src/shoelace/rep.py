@@ -60,8 +60,8 @@ class _Maps(Mapping):
 
     def __contains__(self, key) -> bool:
         i, k = key
-        n = self._proset.n
-        return 0 <= i < n and 0 <= k < n and self._proset.rel[i][k]
+        # a bit row has no bit at or above n
+        return 0 <= i < self._proset.n and 0 <= k and self._proset.leq(i, k)
 
     def __iter__(self):
         return iter(self._proset.related_pairs)
@@ -85,9 +85,9 @@ class Representation:
     def __init__(self, proset: Proset, field: FieldSpec,
                  dims: Sequence[int], maps: Mapping[tuple[int, int], Matrix]):
         d = _checked_dims(proset, dims)
-        n, rel = proset.n, proset.rel
+        n = proset.n
         extra = sorted((i, j) for (i, j) in maps
-                       if not (0 <= i < n and 0 <= j < n and rel[i][j]))
+                       if not (0 <= i < n and 0 <= j < n and proset.leq(i, j)))
         missing = [e for e in proset.generating_edges if e not in maps]
         if missing or extra:
             raise ValueError(
@@ -244,7 +244,7 @@ def chain_representation(proset: Proset, field: FieldSpec,
     functorial by construction and built through Representation._trusted.
     """
     n = proset.n
-    if proset.rel != chain(n).rel:
+    if proset.up != chain(n).up:
         raise ValueError("proset is not a total chain in index order")
     d = _checked_dims(proset, dims)
     if len(steps) != max(n - 1, 0):
@@ -442,7 +442,7 @@ def subrelation_transfer(m: Representation, q: Proset) -> Representation:
     if q.n != p.n:
         raise ValueError(f"size mismatch: {q.n} vs {p.n}")
     for (i, j) in q.related_pairs:
-        if not p.rel[i][j]:
+        if not p.leq(i, j):
             raise ValueError(
                 f"target relation is not a subrelation: ({i}, {j}) missing")
     maps = {(i, j): m.maps[(i, j)] for (i, j) in q.generating_edges}

@@ -120,7 +120,7 @@ def _rand_proset(rng: random.Random, max_n: int = 7) -> Proset:
 
 
 def _rand_translation(rng: random.Random, p: Proset, tries: int = 40) -> Translation:
-    ups = [[j for j in range(p.n) if p.rel[i][j]] for i in range(p.n)]
+    ups = [[j for j in range(p.n) if p.leq(i, j)] for i in range(p.n)]
     for _ in range(tries):
         try:
             return Translation(p, tuple(rng.choice(ups[i]) for i in range(p.n)))
@@ -170,7 +170,7 @@ def _rand_rep(rng: random.Random, p: Proset, field: FieldSpec,
               max_dim: int = 3) -> Representation:
     # pull a random chain representation back along the down-set level map,
     # then scramble every fiber: functorial by construction, messy to look at
-    q = [sum(1 for j in range(p.n) if p.rel[j][i]) - 1 for i in range(p.n)]
+    q = [d.bit_count() - 1 for d in p.down]
     w = _rand_chain_rep(rng, p.n, field, max_dim)
     dims = [w.dims[q[i]] for i in range(p.n)]
     maps = {(i, j): w.maps[(q[i], q[j])] for (i, j) in p.related_pairs}
@@ -273,7 +273,7 @@ def _suite_shoelace_wellformed(rng: random.Random, cases: int) -> int:
                report=err)
         pairs = iso_pairs(sh)
         for i in range(p.n):
-            expected = bool(p.rel[t.mapping[i]][i])
+            expected = p.leq(t.mapping[i], i)
             actual = frozenset({i, p.n + i}) in pairs
             _check(actual == expected, case=k, element=i,
                    what="iso-pair biconditional",

@@ -17,7 +17,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Optional, Union
 
 from .exactlin import FieldSpec, Matrix, check_ints, homogeneous_dimension
@@ -426,16 +426,16 @@ def lambda_eps(w: Window, eps: int) -> Translation:
 def shoelace_window(w: Window, eps: int) -> ShoelaceProset:
     """Restriction of the doubled integer chain to the window.
 
-    Cross relations use the unclamped rule i + eps <= j, so this is exactly
-    the full shoelace of the integers cut down to the window; see the module
-    docstring for why this differs from shoelace(window_chain, lambda_eps).
-    Elements i and w.size + i both stand for the value w.value(i).
+    Cross row i holds every j >= i + eps, the unclamped rule, so this is
+    exactly the full shoelace of the integers cut down to the window; see
+    the module docstring for why this differs from shoelace(window_chain,
+    lambda_eps).  Elements i and w.size + i both stand for w.value(i).
     """
     if eps < 0:
         raise ValueError(f"negative epsilon {eps}")
-    n = w.size
+    full = (1 << w.size) - 1
     return laced(window_chain(w), lambda_eps(w, eps),
-                 [[i + eps <= j for j in range(n)] for i in range(n)])
+                 [full >> i + eps << i + eps for i in range(w.size)])
 
 
 @lru_cache(maxsize=8192)
@@ -483,7 +483,7 @@ def barcode(m: Representation, w: Window, boundary: str = "finite") -> Barcode:
     n = w.size
     if m.proset.n != n:
         raise ValueError(f"module has {m.proset.n} points, window has {n}")
-    if m.proset.rel != window_chain(w).rel:
+    if m.proset.up != window_chain(w).up:
         raise ValueError("module does not live on the chain of the window")
     p, dims = m.field.p, m.dims
     mul, lshift = operator.mul, operator.lshift
@@ -739,28 +739,20 @@ def summand_support(s: tuple[Optional[Interval], Optional[Interval]],
 
 def support_is_interval(p: Proset, support: frozenset[int]) -> bool:
     """Connected in the comparability graph and convex (closed under
-    in-betweenness): the general form of validate_decomposed's support rule."""
+    in-betweenness): the general form of validate_decomposed's support rule.
+    Convex means no element outside the support lies both above and below
+    support elements."""
     if not support:
         return False
-    start = min(support)
-    seen = {start}
-    queue = [start]
-    while queue:
-        x = queue.pop()
-        for y in support:
-            if y not in seen and (p.rel[x][y] or p.rel[y][x]):
-                seen.add(y)
-                queue.append(y)
-    if seen != support:
-        return False
-    for a in support:
-        for b in support:
-            if not p.rel[a][b]:
-                continue
-            for c in range(p.n):
-                if c not in support and p.rel[a][c] and p.rel[c][b]:
-                    return False
-    return True
+    inside = sum(1 << x for x in support)
+    reach = grown = 1 << min(support)
+    while grown:
+        grown = reduce(operator.or_, (
+            p.up[x] | p.down[x] for x in support if grown >> x & 1)) & inside & ~reach
+        reach |= grown
+    above = reduce(operator.or_, map(p.up.__getitem__, support))
+    below = reduce(operator.or_, map(p.down.__getitem__, support))
+    return reach == inside and not above & below & ~inside
 
 
 def validate_decomposed(l: DecomposedShoelaceRep) -> Optional[str]:

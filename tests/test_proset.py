@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from shoelace.proset import (
     HeightFunction,
     Proset,
+    ShoelaceProset,
     Translation,
     chain,
     compare_translations,
@@ -28,18 +29,24 @@ from shoelace.proset import (
 def test_chain_is_valid():
     p = chain(4)
     assert validate_proset(p) is None
-    assert p.rel[0][3]
-    assert not p.rel[3][0]
+    assert p.leq(0, 3)
+    assert not p.leq(3, 0)
     assert len(p.related_pairs) == 10
 
 
-def _table(rows):
-    return tuple(tuple(bool(x) for x in row) for row in rows)
+def _up(rows):
+    """Bit rows of a table: bit j of row i set when rows[i][j] is true."""
+    return tuple(sum(1 << j for j, x in enumerate(row) if x) for row in rows)
+
+
+def table(p):
+    """p's relation as the n x n table of bools the public constructor takes."""
+    return [[p.leq(i, j) for j in range(p.n)] for i in range(p.n)]
 
 
 def test_transitivity_violation_reported():
     rel = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
-    report = validate_proset(Proset._trusted(3, _table(rel), None))
+    report = validate_proset(Proset._trusted(3, _up(rel), None))
     assert report == "not transitive: 0 <= 1 <= 2 but 0 !<= 2"
     with pytest.raises(ValueError, match=re.escape(f"invalid proset: {report}")):
         Proset(3, rel)
@@ -47,7 +54,7 @@ def test_transitivity_violation_reported():
 
 def test_reflexivity_violation_reported():
     rel = [[1, 1], [0, 0]]
-    report = validate_proset(Proset._trusted(2, _table(rel), None))
+    report = validate_proset(Proset._trusted(2, _up(rel), None))
     assert report == "not reflexive: 1 !<= 1"
     with pytest.raises(ValueError, match=re.escape(f"invalid proset: {report}")):
         Proset(2, rel)
@@ -57,14 +64,14 @@ def reference_validate_proset(p):
     """The plain triple loop that validate_proset's bitsets replace: the
     first i not <= i, else the first (i, j, k) with i <= j <= k, not i <= k."""
     for i in range(p.n):
-        if not p.rel[i][i]:
+        if not p.leq(i, i):
             return f"not reflexive: {p.label(i)} !<= {p.label(i)}"
     for i in range(p.n):
         for j in range(p.n):
-            if not p.rel[i][j]:
+            if not p.leq(i, j):
                 continue
             for k in range(p.n):
-                if p.rel[j][k] and not p.rel[i][k]:
+                if p.leq(j, k) and not p.leq(i, k):
                     return (f"not transitive: {p.label(i)} <= {p.label(j)} <= "
                             f"{p.label(k)} but {p.label(i)} !<= {p.label(k)}")
     return None
@@ -77,13 +84,13 @@ def test_validate_proset_agrees_with_the_triple_loop(seed):
     constructor raises exactly the reference report."""
     rng = random.Random(seed)
     n = rng.randint(0, 9)
-    rel = [list(row) for row in proset_from_pairs(
-        n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]).rel]
+    rel = table(proset_from_pairs(
+        n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]))
     for _ in range(rng.randint(0, 3) if n else 0):
         i, j = rng.randrange(n), rng.randrange(n)
         rel[i][j] = not rel[i][j]
     labels = None if rng.random() < 0.5 else [f"x{i}" for i in range(n)]
-    p = Proset._trusted(n, _table(rel), None if labels is None else tuple(labels))
+    p = Proset._trusted(n, _up(rel), None if labels is None else tuple(labels))
     report = reference_validate_proset(p)
     assert validate_proset(p) == report
     if report is None:
@@ -96,12 +103,12 @@ def test_validate_proset_agrees_with_the_triple_loop(seed):
 def test_two_cycle_is_a_valid_proset():
     p = proset_from_pairs(2, [(0, 1), (1, 0)])
     assert validate_proset(p) is None
-    assert p.rel[0][1] and p.rel[1][0]
+    assert p.leq(0, 1) and p.leq(1, 0)
 
 
 def test_closure_fills_in_composites():
     p = proset_from_pairs(3, [(0, 1), (1, 2)])
-    assert p.rel[0][2]
+    assert p.leq(0, 2)
     assert validate_proset(p) is None
 
 
@@ -139,11 +146,11 @@ def reference_validate_translation(t):
     in index order, whose images are not related."""
     p = t.base
     for i in range(p.n):
-        if not p.rel[i][t.mapping[i]]:
+        if not p.leq(i, t.mapping[i]):
             return (f"not inflationary: {p.label(i)} !<= "
                     f"{p.label(t.mapping[i])} = image of {p.label(i)}")
     for (i, j) in p.related_pairs:
-        if not p.rel[t.mapping[i]][t.mapping[j]]:
+        if not p.leq(t.mapping[i], t.mapping[j]):
             return (f"not monotone: {p.label(i)} <= {p.label(j)} but "
                     f"{p.label(t.mapping[i])} !<= {p.label(t.mapping[j])}")
     return None
@@ -159,7 +166,7 @@ def test_validate_translation_agrees_with_the_pair_loop(seed):
     p = proset_from_pairs(
         n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))],
         None if rng.random() < 0.5 else [f"x{i}" for i in range(n)])
-    ups = [[j for j in range(n) if p.rel[i][j]] for i in range(n)]
+    ups = [[j for j in range(n) if p.leq(i, j)] for i in range(n)]
     mapping = tuple(rng.choice(ups[i]) if rng.random() < 0.9 else rng.randrange(n)
                     for i in range(n))
     report = reference_validate_translation(Translation._trusted(p, mapping))
@@ -240,8 +247,8 @@ def test_shoelace_identity_translation_duplicates_relation():
     sh = shoelace(p, identity_translation(p))
     for i in range(3):
         for j in range(3):
-            assert sh.rel[i][3 + j] == p.rel[i][j]
-            assert sh.rel[3 + i][j] == p.rel[i][j]
+            assert sh.leq(i, 3 + j) == p.leq(i, j)
+            assert sh.leq(3 + i, j) == p.leq(i, j)
     assert all(frozenset({i, 3 + i}) in iso_pairs(sh) for i in range(3))
 
 
@@ -249,8 +256,38 @@ def test_shoelace_window_cross_rule():
     p = chain(5)
     t = Translation(p, tuple(min(i + 2, 4) for i in range(5)))
     sh = shoelace(p, t)
-    assert sh.rel[0][5 + 2]
-    assert not sh.rel[0][5 + 1]
+    assert sh.leq(0, 5 + 2)
+    assert not sh.leq(0, 5 + 1)
+
+
+def _discrete(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n, rel, base, labels", [
+    # each copy must carry the base's rows; this one used to be accepted,
+    # and restrict then raised KeyError: (0, 1)
+    (4, _discrete(4), chain(2), None),
+    (3, _discrete(3), chain(2), None),
+    (6, _discrete(6), chain(2), None),
+    # 0 <= 0' but not 0' <= 0: the cross blocks disagree
+    (2, [[1, 1], [0, 1]], chain(1), None),
+    # lam lives on another base
+    (4, table(shoelace(chain(2), identity_translation(chain(2)))), chain(2), ("a", "b")),
+])
+def test_shoelace_proset_constructor_checks_the_layout(n, rel, base, labels):
+    lam = identity_translation(chain(base.n, labels))
+    with pytest.raises(ValueError, match="^relation is not a shoelace layout over the base$"):
+        ShoelaceProset(n, rel, None, base, lam)
+
+
+def test_shoelace_proset_constructor_takes_a_cross_subrelation():
+    """The cross relation may be any part of lam's that keeps a proset, such
+    as none at all, as long as both blocks agree."""
+    p = chain(2)
+    rel = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
+    sh = ShoelaceProset(4, rel, None, p, identity_translation(p))
+    assert sh.up == (0b11, 0b10, 0b1100, 0b1000) and sh.base == p
 
 
 def test_iso_pairs_empty_on_posets():
@@ -347,7 +384,7 @@ def test_rand_translation_draws_as_the_validator_filter_did():
         p = _rand_proset(random.Random(-seed), max_n=6)
         got_rng, ref_rng = random.Random(seed), random.Random(seed)
         got = _rand_translation(got_rng, p)
-        ups = [[j for j in range(p.n) if p.rel[i][j]] for i in range(p.n)]
+        ups = [[j for j in range(p.n) if p.leq(i, j)] for i in range(p.n)]
         for _ in range(40):
             ref = Translation._trusted(p, tuple(ref_rng.choice(ups[i]) for i in range(p.n)))
             if validate_translation(ref) is None:

@@ -294,7 +294,7 @@ def _rand_convex(rng: random.Random, q: Proset) -> frozenset:
     for some a, b among them (empty for no points)."""
     ends = rng.sample(range(q.n), rng.randint(0, min(q.n, 3)))
     return frozenset(c for c in range(q.n)
-                     if any(q.rel[a][c] and q.rel[c][b] for a in ends for b in ends))
+                     if any(q.leq(a, c) and q.leq(c, b) for a in ends for b in ends))
 
 
 def _rand_carrier(rng: random.Random, family: str) -> Proset:
@@ -500,7 +500,7 @@ def _validate_all_triples(m):
         if i == j or m.dims[i] == 0:
             continue
         for k in range(p.n):
-            if k == j or m.dims[k] == 0 or not p.rel[j][k]:
+            if k == j or m.dims[k] == 0 or not p.leq(j, k):
                 continue
             if mat_mul(m.maps[(j, k)], m.maps[(i, j)]) != m.maps[(i, k)]:
                 return (f"composition fails over {p.label(i)} <= {p.label(j)}"
@@ -511,15 +511,13 @@ def _validate_all_triples(m):
 def _generating_edges_by_definition(p):
     """(j, k), j != k, j <= k, with k <= j or nothing strictly between the
     classes of j and k."""
-    rel = p.rel
-
     def strictly_below(a, b):
-        return rel[a][b] and not rel[b][a]
+        return p.leq(a, b) and not p.leq(b, a)
 
     return tuple(
         (j, k) for j in range(p.n) for k in range(p.n)
-        if j != k and rel[j][k]
-        and (rel[k][j] or not any(strictly_below(j, m) and strictly_below(m, k)
+        if j != k and p.leq(j, k)
+        and (p.leq(k, j) or not any(strictly_below(j, m) and strictly_below(m, k)
                                   for m in range(p.n))))
 
 
@@ -567,8 +565,8 @@ def test_generating_edge_check_agrees_with_all_triples(family):
         m = _rand_rep_family(rng, family)
         p = m.proset
         assert p.generating_edges == _generating_edges_by_definition(p)
-        assert proset_from_pairs(p.n, p.generating_edges).rel == p.rel
-        two_way += any(p.rel[k][j] for (j, k) in p.generating_edges)
+        assert proset_from_pairs(p.n, p.generating_edges).up == p.up
+        two_way += any(p.leq(k, j) for (j, k) in p.generating_edges)
         assert validate_representation(m) is None
         assert _validate_all_triples(m) is None
         bad = _corrupt_one_map(rng, m)
@@ -649,7 +647,7 @@ def _random_path_product(rng, m, i, k):
     while x != k:
         # an unseen edge towards k always exists: a cover towards k's class,
         # or the edge to k itself once x is in that class
-        y = rng.choice([y for y in out[x] if p.rel[y][k] and y not in seen])
+        y = rng.choice([y for y in out[x] if p.leq(y, k) and y not in seen])
         acc = mat_mul(m.maps[(x, y)], acc)
         seen.add(y)
         x = y

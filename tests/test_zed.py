@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -13,6 +14,7 @@ from shoelace.exactlin import FieldSpec, Matrix
 from shoelace.interleave import Interleaving, pack, unpack, validate_interleaving
 from shoelace.proset import (
     iso_pairs,
+    proset_from_pairs,
     shoelace,
     validate_proset,
 )
@@ -27,7 +29,7 @@ from shoelace.rep import (
     zero_nat,
     zero_representation,
 )
-from shoelace.selftest import _conjugate, _rand_invertible
+from shoelace.selftest import _conjugate, _rand_invertible, _rand_translation
 from shoelace.zed import (
     Barcode,
     DecomposedShoelaceRep,
@@ -284,7 +286,7 @@ def test_window_chain_labels_and_heights():
     assert [p.label(i) for i in range(4)] == ["-1", "0", "1", "2"]
     # element i has height w.value(i), and the chain is ordered by it
     assert [w.value(i) for i in range(4)] == [-1, 0, 1, 2]
-    assert all(p.rel[i][j] == (w.value(i) <= w.value(j))
+    assert all(p.leq(i, j) == (w.value(i) <= w.value(j))
                for i in range(4) for j in range(4))
 
 
@@ -317,9 +319,9 @@ def test_shoelace_window_cross_pairs():
     sh = shoelace_window(w, 2)
     assert validate_proset(sh) is None
     plain_to_primed = {(i, j) for i in range(4) for j in range(4)
-                       if sh.rel[i][4 + j]}
+                       if sh.leq(i, 4 + j)}
     primed_to_plain = {(i, j) for i in range(4) for j in range(4)
-                       if sh.rel[4 + i][j]}
+                       if sh.leq(4 + i, j)}
     assert plain_to_primed == {(0, 2), (0, 3), (1, 3)}
     assert primed_to_plain == {(0, 2), (0, 3), (1, 3)}
     assert sh.label(5) == "1'"
@@ -328,6 +330,16 @@ def test_shoelace_window_cross_pairs():
                                if w.value(i) + 2 <= w.value(j)}
     with pytest.raises(ValueError, match="negative epsilon"):
         shoelace_window(Window(0, 3), -1)
+
+
+def test_carrier_at_the_window_limit_is_stored_as_bit_rows():
+    """2048 points hold one int per row, about 0.6 MiB, where a table of
+    bools took about 32 MiB; the generating edges are the same 4092."""
+    sh = shoelace_window(Window(0, 1023), 1)
+    assert sh.n == 2048
+    assert sum(map(sys.getsizeof, sh.up)) < 2 * 2 ** 20
+    assert sh.leq(0, 1024 + 1) and not sh.leq(0, 1024) and sh.leq(1024, 2047)
+    assert len(sh.generating_edges) == 4092
 
 
 def test_interval_to_module_support():
@@ -601,6 +613,51 @@ def test_summand_support_and_interval_check():
     assert support_is_interval(p, frozenset({2}))
     assert not support_is_interval(p, frozenset())
     assert not support_is_interval(p, frozenset({0, 3}))
+
+
+def reference_support_is_interval(p, support):
+    """The search and triple loop that support_is_interval's masks replace."""
+    if not support:
+        return False
+    start = min(support)
+    seen = {start}
+    queue = [start]
+    while queue:
+        x = queue.pop()
+        for y in support:
+            if y not in seen and (p.leq(x, y) or p.leq(y, x)):
+                seen.add(y)
+                queue.append(y)
+    if seen != support:
+        return False
+    for a in support:
+        for b in support:
+            if not p.leq(a, b):
+                continue
+            for c in range(p.n):
+                if c not in support and p.leq(a, c) and p.leq(c, b):
+                    return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_support_is_interval_agrees_with_the_loops(seed):
+    """On random prosets and their carriers, for random subsets and for the
+    elements between random ends, so that both verdicts occur."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    p = proset_from_pairs(n, [(rng.randrange(n), rng.randrange(n))
+                              for _ in range(rng.randint(0, 2 * n))])
+    if rng.random() < 0.5:
+        p = shoelace(p, _rand_translation(rng, p))
+    if rng.random() < 0.5:
+        support = frozenset(x for x in range(p.n) if rng.random() < 0.5)
+    else:
+        ends = rng.sample(range(p.n), rng.randint(1, min(p.n, 3)))
+        support = frozenset(c for c in range(p.n)
+                            if any(p.leq(a, c) and p.leq(c, b) for a in ends for b in ends))
+    assert support_is_interval(p, support) == reference_support_is_interval(p, support)
 
 
 def test_expand_summand_is_thin():
