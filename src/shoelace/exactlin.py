@@ -2,14 +2,15 @@
 
 All arithmetic is integer arithmetic mod p; there is no floating point in this
 package.  Matrices are immutable and hashable so they can sit in dict keys and
-be compared for exact equality.
+be compared for exact equality.  Value, the base of every immutable value type
+of the package, lives here too, as every module imports this one.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, repeat, zip_longest
 from typing import Iterable, Sequence
 
 
@@ -46,8 +47,56 @@ def _unit_row(width: int, col: int) -> tuple[int, ...]:
     return (0,) * col + (1,) + (0,) * (width - col - 1)
 
 
-class FieldSpec:
-    """The prime field F_p, for 2 <= p <= 2**31 - 1."""
+def _fill(obj, *values, cls=None):
+    """Set obj's slots, or those cls declares, in order to values, and the
+    slots after them, its empty caches, to None; returns obj."""
+    for name, value in zip_longest((cls or type(obj)).__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class Value:
+    """Base of the immutable value types.  The fields of a value are its
+    public slots, base class first; a slot named _... is a cache and takes
+    no part.  Setting or deleting an attribute raises AttributeError.  A
+    value equals only a value of its own class with equal fields, hashes
+    as the tuple of its fields and reprs as its fields by name; a class
+    whose equality is hot, or is not field equality, defines its own."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = tuple(name for klass in reversed(cls.__mro__)
+                      for name in klass.__dict__.get("__slots__", ())
+                      if not name.startswith("_"))
+        get = operator.attrgetter(*names)
+        # attrgetter of one name gives the field itself, not a 1-tuple
+        cls._names = names
+        cls._fields = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self._names, self._fields(self))
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class FieldSpec(Value):
+    """The prime field F_p, for 2 <= p <= 2**31 - 1.  Equality and hash
+    are its own: they are hot, and the traced benchmark counts calls of
+    FieldSpec.__eq__."""
 
     __slots__ = ("p",)
 
@@ -58,10 +107,7 @@ class FieldSpec:
             raise ValueError(f"field characteristic {p} out of range [2, 2**31-1]")
         if not _is_prime(p):
             raise ValueError(f"field characteristic {p} is not prime")
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldSpec is immutable")
+        _fill(self, p)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -71,9 +117,6 @@ class FieldSpec:
     def __hash__(self) -> int:
         return hash((self.p,))
 
-    def __repr__(self) -> str:
-        return f"FieldSpec(p={self.p!r})"
-
     def inv(self, x: int) -> int:
         x %= self.p
         if x == 0:
@@ -81,13 +124,14 @@ class FieldSpec:
         return pow(x, self.p - 2, self.p)
 
 
-class Matrix:
-    """Immutable matrix over a FieldSpec.
+class Matrix(Value):
+    """Matrix over a FieldSpec.
 
     Entries are stored as a tuple of row tuples, already reduced mod p.
     The constructor takes entries that are ints, and no bools: anything
     else raises TypeError rather than being converted.  A 0xN or Nx0 matrix
-    is legal and represents a map to or from the zero space.
+    is legal and represents a map to or from the zero space.  Equality,
+    hash and the trusted path are its own, as they are hot.
     """
 
     __slots__ = ("field", "rows", "cols", "entries")
@@ -106,13 +150,7 @@ class Matrix:
             raise ValueError(
                 f"entries do not form a {rows}x{cols} array: "
                 f"got {len(ent)} rows of lengths {[len(r) for r in ent]}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+        _fill(self, field, rows, cols, ent)
 
     @classmethod
     def _trusted(cls, field: FieldSpec, rows: int, cols: int,

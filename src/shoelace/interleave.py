@@ -7,11 +7,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .exactlin import Matrix, mat_mul, mat_inverse, mat_scale
+from .exactlin import Matrix, Value, _fill, mat_mul, mat_inverse, mat_scale
 from .proset import (
     ShoelaceProset,
     Translation,
-    _fill,
     compare_translations,
     compose_translations,
     induced_translation,
@@ -26,7 +25,7 @@ from .rep import (
 )
 
 
-class Interleaving:
+class Interleaving(Value):
     """A translation-indexed pair of comparison maps between M and N.
 
     phi: M -> N(lam) and psi: N -> M(lam).  Valid by construction: after
@@ -54,15 +53,6 @@ class Interleaving:
         if err is not None:
             raise ValueError(f"invalid interleaving: {err}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Interleaving is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Interleaving):
-            return NotImplemented
-        return (self.m == other.m and self.n == other.n and self.lam == other.lam
-                and self.phi == other.phi and self.psi == other.psi)
-
     def __repr__(self) -> str:
         return f"Interleaving(lam={self.lam.mapping})"
 
@@ -79,7 +69,7 @@ def _assemble(m: Representation, n: Representation, lam: Translation,
                  NatTrans._trusted(n, precompose(m, lam), tuple(psi_components)))
 
 
-class InterleavingMorphism:
+class InterleavingMorphism(Value):
     """A pair of nat transes commuting with the comparison maps of two
     interleavings over the same translation, valid by construction: the
     constructor raises ValueError on validate_interleaving_morphism's report."""
@@ -103,15 +93,6 @@ class InterleavingMorphism:
     def _trusted(cls, source, target, gm, gn) -> "InterleavingMorphism":
         """Wrap a morphism that passes the public checks, unchecked."""
         return _fill(object.__new__(cls), source, target, gm, gn)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InterleavingMorphism is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InterleavingMorphism):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.gm == other.gm and self.gn == other.gn)
 
 
 def _triangles(x: Interleaving) -> Optional[str]:

@@ -8,19 +8,11 @@ the integers 0..n-1 with optional display labels.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress, repeat, zip_longest
+from itertools import compress, repeat
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
-from .exactlin import check_ints
-
-
-def _fill(obj, *values, cls=None):
-    """Set obj's slots, or those cls declares, in order to values, and the
-    slots after them, its empty caches, to None; returns obj."""
-    for name, value in zip_longest((cls or type(obj)).__slots__, values):
-        object.__setattr__(obj, name, value)
-    return obj
+from .exactlin import Value, _fill, check_ints
 
 
 # bit rows to and from bytes of 0 and 1, one per element, at C speed
@@ -43,7 +35,7 @@ def _row(flags: Sequence) -> int:
     return int(bytes(map(bool, reversed(flags))).translate(_DIGITS), 2)
 
 
-class Proset:
+class Proset(Value):
     """Finite proset stored as bit rows: up[i] has bit j set when i <= j, and
     down[j], derived on first use, has bit i set then.  The constructor takes
     an n x n table of truth values, as documents write it.  Equality compares
@@ -68,9 +60,6 @@ class Proset:
     def _trusted(cls, n: int, up: tuple[int, ...], labels: Optional[Sequence[str]]):
         """Skip validate_proset: up must be n bit rows of a proset."""
         return _fill(object.__new__(cls), n, up, _labels(n, labels), cls=Proset)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Proset is immutable")
 
     def label(self, i: int) -> str:
         if self.labels is None:
@@ -203,7 +192,7 @@ def validate_proset(p: Proset) -> Optional[str]:
     return None
 
 
-class Translation:
+class Translation(Value):
     """An inflationary monotone self-map of a proset.
 
     The constructor takes mapping entries that are ints, and no bools:
@@ -233,19 +222,8 @@ class Translation:
         """Wrap a tuple of base.n points, inflationary and monotone, unchecked."""
         return _fill(object.__new__(cls), base, mapping)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Translation is immutable")
-
     def __call__(self, i: int) -> int:
         return self.mapping[i]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Translation):
-            return NotImplemented
-        return self.base == other.base and self.mapping == other.mapping
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.mapping))
 
     def __repr__(self) -> str:
         return f"Translation({self.mapping})"
@@ -359,8 +337,7 @@ class ShoelaceProset(Proset):
             return Proset.__eq__(self, other)
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return Proset.__hash__(self)
+    __hash__ = Proset.__hash__
 
     def __repr__(self) -> str:
         return f"ShoelaceProset(base_n={self.base.n}, lam={self.lam.mapping})"
@@ -438,7 +415,7 @@ def induced_translation(sh: ShoelaceProset, gamma: Translation,
     return Translation._trusted(sh, mapping)
 
 
-class HeightFunction:
+class HeightFunction(Value):
     """Rational heights of a proset's elements, values[i] for element i, each
     read by fractions.Fraction (imported on first use, as nothing else in the
     package needs it).  validate_height checks them against a proset."""
@@ -447,18 +424,7 @@ class HeightFunction:
 
     def __init__(self, values: Iterable):
         from fractions import Fraction
-        object.__setattr__(self, "values", tuple(map(Fraction, values)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HeightFunction is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HeightFunction):
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash((self.values,))
+        _fill(self, tuple(map(Fraction, values)))
 
 
 def validate_height(p: Proset, h: HeightFunction) -> Optional[str]:

@@ -28,9 +28,12 @@ def hasse_dot(p: Proset) -> str:
     lines = ["digraph hasse {", "  rankdir=BT;", '  node [shape=plaintext];']
     for i in range(p.n):
         lines.append(f"  n{i} [label={_quote(p.label(i))}];")
-    covers = sorted((least[j], least[k], j, k) for (j, k) in p.generating_edges
-                    if not p.leq(k, j))
-    lines.extend(f"  n{j} -> n{k};" for (_, _, j, k) in covers)
+    # the edges come in (j, k) order, so a stable sort on the pair of classes
+    # keeps that order within each pair, at one int key per cover
+    n = p.n
+    covers = [e for e in p.generating_edges if not p.leq(e[1], e[0])]
+    covers.sort(key=lambda e: least[e[0]] * n + least[e[1]])
+    lines.extend(f"  n{j} -> n{k};" for (j, k) in covers)
     classes: dict[int, list[int]] = {}
     for i, x in enumerate(least):
         classes.setdefault(x, []).append(i)

@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections.abc import Collection, Mapping
 from typing import Optional, Sequence
 
-from .exactlin import FieldSpec, Matrix, _unit_row, mat_mul
-from .proset import Proset, ShoelaceProset, Translation, _fill, chain
+from .exactlin import FieldSpec, Matrix, Value, _fill, _unit_row, mat_mul
+from .proset import Proset, ShoelaceProset, Translation, chain
 
 
 class _Maps(Mapping):
@@ -70,7 +70,7 @@ class _Maps(Mapping):
         return len(self._proset.related_pairs)
 
 
-class Representation:
+class Representation(Value):
     """Functor from a proset to finite-dimensional F_p vector spaces.
 
     dims[i] is the dimension at element i; maps[(i, j)] is the dims[j] x
@@ -117,9 +117,6 @@ class Representation:
         functorial.  For builders that derive a module from valid ones."""
         return _fill(object.__new__(cls), proset, field, dims,
                      _Maps(proset, field, dims, maps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Representation is immutable")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Representation):
@@ -260,7 +257,7 @@ def chain_representation(proset: Proset, field: FieldSpec,
     return Representation._trusted(proset, field, d, maps)
 
 
-class NatTrans:
+class NatTrans(Value):
     """Natural transformation: one matrix per element.  Valid by
     construction: after its frame checks the constructor raises ValueError
     on the report of validate_nat_trans, its one check."""
@@ -295,15 +292,6 @@ class NatTrans:
         the public checks, which they must pass.  For builders that derive
         a transformation from valid ones."""
         return _fill(object.__new__(cls), source, target, components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NatTrans is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NatTrans):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.components == other.components)
 
     def __repr__(self) -> str:
         return f"NatTrans({[c.rows for c in self.components]}x{[c.cols for c in self.components]})"

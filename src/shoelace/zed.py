@@ -20,12 +20,11 @@ from collections import Counter
 from functools import lru_cache, reduce
 from typing import Iterable, Optional, Union
 
-from .exactlin import FieldSpec, Matrix, check_ints, homogeneous_dimension
+from .exactlin import FieldSpec, Matrix, Value, _fill, check_ints, homogeneous_dimension
 from .proset import (
     Proset,
     ShoelaceProset,
     Translation,
-    _fill,
     chain,
     laced,
     shoelace,
@@ -41,7 +40,7 @@ from .rep import (
 from .interleave import Interleaving, _assemble
 
 
-class Ext:
+class Ext(Value):
     """Endpoint at the parse and format boundary: an integer, or the
     symbolic -inf / +inf.
 
@@ -56,18 +55,13 @@ class Ext:
     def __init__(self, value: int):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"finite Ext needs an int, got {value!r}")
+        # not _fill: each endpoint a document is written with builds one
         object.__setattr__(self, "kind", 0)
         object.__setattr__(self, "value", value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Ext is immutable")
-
     @classmethod
     def _make_inf(cls, kind: int) -> "Ext":
-        out = object.__new__(cls)
-        object.__setattr__(out, "kind", kind)
-        object.__setattr__(out, "value", 0)
-        return out
+        return _fill(object.__new__(cls), kind, 0)
 
     @staticmethod
     def of(x: Union["Ext", int, str]) -> "Ext":
@@ -134,7 +128,7 @@ def endpoint_distance(a: Endpoint, b: Endpoint) -> Endpoint:
     return abs(a - b)
 
 
-class Interval:
+class Interval(Value):
     """Closed integer interval, possibly unbounded on either side.
 
     The four shapes are [x,y], (-inf,y], [x,+inf), and (-inf,+inf); finite
@@ -144,7 +138,8 @@ class Interval:
     math.inf, so ordering (ends is the sort key), shifting and the overlap
     tests are plain expressions.  Interval(lo, hi) parses each end through
     Ext.of, so no float comes in from outside, and refuses a finite end
-    beyond +-MAX_ENDPOINT; lo and hi give the ends back as Ext.
+    beyond +-MAX_ENDPOINT; lo and hi give the ends back as Ext.  Equality
+    and hash are its own, as they are hot.
     """
 
     __slots__ = ("ends",)
@@ -169,9 +164,6 @@ class Interval:
         out = object.__new__(cls)
         object.__setattr__(out, "ends", (lo, hi))
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Interval is immutable")
 
     @property
     def lo(self) -> Ext:
@@ -219,7 +211,7 @@ class Interval:
         return f"Interval({self})"
 
 
-class Barcode:
+class Barcode(Value):
     """Multiset of intervals, stored in canonical sorted order."""
 
     __slots__ = ("intervals",)
@@ -230,10 +222,7 @@ class Barcode:
             if not isinstance(i, Interval):
                 raise ValueError(f"not an interval: {i!r}")
         items = tuple(sorted(items, key=lambda i: i.ends))
-        object.__setattr__(self, "intervals", items)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Barcode is immutable")
+        _fill(self, items)
 
     def counts(self) -> Counter:
         return Counter(self.intervals)
@@ -243,14 +232,6 @@ class Barcode:
 
     def __len__(self) -> int:
         return len(self.intervals)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Barcode):
-            return NotImplemented
-        return self.intervals == other.intervals
-
-    def __hash__(self) -> int:
-        return hash(self.intervals)
 
     def __repr__(self) -> str:
         return f"Barcode({', '.join(str(i) for i in self.intervals)})"
@@ -267,7 +248,7 @@ MAX_POINT_DIM = 256
 MAX_BARCODE_BARS = 4096
 
 
-class Window:
+class Window(Value):
     """Finite integer range [lo, hi] serving as the carrier for the chain.
 
     The ends are ints, not bools (TypeError).  Carrier tables grow with the
@@ -288,20 +269,6 @@ class Window:
                 f"more than the limit of {MAX_WINDOW_POINTS}")
         _fill(self, lo, hi)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Window is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Window):
-            return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
-
-    def __repr__(self) -> str:
-        return f"Window(lo={self.lo!r}, hi={self.hi!r})"
-
     @property
     def size(self) -> int:
         return self.hi - self.lo + 1
@@ -319,12 +286,12 @@ class Window:
         return range(max(lo, self.lo) - self.lo, min(hi, self.hi) - self.lo + 1)
 
 
-class Matching:
+class Matching(Value):
     """An eps-matching: a partial bijection between barcode instances whose
     matched endpoints lie within eps and whose unmatched bars are short.
     Valid by construction: the constructor raises ValueError on a negative
-    or non-integer epsilon, then on the report of validate_matching, its
-    one check."""
+    or non-integer epsilon and on sides that are not barcodes, then on the
+    report of validate_matching, its one check."""
 
     __slots__ = ("source", "target", "pairs", "epsilon")
 
@@ -332,18 +299,14 @@ class Matching:
                  pairs: Iterable[tuple[Interval, Interval]], epsilon: int):
         if not isinstance(epsilon, int) or isinstance(epsilon, bool) or epsilon < 0:
             raise ValueError(f"epsilon must be a nonnegative integer, got {epsilon!r}")
+        if not (isinstance(source, Barcode) and isinstance(target, Barcode)):
+            raise ValueError("the source and target of a matching must be barcodes")
         ps = tuple(sorted(((a, b) for (a, b) in pairs),
                           key=lambda ab: (ab[0].ends, ab[1].ends)))
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "pairs", ps)
-        object.__setattr__(self, "epsilon", epsilon)
+        _fill(self, source, target, ps, epsilon)
         err = validate_matching(self)
         if err is not None:
             raise ValueError(f"invalid matching: {err}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matching is immutable")
 
     def unmatched_source(self) -> Counter:
         c = self.source.counts()
@@ -355,45 +318,32 @@ class Matching:
         c.subtract(Counter(b for (_, b) in self.pairs))
         return +c
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matching):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.pairs == other.pairs and self.epsilon == other.epsilon)
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.pairs, self.epsilon))
-
     def __repr__(self) -> str:
         return f"Matching(eps={self.epsilon}, pairs={len(self.pairs)})"
 
 
-class DecomposedShoelaceRep:
+class DecomposedShoelaceRep(Value):
     """Certificate that a windowed shoelace representation splits into
     interval-shaped summands, each a (left bar, right bar) pair with at
     least one side present.  Valid by construction: the constructor takes
-    any iterable of summands and raises ValueError on the report of
-    validate_decomposed, its one check."""
+    any iterable of summands, raises ValueError on a window or field of
+    the wrong type and on a summand that is not a pair, then on the report
+    of validate_decomposed, its one check."""
 
     __slots__ = ("window", "epsilon", "field", "summands")
 
     def __init__(self, window: Window, epsilon: int, field: FieldSpec, summands: Iterable):
-        _fill(self, window, epsilon, field, tuple((s[0], s[1]) for s in summands))
+        if not isinstance(window, Window):
+            raise ValueError(f"window must be a Window, got {window!r}")
+        if not isinstance(field, FieldSpec):
+            raise ValueError(f"field must be a FieldSpec, got {field!r}")
+        summands = tuple(map(tuple, summands))
+        if any(len(s) != 2 for s in summands):
+            raise ValueError("each summand must be a (left, right) pair")
+        _fill(self, window, epsilon, field, summands)
         err = validate_decomposed(self)
         if err is not None:
             raise ValueError(f"invalid decomposed representation: {err}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DecomposedShoelaceRep is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DecomposedShoelaceRep):
-            return NotImplemented
-        return (self.window, self.epsilon, self.field, self.summands) == (
-            other.window, other.epsilon, other.field, other.summands)
-
-    def __hash__(self) -> int:
-        return hash((self.window, self.epsilon, self.field, self.summands))
 
     def canonical(self) -> "DecomposedShoelaceRep":
         return DecomposedShoelaceRep(
@@ -938,7 +888,7 @@ def iter_matchings(bm: Barcode, bn: Barcode, eps: int,
     yield from rec(0)
 
 
-class HallWitness:
+class HallWitness(Value):
     """Why no eps-matching exists: bars of one side (with multiplicity), each
     of length >= 2*eps and so unable to stay unmatched, that together have
     fewer admissible partners (bars of the other side, with multiplicity)
@@ -948,18 +898,6 @@ class HallWitness:
 
     def __init__(self, side: str, bars: tuple[Interval, ...], partners: tuple[Interval, ...]):
         _fill(self, side, bars, partners)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HallWitness is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HallWitness):
-            return NotImplemented
-        return (self.side, self.bars, self.partners) == (
-            other.side, other.bars, other.partners)
-
-    def __hash__(self) -> int:
-        return hash((self.side, self.bars, self.partners))
 
     def __str__(self) -> str:
         other = "target" if self.side == "source" else "source"

@@ -4,12 +4,13 @@ the reference."""
 import json
 import random
 import time
+import tracemalloc
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from shoelace.cli import main
-from shoelace.proset import Translation, chain, proset_from_pairs, shoelace
+from shoelace.proset import Proset, Translation, chain, proset_from_pairs, shoelace
 from shoelace.render import _quote, hasse_dot
 from shoelace.selftest import _rand_translation
 
@@ -108,3 +109,21 @@ def test_render_two_layers_of_200_points(tmp_path, capsys):
     assert out.count(" -> ") == h * h
     assert "  n0 -> n200;\n  n0 -> n201;\n" in out
     assert out.endswith("  n199 -> n399;\n}\n")
+
+
+def test_hasse_dot_of_two_layers_of_400_points_peaks_under_22_mib():
+    """160,000 covers, sorted by one int key each: with the generating
+    edges built beforehand, drawing them peaks at about 17 MiB."""
+    h = 400
+    upper = ((1 << h) - 1) << h
+    p = Proset._trusted(2 * h, tuple(1 << i | (upper if i < h else 0)
+                                     for i in range(2 * h)), None)
+    assert len(p.generating_edges) == h * h
+    tracemalloc.start()
+    try:
+        out = hasse_dot(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.count(" -> ") == h * h
+    assert peak < 22 * 2 ** 20

@@ -1,29 +1,36 @@
-"""The small immutable value types: equality and hashing over their fields,
-no equality with other types, no attribute assignment, and the reprs of
-FieldSpec and Window."""
+"""The immutable value types, every subclass of exactlin.Value: equality
+and hashing over their fields, no equality with other types, no attribute
+assignment or deletion, and the reprs of FieldSpec and Window."""
 
 from fractions import Fraction
 
 import pytest
 
-from shoelace.exactlin import FieldSpec
-from shoelace.proset import HeightFunction
+from shoelace.exactlin import FieldSpec, Matrix, Value
+from shoelace.interleave import InterleavingMorphism
+from shoelace.proset import HeightFunction, Translation, chain, shoelace
+from shoelace.rep import indicator_module, zero_nat
 from shoelace.zed import (
     Barcode,
     DecomposedShoelaceRep,
+    Ext,
     HallWitness,
     Interval,
     Matching,
     Window,
+    matching_interleaving,
     matching_to_rep,
     window_chain,
 )
 
 
-def _decomposed(eps):
+def _matching(eps):
     i02, i13 = Interval(0, 2), Interval(1, 3)
-    s = Matching(Barcode([i02]), Barcode([i13]), [(i02, i13)], eps)
-    return matching_to_rep(s, Window(-4, 9))
+    return Matching(Barcode([i02]), Barcode([i13]), [(i02, i13)], eps)
+
+
+def _decomposed(eps):
+    return matching_to_rep(_matching(eps), Window(-4, 9))
 
 
 # (build from a key, a key, a different key, the tuple hashed)
@@ -37,6 +44,12 @@ CASES = {
                     lambda x: ("source", (Interval(0, 5),), ())),
     "DecomposedShoelaceRep": (_decomposed, 1, 2,
                               lambda x: (x.window, x.epsilon, x.field, x.summands)),
+    "Translation": (lambda k: Translation(chain(3), k), (1, 2, 2), (0, 2, 2),
+                    lambda x: (chain(3), (1, 2, 2))),
+    "Barcode": (lambda k: Barcode([Interval(0, 2)] * k), 2, 1,
+                lambda x: ((Interval(0, 2), Interval(0, 2)),)),
+    "Matching": (_matching, 1, 2,
+                 lambda x: (x.source, x.target, x.pairs, x.epsilon)),
 }
 
 
@@ -52,17 +65,72 @@ def test_equal_fields_give_equal_objects_and_hashes(name):
     assert len({a, b, build(other)}) == 2
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+def _interleaving():
+    return matching_interleaving(_matching(1), Window(-4, 9))
+
+
+def _interleaving_morphism():
+    x = _interleaving()
+    return InterleavingMorphism(x, x, zero_nat(x.m, x.m), zero_nat(x.n, x.n))
+
+
+def _representation():
+    return indicator_module(chain(3), {0, 1}, FieldSpec(2))
+
+
+def _nat_trans():
+    m = _representation()
+    return zero_nat(m, m)
+
+
+def _shoelace_proset():
+    p = chain(3)
+    return shoelace(p, Translation(p, (1, 2, 2)))
+
+
+# one fresh instance of every value type
+INSTANCES = {
+    "Barcode": lambda: Barcode([Interval(0, 2)]),
+    "DecomposedShoelaceRep": lambda: _decomposed(1),
+    "Ext": lambda: Ext(3),
+    "FieldSpec": lambda: FieldSpec(5),
+    "HallWitness": lambda: HallWitness("source", (Interval(0, 5),), ()),
+    "HeightFunction": lambda: HeightFunction((0, 1)),
+    "Interleaving": _interleaving,
+    "InterleavingMorphism": _interleaving_morphism,
+    "Interval": lambda: Interval(0, 2),
+    "Matching": lambda: _matching(1),
+    "Matrix": lambda: Matrix(FieldSpec(2), 1, 1, [[1]]),
+    "NatTrans": _nat_trans,
+    "Proset": lambda: chain(3),
+    "Representation": _representation,
+    "ShoelaceProset": _shoelace_proset,
+    "Translation": lambda: Translation(chain(3), (1, 2, 2)),
+    "Window": lambda: Window(0, 3),
+}
+
+
+def _value_types(cls=Value):
+    for sub in cls.__subclasses__():
+        yield sub.__name__
+        yield from _value_types(sub)
+
+
+@pytest.mark.parametrize("name", sorted(_value_types()))
 def test_value_types_refuse_attribute_assignment(name):
-    build, key, _, _ = CASES[name]
-    obj = build(key)
-    attr = type(obj).__slots__[0]
-    before = getattr(obj, attr)
-    with pytest.raises(AttributeError):
-        setattr(obj, attr, before)
+    """Neither setting nor deleting a field, a cache slot or a new name
+    gets through, so a value shared by a cache cannot be changed."""
+    obj = INSTANCES[name]()
+    assert type(obj).__name__ == name
+    for attr in (a for c in type(obj).__mro__ for a in c.__dict__.get("__slots__", ())):
+        before = getattr(obj, attr)
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            setattr(obj, attr, before)
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            delattr(obj, attr)
+        assert getattr(obj, attr) is before
     with pytest.raises(AttributeError):
         obj.extra = 1
-    assert getattr(obj, attr) is before
 
 
 def test_window_is_not_its_pair_of_ends():

@@ -602,6 +602,21 @@ def test_validate_decomposed_violations():
         DecomposedShoelaceRep(w, 1, F2, [((0, 1), None)])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: DecomposedShoelaceRep("x", 1, F2, []), "window must be a Window"),
+    (lambda: DecomposedShoelaceRep(Window(0, 7), 1, "F2", []), "field must be a FieldSpec"),
+    (lambda: DecomposedShoelaceRep(
+        Window(-2, 7), 1, F2, [(Interval(0, 2), Interval(1, 3), Interval(5, 5))]),
+     r"\(left, right\) pair"),
+    (lambda: Matching([Interval(0, 1)], Barcode([]), [], 1), "must be barcodes"),
+], ids=["window", "field", "three_sides", "matching_sides"])
+def test_constructors_refuse_frames_of_the_wrong_type(build, message):
+    """Checked before validate_decomposed and validate_matching, which
+    read the window, field, pairs and barcodes as those types."""
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_summand_support_and_interval_check():
     w = Window(0, 3)
     assert summand_support((Interval(0, 1), None), w, 1) == frozenset({0, 1})
