@@ -115,7 +115,7 @@ def _cmd_unpack(args) -> int:
             "representation does not live on the shoelace carrier of the "
             "given translation")
     # the same relation, so v is functorial on sh as well
-    rooted = Representation._trusted(sh, v.field, v.dims, dict(v.maps))
+    rooted = Representation._trusted(sh, v.field, v.dims, v.edges)
     x = unpack(rooted)
     _emit(save_document("interleaving", x), args.out)
     return 0

@@ -170,8 +170,8 @@ def _rep_payload(m: Representation) -> dict:
         "proset": _proset_payload(m.proset),
         "dims": list(m.dims),
         "maps": [
-            {"src": i, "dst": j, "entries": _matrix_entries(m.maps[(i, j)])}
-            for (i, j) in sorted(m.maps.keys())
+            {"src": i, "dst": j, "entries": _matrix_entries(m.map(i, j))}
+            for (i, j) in m.proset.related_pairs
         ],
     }
 
@@ -201,8 +201,9 @@ def _load_rep(payload: dict) -> Representation:
         maps[(i, j)] = _load_matrix(field, dims[j], dims[i],
                                     _need(item, "entries", "representation map"),
                                     f"map ({i}, {j})")
-    # a Representation needs only the generating edges; a document lists
-    # all, and a missing one is reported after the frame, before the check
+    # a document lists every related pair; the Representation keeps the
+    # generating edges and checks the other maps against them.  A missing
+    # pair is reported after the frame, before that check
     missing = [pair for pair in proset.related_pairs if pair not in maps]
     with _constructing("representation"):
         try:
@@ -384,14 +385,16 @@ def _load_decomposed(payload: dict) -> DecomposedShoelaceRep:
 
 
 def _window_module_payload(w: Window, m: Representation) -> dict:
-    steps = []
-    for i in range(m.proset.n - 1):
-        steps.append(_matrix_entries(m.maps[(i, i + 1)]))
+    from .zed import window_chain
+
+    # the steps are the edges of the window's chain
+    if m.proset.up != window_chain(w).up:
+        raise ValueError("module does not live on the chain of the window")
     return {
         "prime": m.field.p,
         "window": {"lo": w.lo, "hi": w.hi},
         "dims": list(m.dims),
-        "steps": steps,
+        "steps": [_matrix_entries(s) for s in m.edges],
     }
 
 

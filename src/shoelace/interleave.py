@@ -103,10 +103,10 @@ def _triangles(x: Interleaving) -> Optional[str]:
     lamlam = compose_translations(x.lam, x.lam).mapping
     for i in range(p.n):
         lhs = mat_mul(x.psi.components[lam[i]], x.phi.components[i])
-        if lhs != x.m.maps[(i, lamlam[i])]:
+        if lhs != x.m.map(i, lamlam[i]):
             return (f"triangle for M fails at {p.label(i)}")
         lhs = mat_mul(x.phi.components[lam[i]], x.psi.components[i])
-        if lhs != x.n.maps[(i, lamlam[i])]:
+        if lhs != x.n.map(i, lamlam[i]):
             return (f"triangle for N fails at {p.label(i)}")
     return None
 
@@ -157,19 +157,19 @@ def pack(x: Interleaving) -> Representation:
     sh = shoelace(x.m.proset, x.lam)
     lam = x.lam.mapping
     dims = tuple(x.m.dims) + tuple(x.n.dims)
-    maps = {}
+    edges = []
     for (a, b) in sh.generating_edges:
         (i, ip) = sh.origin(a)
         (j, jp) = sh.origin(b)
         if not ip and not jp:
-            maps[(a, b)] = x.m.maps[(i, j)]
+            edges.append(x.m.map(i, j))
         elif ip and jp:
-            maps[(a, b)] = x.n.maps[(i, j)]
+            edges.append(x.n.map(i, j))
         elif not ip:
-            maps[(a, b)] = mat_mul(x.n.maps[(lam[i], j)], x.phi.components[i])
+            edges.append(mat_mul(x.n.map(lam[i], j), x.phi.components[i]))
         else:
-            maps[(a, b)] = mat_mul(x.m.maps[(lam[i], j)], x.psi.components[i])
-    return Representation._trusted(sh, x.m.field, dims, maps)
+            edges.append(mat_mul(x.m.map(lam[i], j), x.psi.components[i]))
+    return Representation._trusted(sh, x.m.field, dims, tuple(edges))
 
 
 def unpack(v: Representation) -> Interleaving:
@@ -190,8 +190,8 @@ def unpack(v: Representation) -> Interleaving:
                 f"carrier does not relate {sh.label(i)} across the lacing; "
                 f"transfer to the full shoelace relation before unpacking")
     return _assemble(restrict(v, "left"), restrict(v, "right"), sh.lam,
-                     [v.maps[(i, n0 + lam_map[i])] for i in range(n0)],
-                     [v.maps[(n0 + i, lam_map[i])] for i in range(n0)])
+                     [v.map(i, n0 + lam_map[i]) for i in range(n0)],
+                     [v.map(n0 + i, lam_map[i]) for i in range(n0)])
 
 
 def pack_morphism(g: InterleavingMorphism) -> NatTrans:
@@ -242,8 +242,8 @@ def upgrade_interleaving(x: Interleaving, gamma: Translation) -> Interleaving:
     g = gamma.mapping
     return _assemble(
         x.m, x.n, gamma,
-        [mat_mul(x.n.maps[(lam[i], g[i])], c) for i, c in enumerate(x.phi.components)],
-        [mat_mul(x.m.maps[(lam[i], g[i])], c) for i, c in enumerate(x.psi.components)])
+        [mat_mul(x.n.map(lam[i], g[i]), c) for i, c in enumerate(x.phi.components)],
+        [mat_mul(x.m.map(lam[i], g[i]), c) for i, c in enumerate(x.psi.components)])
 
 
 def untwist_square(a: Interleaving, b: Interleaving) -> Interleaving:

@@ -1,11 +1,11 @@
 """Representations of finite prosets and natural transformations between them.
 
 A representation is fixed by its maps on the generating edges of its proset
-(Proset.generating_edges), so it stores only the maps it is given, which
-must include every generating edge.  Of the other related pairs, a missing
-diagonal is the identity and any other pair is the product along one fixed
-path of generating edges (Proset.path_step), built on first use and cached.
-validate_representation checks that the maps do not depend on the path.
+(Proset.generating_edges), so it stores those alone, as a tuple aligned with
+the edges.  Of the other related pairs, a diagonal is the identity and any
+other pair is the product along one fixed path of generating edges
+(Proset.path_step), built on first use and memoised.
+validate_representation checks that the edge maps do not depend on the path.
 
 Every module that zed builds for a certificate or a matching is a sum of
 indicator modules of convex supports.  indicator_sum writes such a sum
@@ -22,65 +22,20 @@ from .exactlin import FieldSpec, Matrix, Value, _fill, _unit_row, mat_mul
 from .proset import Proset, ShoelaceProset, Translation, chain
 
 
-class _Maps(Mapping):
-    """Read-only structure maps keyed by every related pair (see above)."""
-
-    __slots__ = ("_proset", "_field", "_dims", "_given", "_known")
-
-    def __init__(self, proset: Proset, field: FieldSpec, dims: tuple[int, ...],
-                 given: dict[tuple[int, int], Matrix]):
-        self._proset = proset
-        self._field = field
-        self._dims = dims
-        self._given = given
-        self._known = dict(given)
-
-    def __getitem__(self, key: tuple[int, int]) -> Matrix:
-        known = self._known
-        got = known.get(key)
-        if got is not None:
-            return got
-        if key not in self:
-            raise KeyError(key)
-        i, k = key
-        if i == k:
-            got = known[key] = Matrix.identity(self._field, self._dims[i])
-            return got
-        # a loop, as paths can be as long as the proset; edges are always
-        # known, so the walk back stops before it reaches i
-        path, x = [], k
-        while (i, x) not in known:
-            path.append(x)
-            x = self._proset.path_step(i, x)
-        got = known[(i, x)]
-        for y in reversed(path):
-            got = known[(i, y)] = mat_mul(known[(x, y)], got)
-            x = y
-        return got
-
-    def __contains__(self, key) -> bool:
-        i, k = key
-        # a bit row has no bit at or above n
-        return 0 <= i < self._proset.n and 0 <= k and self._proset.leq(i, k)
-
-    def __iter__(self):
-        return iter(self._proset.related_pairs)
-
-    def __len__(self) -> int:
-        return len(self._proset.related_pairs)
-
-
 class Representation(Value):
     """Functor from a proset to finite-dimensional F_p vector spaces.
 
-    dims[i] is the dimension at element i; maps[(i, j)] is the dims[j] x
-    dims[i] matrix of the structure map i <= j.  The given maps must be keyed
-    by related pairs and include every generating edge.  Valid by
+    dims[i] is the dimension at element i.  edges[e] is the dims[k] x
+    dims[j] matrix of the structure map on the generating edge (j, k) =
+    proset.generating_edges[e], and map(i, k) gives that of any related
+    pair.  The constructor takes maps keyed by related pairs, which must
+    include every generating edge, and keeps the edges.  Valid by
     construction: after those frame checks the constructor raises
-    ValueError on the report of validate_representation, its one check.
+    ValueError on the report of validate_representation, its one check of
+    the edges, and on a given map off the edges that map(i, k) contradicts.
     """
 
-    __slots__ = ("proset", "field", "dims", "maps")
+    __slots__ = ("proset", "field", "dims", "edges", "_known")
 
     def __init__(self, proset: Proset, field: FieldSpec,
                  dims: Sequence[int], maps: Mapping[tuple[int, int], Matrix]):
@@ -93,7 +48,6 @@ class Representation(Value):
             raise ValueError(
                 f"maps must cover every generating edge and only related "
                 f"pairs; missing {missing[:4]}, unexpected {extra[:4]}")
-        store = {}
         for (i, j), m in maps.items():
             if m.field != field:
                 raise ValueError(f"map at ({i}, {j}) is over F_{m.field.p}, "
@@ -102,30 +56,62 @@ class Representation(Value):
                 raise ValueError(
                     f"map at ({i}, {j}) has shape {m.rows}x{m.cols}, "
                     f"expected {d[j]}x{d[i]}")
-            store[(i, j)] = m
-        _fill(self, proset, field, d, _Maps(proset, field, d, store))
+        _fill(self, proset, field, d,
+              tuple(map(maps.__getitem__, proset.generating_edges)))
         err = validate_representation(self)
+        if err is None:
+            # a map with a zero-dimensional end is the one its shape allows
+            lab = proset.label
+            for (i, k), m in maps.items():
+                if d[i] and d[k] and m != self.map(i, k):
+                    err = (f"map at ({lab(i)}, {lab(i)}) is not the identity"
+                           if i == k else
+                           f"composition fails over {lab(i)} <= "
+                           f"{lab(proset.path_step(i, k))} <= {lab(k)}")
+                    break
         if err is not None:
             raise ValueError(f"invalid representation: {err}")
 
     @classmethod
     def _trusted(cls, proset: Proset, field: FieldSpec, dims: tuple[int, ...],
-                 maps: dict[tuple[int, int], Matrix]) -> "Representation":
-        """Wrap maps valid by construction, skipping the public checks: dims
-        a tuple of proset.n ints >= 0, maps keyed by related pairs, covering
-        every generating edge, each over field and dims[j] x dims[i], and
-        functorial.  For builders that derive a module from valid ones."""
-        return _fill(object.__new__(cls), proset, field, dims,
-                     _Maps(proset, field, dims, maps))
+                 edges: tuple[Matrix, ...]) -> "Representation":
+        """Wrap edge maps valid by construction, skipping the public checks:
+        dims a tuple of proset.n ints >= 0, edges a tuple aligned with
+        proset.generating_edges, each over field and dims[k] x dims[j] on
+        its edge (j, k), and functorial.  For builders that derive a module
+        from valid ones."""
+        return _fill(object.__new__(cls), proset, field, dims, edges)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Representation):
-            return NotImplemented
-        # pairs neither side was given are the same path products on both
-        a, b = self.maps, other.maps
-        return (self.proset == other.proset and self.field == other.field
-                and self.dims == other.dims
-                and all(a[key] == b[key] for key in a._given.keys() | b._given.keys()))
+    def map(self, i: int, k: int) -> Matrix:
+        """The dims[k] x dims[i] matrix of the structure map i <= k: its
+        edge map, the identity on the diagonal, and otherwise the product
+        along the fixed path of generating edges (Proset.path_step),
+        memoised.  KeyError when i <= k does not hold."""
+        known = self._known
+        if known is None:
+            known = dict(zip(self.proset.generating_edges, self.edges))
+            object.__setattr__(self, "_known", known)
+        got = known.get((i, k))
+        if got is not None:
+            return got
+        p = self.proset
+        # a bit row has no bit at or above n
+        if not (0 <= i < p.n and 0 <= k and p.leq(i, k)):
+            raise KeyError((i, k))
+        if i == k:
+            got = known[(i, k)] = Matrix.identity(self.field, self.dims[i])
+            return got
+        # a loop, as paths can be as long as the proset; edges are always
+        # known, so the walk back stops before it reaches i
+        path, x = [], k
+        while (i, x) not in known:
+            path.append(x)
+            x = p.path_step(i, x)
+        got = known[(i, x)]
+        for y in reversed(path):
+            got = known[(i, y)] = mat_mul(known[(x, y)], got)
+            x = y
+        return got
 
     def __repr__(self) -> str:
         return f"Representation(p={self.field.p}, dims={self.dims})"
@@ -141,14 +127,14 @@ def _checked_dims(proset: Proset, dims: Sequence[int]) -> tuple[int, ...]:
 
 
 def validate_representation(m: Representation) -> Optional[str]:
-    """None if functorial, else a report on the first failure.
+    """None if the edge maps are functorial, else a report on the first
+    failure.
 
-    Checks that given diagonals are identities, then F(j,k) F(i,j) = F(i,k)
-    for every related pair i <= j, i != j, and generating edge (j, k),
-    except where it holds by definition: (i, k) was not given and j is the
-    step before k on its path from i.  So only given maps off the edges and
-    edges off the paths cost a product; a chain built from its steps has
-    none.  The equations suffice, by induction on the number of classes
+    Checks F(j,k) F(i,j) = F(i,k) for every related pair i <= j, i != j,
+    and generating edge (j, k), except where it holds by definition of
+    Representation.map: (i, k) is not an edge and j is the step before k on
+    its path from i.  So only edges off the paths cost a product; a chain
+    has none.  The equations suffice, by induction on the number of classes
     strictly between j and k: if j <= k is not an edge, some m lies
     strictly between them, both (j, m) and (m, k) have fewer classes between
     them, and so F(j,k) F(i,j) = F(m,k) F(j,m) F(i,j) = F(m,k) F(i,m)
@@ -156,23 +142,20 @@ def validate_representation(m: Representation) -> Optional[str]:
     """
     p = m.proset
     dims = m.dims
-    given = m.maps._given
-    for i in range(p.n):
-        if (i, i) in given and given[(i, i)] != Matrix.identity(m.field, dims[i]):
-            return f"map at ({p.label(i)}, {p.label(i)}) is not the identity"
+    edge = set(p.generating_edges)
     # equations with a zero-dimensional end are vacuous: both sides are the
     # unique empty-shaped matrix
-    edges_from: list[list[int]] = [[] for _ in range(p.n)]
-    for (j, k) in p.generating_edges:
+    edges_from: list[list[tuple[int, Matrix]]] = [[] for _ in range(p.n)]
+    for (j, k), f in zip(p.generating_edges, m.edges):
         if dims[k] != 0:
-            edges_from[j].append(k)
+            edges_from[j].append((k, f))
     for (i, j) in p.related_pairs:
         if i == j or dims[i] == 0:
             continue
-        for k in edges_from[j]:
-            if k != i and (i, k) not in given and p.path_step(i, k) == j:
+        for k, f in edges_from[j]:
+            if k != i and (i, k) not in edge and p.path_step(i, k) == j:
                 continue
-            if mat_mul(m.maps[(j, k)], m.maps[(i, j)]) != m.maps[(i, k)]:
+            if mat_mul(f, m.map(i, j)) != m.map(i, k):
                 return (f"composition fails over {p.label(i)} <= {p.label(j)}"
                         f" <= {p.label(k)}")
     return None
@@ -221,14 +204,14 @@ def indicator_sum(proset: Proset, supports: Sequence[Collection[int]],
     dims = tuple(map(len, alive))
     # edges with the same shape and rows share one matrix
     made: dict[tuple[int, tuple[int, ...]], Matrix] = {}
-    maps = {}
+    edges = []
     for (a, b) in proset.generating_edges:
         key = (dims[a], tuple(map(positions[a].__getitem__, alive[b])))
         got = made.get(key)
         if got is None:
             got = made[key] = _unit_matrix(field, *key)
-        maps[(a, b)] = got
-    return Representation._trusted(proset, field, dims, maps), positions
+        edges.append(got)
+    return Representation._trusted(proset, field, dims, tuple(edges)), positions
 
 
 def chain_representation(proset: Proset, field: FieldSpec,
@@ -253,8 +236,7 @@ def chain_representation(proset: Proset, field: FieldSpec,
         if s.rows != d[i + 1] or s.cols != d[i]:
             raise ValueError(f"step {i} has shape {s.rows}x{s.cols},"
                              f" expected {d[i + 1]}x{d[i]}")
-    maps = {(i, i + 1): s for i, s in enumerate(steps)}
-    return Representation._trusted(proset, field, d, maps)
+    return Representation._trusted(proset, field, d, tuple(steps))
 
 
 class NatTrans(Value):
@@ -306,13 +288,13 @@ def validate_nat_trans(t: NatTrans) -> Optional[str]:
     p = t.source.proset
     src_dims = t.source.dims
     tgt_dims = t.target.dims
-    for (i, j) in p.generating_edges:
+    for (i, j), f, g in zip(p.generating_edges, t.source.edges, t.target.edges):
         # both sides have shape target.dims[j] x source.dims[i]; when either
         # is 0 the equation is vacuous
         if src_dims[i] == 0 or tgt_dims[j] == 0:
             continue
-        lhs = mat_mul(t.target.maps[(i, j)], t.components[i])
-        rhs = mat_mul(t.components[j], t.source.maps[(i, j)])
+        lhs = mat_mul(g, t.components[i])
+        rhs = mat_mul(t.components[j], f)
         if lhs != rhs:
             return (f"naturality fails over {p.label(i)} <= {p.label(j)}")
     return None
@@ -334,9 +316,9 @@ def precompose(m: Representation, lam: Translation) -> Representation:
         raise ValueError("translation is not defined on this representation's proset")
     p = m.proset
     dims = tuple(m.dims[lam.mapping[i]] for i in range(p.n))
-    maps = {(i, j): m.maps[(lam.mapping[i], lam.mapping[j])]
-            for (i, j) in p.generating_edges}
-    return Representation._trusted(p, m.field, dims, maps)
+    lm = lam.mapping
+    edges = tuple(m.map(lm[i], lm[j]) for (i, j) in p.generating_edges)
+    return Representation._trusted(p, m.field, dims, edges)
 
 
 def direct_sum(parts: Sequence[Representation],
@@ -370,17 +352,17 @@ def direct_sum(parts: Sequence[Representation],
             row.append((offs[i], offs[i] + m.dims[i]))
             offs[i] += m.dims[i]
         slices.append(row)
-    maps = {}
-    for (i, j) in proset.generating_edges:
+    edges = []
+    for e, (i, j) in enumerate(proset.generating_edges):
         ent = [[0] * dims[i] for _ in range(dims[j])]
         for k, m in enumerate(parts):
             (ri, _), (rj, _) = slices[k][i], slices[k][j]
-            block = m.maps[(i, j)]
+            block = m.edges[e]
             for r in range(block.rows):
                 ent[rj + r][ri:ri + block.cols] = block.entries[r]
-        maps[(i, j)] = Matrix._trusted(field, dims[j], dims[i],
-                                       tuple(map(tuple, ent)))
-    return Representation._trusted(proset, field, dims, maps), slices
+        edges.append(Matrix._trusted(field, dims[j], dims[i],
+                                     tuple(map(tuple, ent))))
+    return Representation._trusted(proset, field, dims, tuple(edges)), slices
 
 
 def permutation_iso(parts: Sequence[Representation], order: Sequence[int],
@@ -416,8 +398,8 @@ def restrict(m: Representation, side: str) -> Representation:
     base = sh.base
     off = 0 if side == "left" else base.n
     dims = tuple(m.dims[off + i] for i in range(base.n))
-    maps = {(i, j): m.maps[(off + i, off + j)] for (i, j) in base.generating_edges}
-    return Representation._trusted(base, m.field, dims, maps)
+    edges = tuple(m.map(off + i, off + j) for (i, j) in base.generating_edges)
+    return Representation._trusted(base, m.field, dims, edges)
 
 
 def subrelation_transfer(m: Representation, q: Proset) -> Representation:
@@ -433,5 +415,5 @@ def subrelation_transfer(m: Representation, q: Proset) -> Representation:
         if not p.leq(i, j):
             raise ValueError(
                 f"target relation is not a subrelation: ({i}, {j}) missing")
-    maps = {(i, j): m.maps[(i, j)] for (i, j) in q.generating_edges}
-    return Representation._trusted(q, m.field, m.dims, maps)
+    edges = tuple(m.map(i, j) for (i, j) in q.generating_edges)
+    return Representation._trusted(q, m.field, m.dims, edges)

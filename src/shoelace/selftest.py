@@ -159,7 +159,7 @@ def _rand_chain_rep(rng: random.Random, n: int, field: FieldSpec,
 def _conjugate(m: Representation, us: list[Matrix]) -> tuple[Representation, NatTrans]:
     inv = [mat_inverse(u) for u in us]
     maps = {
-        (i, j): mat_mul(us[j], mat_mul(m.maps[(i, j)], inv[i]))
+        (i, j): mat_mul(us[j], mat_mul(m.map(i, j), inv[i]))
         for (i, j) in m.proset.related_pairs
     }
     m2 = Representation(m.proset, m.field, m.dims, maps)
@@ -173,7 +173,7 @@ def _rand_rep(rng: random.Random, p: Proset, field: FieldSpec,
     q = [d.bit_count() - 1 for d in p.down]
     w = _rand_chain_rep(rng, p.n, field, max_dim)
     dims = [w.dims[q[i]] for i in range(p.n)]
-    maps = {(i, j): w.maps[(q[i], q[j])] for (i, j) in p.related_pairs}
+    maps = {(i, j): w.map(q[i], q[j]) for (i, j) in p.related_pairs}
     m = Representation(p, field, dims, maps)
     us = [_rand_invertible(rng, field, dims[i]) for i in range(p.n)]
     return _conjugate(m, us)[0]
@@ -517,7 +517,7 @@ def _expansion_invariants(l: DecomposedShoelaceRep):
                what="support is connected and convex")
         for (aa, bb) in sh.related_pairs:
             if r1.dims[aa] == 1 and r1.dims[bb] == 1:
-                _check(r1.maps[(aa, bb)].entries == ((1,),), summand=s,
+                _check(r1.map(aa, bb).entries == ((1,),), summand=s,
                        pair=(aa, bb), what="expansion maps are identities")
         left, right = s
         if left is not None and right is not None:

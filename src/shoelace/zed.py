@@ -290,8 +290,9 @@ class Matching(Value):
     """An eps-matching: a partial bijection between barcode instances whose
     matched endpoints lie within eps and whose unmatched bars are short.
     Valid by construction: the constructor raises ValueError on a negative
-    or non-integer epsilon and on sides that are not barcodes, then on the
-    report of validate_matching, its one check."""
+    or non-integer epsilon, on sides that are not barcodes and on a pair
+    that is not two Intervals, then on the report of validate_matching, its
+    one check."""
 
     __slots__ = ("source", "target", "pairs", "epsilon")
 
@@ -301,8 +302,11 @@ class Matching(Value):
             raise ValueError(f"epsilon must be a nonnegative integer, got {epsilon!r}")
         if not (isinstance(source, Barcode) and isinstance(target, Barcode)):
             raise ValueError("the source and target of a matching must be barcodes")
-        ps = tuple(sorted(((a, b) for (a, b) in pairs),
-                          key=lambda ab: (ab[0].ends, ab[1].ends)))
+        ps = tuple(map(tuple, pairs))
+        if not all(len(ab) == 2 and isinstance(ab[0], Interval)
+                   and isinstance(ab[1], Interval) for ab in ps):
+            raise ValueError("each pair of a matching must be two Intervals")
+        ps = tuple(sorted(ps, key=lambda ab: (ab[0].ends, ab[1].ends)))
         _fill(self, source, target, ps, epsilon)
         err = validate_matching(self)
         if err is not None:
@@ -423,7 +427,7 @@ def barcode(m: Representation, w: Window, boundary: str = "finite") -> Barcode:
     points of dimension at most d.  Each vector is packed into one int, so
     the inner loops are big-int arithmetic.
 
-    Only the steps m.maps[(k, k+1)] are read, so the module must be
+    Only the steps, m.edges on the chain, are read, so the module must be
     functorial, as every Representation is by construction.  boundary="infinite"
     reports bars touching the window edges with infinite endpoints instead
     of the edge values.
@@ -446,10 +450,9 @@ def barcode(m: Representation, w: Window, boundary: str = "finite") -> Barcode:
     ends: Counter = Counter()
     # (birth, entries) for a basis of V_k, oldest first
     alive = [(0, e) for e in _unit_vectors(dims[0])]
-    for k in range(n - 1):
+    for k, step in enumerate(m.edges):
         shifts = range(0, dims[k + 1] * width, width)
-        cols = [sum(map(lshift, col, shifts))
-                for col in zip(*m.maps[(k, k + 1)].entries)]
+        cols = [sum(map(lshift, col, shifts)) for col in zip(*step.entries)]
         survivors: list[tuple[int, list[int]]] = []
         # (pivot shift, packed -r) for each surviving reduced image r, r
         # being 1 at its pivot and 0 at the pivots before it
@@ -560,8 +563,8 @@ def _hom_dimension(m: Representation, n: Representation) -> int:
     """Dimension of the natural transformations m -> n: the squares of the
     generating edges imply the rest (see validate_nat_trans)."""
     shapes = [(n.dims[a], m.dims[a]) for a in range(m.proset.n)]
-    constraints = [(n.maps[(a, b)], a, m.maps[(a, b)], b)
-                   for (a, b) in m.proset.generating_edges
+    constraints = [(g, a, f, b) for (a, b), f, g
+                   in zip(m.proset.generating_edges, m.edges, n.edges)
                    if m.dims[a] and n.dims[b]]
     return homogeneous_dimension(m.field, shapes, constraints)
 
@@ -892,12 +895,12 @@ class HallWitness(Value):
     """Why no eps-matching exists: bars of one side (with multiplicity), each
     of length >= 2*eps and so unable to stay unmatched, that together have
     fewer admissible partners (bars of the other side, with multiplicity)
-    than there are bars."""
+    than there are bars.  bars and partners are kept as tuples."""
 
     __slots__ = ("side", "bars", "partners")
 
-    def __init__(self, side: str, bars: tuple[Interval, ...], partners: tuple[Interval, ...]):
-        _fill(self, side, bars, partners)
+    def __init__(self, side: str, bars: Iterable[Interval], partners: Iterable[Interval]):
+        _fill(self, side, tuple(bars), tuple(partners))
 
     def __str__(self) -> str:
         other = "target" if self.side == "source" else "source"

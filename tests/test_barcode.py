@@ -19,7 +19,7 @@ from shoelace.cli import main
 from shoelace.docio import save_document
 from shoelace.exactlin import FieldSpec, Matrix, mat_rank
 from shoelace.proset import proset_from_pairs
-from shoelace.rep import Representation, _Maps, chain_representation, direct_sum
+from shoelace.rep import Representation, chain_representation, direct_sum
 from shoelace.selftest import _conjugate, _rand_invertible
 from shoelace.zed import (
     Barcode,
@@ -41,7 +41,7 @@ def _rank_barcode(m: Representation, w: Window, boundary: str = "finite") -> Bar
     composite map a -> b and zero outside the window: one rank per related
     pair."""
     n = w.size
-    ranks = {(a, b): mat_rank(m.maps[(a, b)]) for a in range(n) for b in range(a, n)}
+    ranks = {(a, b): mat_rank(m.map(a, b)) for a in range(n) for b in range(a, n)}
 
     def r(a: int, b: int) -> int:
         return ranks[(a, b)] if 0 <= a <= b < n else 0
@@ -133,27 +133,21 @@ def test_barcode_reads_only_the_steps(monkeypatch):
     w = Window(0, 9)
     bars = _rand_bars(rng, w) + [Interval(0, 9)]
     scrambled = _scrambled_sum(rng, FieldSpec(5), w, bars)
-    # given only its steps, so that a composite would have to be built
     m = chain_representation(window_chain(w), scrambled.field, scrambled.dims,
-                             [scrambled.maps[(k, k + 1)] for k in range(w.size - 1)])
-    known_before = dict(m.maps._known)
-    read = []
-    getitem = _Maps.__getitem__
+                             scrambled.edges)
 
-    def spy(self, key):
-        read.append(key)
-        return getitem(self, key)
+    def no_map(_self, i, k):
+        raise AssertionError(f"barcode read the map at ({i}, {k})")
 
     def no_rank(_a):
         raise AssertionError("barcode ranked a matrix")
 
-    monkeypatch.setattr(_Maps, "__getitem__", spy)
+    monkeypatch.setattr(Representation, "map", no_map)
     monkeypatch.setattr(exactlin, "mat_rank", no_rank)
     monkeypatch.setattr(zed, "mat_rank", no_rank, raising=False)
     assert barcode(m, w) == Barcode(bars)
-    assert read and all(b == a + 1 for a, b in read), read
     # no composite map was built and cached
-    assert m.maps._known == known_before
+    assert m._known is None
 
 
 def test_barcode_refuses_a_module_off_the_window_chain():
@@ -165,8 +159,13 @@ def test_barcode_refuses_a_module_off_the_window_chain():
         m = Representation(p, f, (1, 1, 1), maps)
         with pytest.raises(ValueError, match="chain of the window"):
             barcode(m, w)
+        # nor is it saved as a window module, whose steps are the chain's edges
+        with pytest.raises(ValueError, match="chain of the window"):
+            save_document("window_module", (w, m))
     with pytest.raises(ValueError, match="points"):
         barcode(interval_to_module(Interval(0, 2), w), Window(0, 3))
+    with pytest.raises(ValueError, match="chain of the window"):
+        save_document("window_module", (Window(0, 3), interval_to_module(Interval(0, 2), w)))
     # a certificate's expansion lives on the shoelace carrier, 2n points
     bar = Interval(1, 2)
     cert = matching_to_rep(Matching(Barcode([bar]), Barcode([]), [], 1), Window(-2, 5))

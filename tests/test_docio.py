@@ -67,7 +67,7 @@ def _examples():
         "representation": m,
         # the canonical map M -> M(lam), with component M(i <= lam(i)) at i
         "nattrans": NatTrans(m, precompose(m, lam),
-                             [m.maps[(i, lam(i))] for i in range(w.size)]),
+                             [m.map(i, lam(i)) for i in range(w.size)]),
         "interleaving": x,
         "barcode": Barcode([Interval(0, 1), Interval(0, 1),
                             Interval(NEG_INF, 3), Interval(2, POS_INF)]),

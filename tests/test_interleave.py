@@ -162,7 +162,7 @@ def test_pack_overlap_example():
     # the lacing map at value 0 carries phi(0), which is the identity here
     i = W.index(0)
     lam_i = x.lam.mapping[i]
-    assert v.maps[(i, 6 + lam_i)] == Matrix.identity(F2, 1)
+    assert v.map(i, 6 + lam_i) == Matrix.identity(F2, 1)
 
 
 def test_pack_with_identity_translation_duplicates_maps():
@@ -173,8 +173,8 @@ def test_pack_with_identity_translation_duplicates_maps():
     v = pack(x)
     n0 = m.proset.n
     for (i, j) in m.proset.related_pairs:
-        assert v.maps[(i, n0 + j)] == m.maps[(i, j)]
-        assert v.maps[(n0 + i, j)] == m.maps[(i, j)]
+        assert v.map(i, n0 + j) == m.map(i, j)
+        assert v.map(n0 + i, j) == m.map(i, j)
 
 
 def test_pack_unpack_round_trip_on_the_example():

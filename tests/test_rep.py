@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from shoelace.docio import load_document, save_document
 from shoelace.exactlin import FieldSpec, Matrix, mat_mul, mat_solve_homogeneous
 from shoelace.interleave import Interleaving, pack, unpack
 from shoelace.proset import (
@@ -65,7 +67,7 @@ def _identity(m):
 def _whisker(m, lam):
     """The canonical map M -> M(lam), with component M(i <= lam(i)) at i."""
     return NatTrans(m, precompose(m, lam),
-                    [m.maps[(i, lam.mapping[i])] for i in range(m.proset.n)])
+                    [m.map(i, lam.mapping[i]) for i in range(m.proset.n)])
 
 
 def test_constant_chain_rep_is_valid():
@@ -94,6 +96,15 @@ def test_non_identity_diagonal_reported():
     with pytest.raises(ValueError, match=r"invalid representation: "
                        r"map at \(0, 0\) is not the identity"):
         Representation(p, F5, (1, 1), {(0, 0): two, (1, 1): one, (0, 1): one})
+
+
+def test_a_retraction_between_isomorphic_points_is_refused():
+    # 0 <= 1 <= 0 with F(0,1) F(1,0) the identity of F(1) but F(1,0) F(0,1)
+    # not that of F(0): each edge of the class must be checked both ways
+    p = proset_from_pairs(2, [(0, 1), (1, 0)])
+    maps = {(0, 1): Matrix(F2, 1, 2, [[1, 0]]), (1, 0): Matrix(F2, 2, 1, [[1], [0]])}
+    with pytest.raises(ValueError, match=r"composition fails over 0 <= 1 <= 0"):
+        Representation(p, F2, (2, 1), maps)
 
 
 def test_interval_module_is_valid():
@@ -245,8 +256,8 @@ def _assert_summand(total, slices, k, part):
     p = total.proset
     assert [stop - start for (start, stop) in slices[k]] == list(part.dims)
     for (i, j) in p.related_pairs:
-        assert (_block(total.maps[(i, j)], slices[k][j], slices[k][i])
-                == part.maps[(i, j)].entries)
+        assert (_block(total.map(i, j), slices[k][j], slices[k][i])
+                == part.map(i, j).entries)
 
 
 def test_direct_sum_of_one_is_the_part():
@@ -263,9 +274,9 @@ def test_direct_sum_of_two_intervals():
     total, slices = direct_sum([a, b])
     assert validate_representation(total) is None
     assert total.dims == (1, 2, 1)
-    assert total.maps[(0, 1)] == Matrix(F2, 2, 1, [[1], [0]])
-    assert total.maps[(1, 2)] == Matrix(F2, 1, 2, [[0, 1]])
-    assert total.maps[(0, 2)] == Matrix.zeros(F2, 1, 1)
+    assert total.map(0, 1) == Matrix(F2, 2, 1, [[1], [0]])
+    assert total.map(1, 2) == Matrix(F2, 1, 2, [[0, 1]])
+    assert total.map(0, 2) == Matrix.zeros(F2, 1, 1)
     _assert_summand(total, slices, 0, a)
     _assert_summand(total, slices, 1, b)
 
@@ -323,7 +334,7 @@ def test_indicator_sum_equals_the_direct_sum_of_indicator_modules(family, seed):
                              proset=q, field=field)
     assert total.dims == ref.dims
     for key in q.related_pairs:
-        assert total.maps[key] == ref.maps[key], key
+        assert total.map(*key) == ref.map(*key), key
     assert validate_representation(total) is None
     assert len(positions) == q.n
     for x in range(q.n):
@@ -415,8 +426,9 @@ def test_subrelation_transfer_drops_missing_pairs():
     out = subrelation_transfer(m, q)
     assert out.proset == q
     assert out.dims == m.dims
-    assert out.maps[(0, 1)] == m.maps[(0, 1)]
-    assert (1, 2) not in out.maps
+    assert out.map(0, 1) == m.map(0, 1)
+    with pytest.raises(KeyError):
+        out.map(1, 2)
     assert validate_representation(out) is None
     with pytest.raises(ValueError, match="not a subrelation"):
         subrelation_transfer(m, proset_from_pairs(3, [(1, 0)]))
@@ -452,10 +464,10 @@ def test_composite_mutation_is_detected(seed):
     assert validate_representation(m) is None
     i = rng.randint(0, n - 3)
     k = rng.randint(i + 2, n - 1)
-    bumped = [list(row) for row in m.maps[(i, k)].entries]
+    bumped = [list(row) for row in m.map(i, k).entries]
     r, c = rng.randrange(dims[k]), rng.randrange(dims[i])
     bumped[r][c] = (bumped[r][c] + 1) % field.p
-    maps = dict(m.maps)
+    maps = _every_pair(m)
     maps[(i, k)] = Matrix(field, dims[k], dims[i], bumped)
     with pytest.raises(ValueError, match="invalid representation: composition fails"):
         Representation(chain(n), field, dims, maps)
@@ -489,20 +501,25 @@ def test_direct_sum_projection_recovers_parts(seed):
         _assert_summand(total, slices, k, part)
 
 
-def _validate_all_triples(m):
-    """Reference functoriality check: identity on every diagonal and the
-    composition equation on every related triple i <= j <= k."""
-    p = m.proset
+def _every_pair(m):
+    """m's maps as a plain dict of every related pair."""
+    return {pair: m.map(*pair) for pair in m.proset.related_pairs}
+
+
+def _validate_all_triples(p, field, dims, maps):
+    """Reference functoriality check over maps, a plain dict of every
+    related pair: identity on every diagonal and the composition equation
+    on every related triple i <= j <= k."""
     for i in range(p.n):
-        if m.maps[(i, i)] != Matrix.identity(m.field, m.dims[i]):
+        if maps[(i, i)] != Matrix.identity(field, dims[i]):
             return f"map at ({p.label(i)}, {p.label(i)}) is not the identity"
     for (i, j) in p.related_pairs:
-        if i == j or m.dims[i] == 0:
+        if i == j or dims[i] == 0:
             continue
         for k in range(p.n):
-            if k == j or m.dims[k] == 0 or not p.leq(j, k):
+            if k == j or dims[k] == 0 or not p.leq(j, k):
                 continue
-            if mat_mul(m.maps[(j, k)], m.maps[(i, j)]) != m.maps[(i, k)]:
+            if mat_mul(maps[(j, k)], maps[(i, j)]) != maps[(i, k)]:
                 return (f"composition fails over {p.label(i)} <= {p.label(j)}"
                         f" <= {p.label(k)}")
     return None
@@ -541,19 +558,19 @@ def _rand_rep_family(rng, family):
 
 
 def _corrupt_one_map(rng, m):
-    """A copy of m with one entry of one nonempty map moved, or None."""
+    """m's maps on every related pair, with one entry of one nonempty map
+    moved, edge or not, or None."""
     pairs = [(i, j) for (i, j) in m.proset.related_pairs
              if m.dims[i] and m.dims[j]]
     if not pairs:
         return None
     i, j = rng.choice(pairs)
-    entries = [list(row) for row in m.maps[(i, j)].entries]
+    entries = [list(row) for row in m.map(i, j).entries]
     r, c = rng.randrange(m.dims[j]), rng.randrange(m.dims[i])
     entries[r][c] += rng.randrange(1, m.field.p)
-    maps = dict(m.maps)
+    maps = _every_pair(m)
     maps[(i, j)] = Matrix(m.field, m.dims[j], m.dims[i], entries)
-    # the public constructor would refuse the invalid half
-    return Representation._trusted(m.proset, m.field, m.dims, maps)
+    return maps
 
 
 @pytest.mark.parametrize("family", ["chain", "closure", "carrier"])
@@ -568,34 +585,55 @@ def test_generating_edge_check_agrees_with_all_triples(family):
         assert proset_from_pairs(p.n, p.generating_edges).up == p.up
         two_way += any(p.leq(k, j) for (j, k) in p.generating_edges)
         assert validate_representation(m) is None
-        assert _validate_all_triples(m) is None
-        bad = _corrupt_one_map(rng, m)
-        if bad is None:
+        assert _validate_all_triples(p, m.field, m.dims, _every_pair(m)) is None
+        maps = _corrupt_one_map(rng, m)
+        if maps is None:
             continue
-        got = validate_representation(bad)
-        assert (got is None) == (_validate_all_triples(bad) is None)
-        outcomes["valid" if got is None else "invalid"] += 1
+        want = _validate_all_triples(p, m.field, m.dims, maps) is None
+        try:
+            Representation(p, m.field, m.dims, maps)
+        except ValueError as e:
+            assert str(e).startswith("invalid representation: ")
+            assert not want
+        else:
+            assert want
+        # the edge check alone, against the pairs that the edges give
+        edges = Representation._trusted(
+            p, m.field, m.dims, tuple(maps[e] for e in p.generating_edges))
+        assert ((validate_representation(edges) is None)
+                == (_validate_all_triples(p, m.field, m.dims, _every_pair(edges)) is None))
+        outcomes["valid" if want else "invalid"] += 1
     assert min(outcomes.values()) > 0
     assert (two_way > 0) == (family != "chain")
 
 
-def _stored(m):
-    """Number of matrices the representation holds as given."""
-    return len(m.maps._given)
+def _packed_pair():
+    """pack of the canonical interleaving of [0, 5] and [1, 6] on the eps-3
+    carrier of the window [-6, 12]."""
+    w = Window(-6, 12)
+    i, j = Interval(0, 5), Interval(1, 6)
+    f, g = canonical_pair(i, j, 3, w)
+    return pack(Interleaving(interval_to_module(i, w), interval_to_module(j, w),
+                             lambda_eps(w, 3), f, g))
 
 
 def test_objects_built_from_edges_store_one_map_per_edge():
     m = _rand_chain_rep(random.Random(3), 40, FieldSpec(2 ** 31 - 1))
-    assert _stored(m) == 39
+    assert len(m.edges) == 39
     w = Window(-6, 12)
-    assert _stored(interval_to_module(Interval(0, 5), w)) == w.size - 1
-    # pack on the eps-3 carrier of the window
-    i, j = Interval(0, 5), Interval(1, 6)
-    f, g = canonical_pair(i, j, 3, w)
-    v = pack(Interleaving(interval_to_module(i, w), interval_to_module(j, w),
-                          lambda_eps(w, 3), f, g))
+    assert len(interval_to_module(Interval(0, 5), w).edges) == w.size - 1
+    v = _packed_pair()
     assert len(v.proset.related_pairs) == 658
-    assert _stored(v) == len(v.proset.generating_edges) == 70
+    assert len(v.edges) == len(v.proset.generating_edges) == 70
+
+
+def test_a_module_loaded_from_every_pair_stores_one_map_per_edge():
+    v = _packed_pair()
+    text = save_document("representation", v)
+    assert len(json.loads(text)["payload"]["maps"]) == 658
+    _, loaded = load_document(text)
+    assert loaded == v
+    assert len(loaded.edges) == len(loaded.proset.generating_edges) == 70
 
 
 def test_validating_a_chain_from_its_steps_multiplies_nothing(monkeypatch):
@@ -617,23 +655,22 @@ def test_long_composite_needs_no_recursion():
     n = 500
     one = Matrix(F5, 1, 1, [[2]])
     m = chain_representation(chain(n), F5, (1,) * n, [one] * (n - 1))
-    assert m.maps[(0, n - 1)] == Matrix(F5, 1, 1, [[pow(2, n - 1, 5)]])
-    assert m.maps[(0, 0)] == Matrix.identity(F5, 1)
+    assert m.map(0, n - 1) == Matrix(F5, 1, 1, [[pow(2, n - 1, 5)]])
+    assert m.map(0, 0) == Matrix.identity(F5, 1)
     with pytest.raises(KeyError):
-        m.maps[(1, 0)]
+        m.map(1, 0)
 
 
-def test_equality_compares_every_pair_either_side_was_given():
+def test_equality_compares_the_edge_maps():
     p = chain(3)
     one, zero = Matrix(F2, 1, 1, [[1]]), Matrix(F2, 1, 1, [[0]])
     steps = Representation(p, F2, (1, 1, 1), {(0, 1): one, (1, 2): one})
-    full = {pair: one for pair in p.related_pairs}
-    assert steps == Representation(p, F2, (1, 1, 1), full)
-    # a given composite that differs from the path product
-    full[(0, 2)] = zero
-    lying = Representation._trusted(p, F2, (1, 1, 1), full)
-    assert steps != lying and lying != steps
-    assert dict(steps.maps) != dict(lying.maps)
+    full = Representation(p, F2, (1, 1, 1), {pair: one for pair in p.related_pairs})
+    assert steps == full and hash(steps) == hash(full)
+    assert full.edges == (one, one)
+    cut = Representation(p, F2, (1, 1, 1), {(0, 1): one, (1, 2): zero})
+    assert steps != cut and cut != steps
+    assert cut.map(0, 2) == zero
 
 
 def _random_path_product(rng, m, i, k):
@@ -648,21 +685,21 @@ def _random_path_product(rng, m, i, k):
         # an unseen edge towards k always exists: a cover towards k's class,
         # or the edge to k itself once x is in that class
         y = rng.choice([y for y in out[x] if p.leq(y, k) and y not in seen])
-        acc = mat_mul(m.maps[(x, y)], acc)
+        acc = mat_mul(m.map(x, y), acc)
         seen.add(y)
         x = y
     return acc
 
 
 def _natural_on_all_pairs(t):
-    return all(mat_mul(t.target.maps[(i, j)], t.components[i])
-               == mat_mul(t.components[j], t.source.maps[(i, j)])
+    return all(mat_mul(t.target.map(i, j), t.components[i])
+               == mat_mul(t.components[j], t.source.map(i, j))
                for (i, j) in t.source.proset.related_pairs)
 
 
 def _hom_space_on_all_pairs(m, n):
     shapes = [(n.dims[a], m.dims[a]) for a in range(m.proset.n)]
-    constraints = [(n.maps[(a, b)], a, m.maps[(a, b)], b)
+    constraints = [(n.map(a, b), a, m.map(a, b), b)
                    for (a, b) in m.proset.related_pairs if a != b]
     return mat_solve_homogeneous(m.field, shapes, constraints)
 
@@ -677,10 +714,10 @@ def test_generating_edges_agree_with_all_pairs(family):
         m = _rand_rep_family(rng, family)
         p = m.proset
         lazy = Representation(p, m.field, m.dims,
-                              {e: m.maps[e] for e in p.generating_edges})
+                              {e: m.map(*e) for e in p.generating_edges})
         for (i, k) in p.related_pairs:
-            assert lazy.maps[(i, k)] == m.maps[(i, k)]
-            assert lazy.maps[(i, k)] == _random_path_product(rng, m, i, k)
+            assert lazy.map(i, k) == m.map(i, k)
+            assert lazy.map(i, k) == _random_path_product(rng, m, i, k)
         n = _rand_rep(rng, p, m.field, max_dim=2)
         dim, basis = _hom_space_on_all_pairs(m, n)
         assert _hom_dimension(m, n) == dim

@@ -86,6 +86,8 @@ from shoelace.zed import (
     window_chain,
 )
 
+from test_rep import _validate_all_triples
+
 from test_proset import table
 
 FAMILIES = ["selftest", "window"]
@@ -111,11 +113,13 @@ def _check_trusted(got, ref):
     built from every related pair, passes every check of the public
     constructor, and is functorial."""
     assert type(got.dims) is tuple
-    # ref was given every related pair, so == compares them all
+    # ref was given every related pair and checked each against its edges,
+    # so == on the edges compares them all
     assert got == ref
     # the trusted builders store the generating edges and nothing else
-    assert set(got.maps._given) == set(got.proset.generating_edges)
-    assert Representation(got.proset, got.field, got.dims, got.maps._given) == got
+    edges = got.proset.generating_edges
+    assert type(got.edges) is tuple and len(got.edges) == len(edges)
+    assert Representation(got.proset, got.field, got.dims, dict(zip(edges, got.edges))) == got
     assert validate_representation(got) is None
 
 
@@ -129,7 +133,7 @@ def test_precompose_equals_the_public_construction(family, seed):
     m = _rand_rep(rng, p, field)
     lm = lam.mapping
     ref = Representation(p, field, [m.dims[lm[i]] for i in range(p.n)],
-                         {(i, j): m.maps[(lm[i], lm[j])] for (i, j) in p.related_pairs})
+                         {(i, j): m.map(lm[i], lm[j]) for (i, j) in p.related_pairs})
     _check_trusted(precompose(m, lam), ref)
 
 
@@ -144,7 +148,7 @@ def test_restrict_equals_the_public_construction(family, seed):
         v = _rand_rep(rng, sh, field)
         for side, off in (("left", 0), ("right", p.n)):
             ref = Representation(p, field, v.dims[off:off + p.n],
-                                 {(i, j): v.maps[(off + i, off + j)]
+                                 {(i, j): v.map(off + i, off + j)
                                   for (i, j) in p.related_pairs})
             _check_trusted(restrict(v, side), ref)
 
@@ -162,11 +166,11 @@ def test_pack_equals_the_public_construction(family, seed):
     for (a, b) in carriers[0].related_pairs:
         i, j = a % n, b % n
         if (a < n) == (b < n):
-            maps[(a, b)] = (x.m if a < n else x.n).maps[(i, j)]
+            maps[(a, b)] = (x.m if a < n else x.n).map(i, j)
         elif a < n:
-            maps[(a, b)] = mat_mul(x.n.maps[(lm[i], j)], x.phi.components[i])
+            maps[(a, b)] = mat_mul(x.n.map(lm[i], j), x.phi.components[i])
         else:
-            maps[(a, b)] = mat_mul(x.m.maps[(lm[i], j)], x.psi.components[i])
+            maps[(a, b)] = mat_mul(x.m.map(lm[i], j), x.psi.components[i])
     ref = Representation(shoelace(p, lam), field, x.m.dims + x.n.dims, maps)
     got = pack(x)
     _check_trusted(got, ref)
@@ -201,7 +205,7 @@ def test_indicator_sum_equals_the_public_construction(family, seed):
 def _public_rep(m):
     """m rebuilt through the public constructor from every related pair."""
     return Representation(m.proset, m.field, m.dims,
-                          {pair: m.maps[pair] for pair in m.proset.related_pairs})
+                          {pair: m.map(*pair) for pair in m.proset.related_pairs})
 
 
 def _public_nat(t):
@@ -277,7 +281,7 @@ def test_sums_and_zero_maps_equal_the_public_construction(family, seed):
             for k, m in enumerate(ms):
                 rr, cc = r - offs[k][y], c - offs[k][x]
                 if 0 <= rr < m.dims[y] and 0 <= cc < m.dims[x]:
-                    return m.maps[(x, y)].entries[rr][cc]
+                    return m.map(x, y).entries[rr][cc]
             return 0
 
         return Representation(p, field, dims, {
@@ -360,8 +364,8 @@ def test_interleaving_builders_equal_the_public_construction(family, seed):
     g = gamma.mapping
     _check_interleaving(upgrade_interleaving(x, gamma), public(
         x.m, x.n, gamma,
-        [mat_mul(x.n.maps[(lm[i], g[i])], x.phi.components[i]) for i in range(p.n)],
-        [mat_mul(x.m.maps[(lm[i], g[i])], x.psi.components[i]) for i in range(p.n)]))
+        [mat_mul(x.n.map(lm[i], g[i]), x.phi.components[i]) for i in range(p.n)],
+        [mat_mul(x.m.map(lm[i], g[i]), x.psi.components[i]) for i in range(p.n)]))
 
     c = rng.randrange(1, field.p)
     inv = pow(c, field.p - 2, field.p)
@@ -627,14 +631,20 @@ def test_representation_raises_exactly_on_what_its_check_rejects(family, seed):
     p, _, carriers = _base_and_translation(rng, family)
     field = FieldSpec(rng.choice((2, 5)))
     m = _rand_rep(rng, rng.choice([p] + carriers), field, max_dim=2)
-    maps = {pair: m.maps[pair] for pair in m.proset.related_pairs}
+    # a plain dict of every related pair, one of them, edge or not, moved
+    maps = {pair: m.map(*pair) for pair in m.proset.related_pairs}
     nonempty = [pair for pair in maps if maps[pair].rows and maps[pair].cols]
     if nonempty:
         pair = rng.choice(nonempty)
         maps[pair] = _bumped(rng, maps[pair])
-    bad = Representation._trusted(m.proset, field, m.dims, maps)
-    _agrees(lambda: Representation(m.proset, field, m.dims, maps), bad,
-            validate_representation(bad), "representation")
+    edges = tuple(maps[e] for e in m.proset.generating_edges)
+    report = _validate_all_triples(m.proset, field, m.dims, maps)
+    if report is None:
+        got = Representation(m.proset, field, m.dims, maps)
+        assert got == Representation._trusted(m.proset, field, m.dims, edges)
+    else:
+        with pytest.raises(ValueError, match="invalid representation: "):
+            Representation(m.proset, field, m.dims, maps)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

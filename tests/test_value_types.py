@@ -33,6 +33,8 @@ def _decomposed(eps):
     return matching_to_rep(_matching(eps), Window(-4, 9))
 
 
+F2 = FieldSpec(2)
+
 # (build from a key, a key, a different key, the tuple hashed)
 CASES = {
     "FieldSpec": (FieldSpec, 5, 7, lambda x: (5,)),
@@ -50,6 +52,13 @@ CASES = {
                 lambda x: ((Interval(0, 2), Interval(0, 2)),)),
     "Matching": (_matching, 1, 2,
                  lambda x: (x.source, x.target, x.pairs, x.epsilon)),
+    "Representation": (lambda k: indicator_module(chain(3), k, F2), {0, 1}, {1, 2},
+                       lambda x: (chain(3), F2, (1, 1, 0),
+                                  (Matrix(F2, 1, 1, [[1]]), Matrix.zeros(F2, 0, 1)))),
+    "NatTrans": (lambda k: zero_nat(*[indicator_module(chain(3), k, F2)] * 2),
+                 {0, 1}, {1, 2},
+                 lambda x: (x.source, x.target,
+                            (Matrix.zeros(F2, 1, 1),) * 2 + (Matrix.zeros(F2, 0, 0),))),
 }
 
 
@@ -131,6 +140,13 @@ def test_value_types_refuse_attribute_assignment(name):
         assert getattr(obj, attr) is before
     with pytest.raises(AttributeError):
         obj.extra = 1
+
+
+def test_hall_witness_keeps_its_bars_as_tuples():
+    listed = HallWitness("source", [Interval(0, 5)], [])
+    tupled = HallWitness("source", (Interval(0, 5),), ())
+    assert listed.bars == (Interval(0, 5),) and listed.partners == ()
+    assert listed == tupled and hash(listed) == hash(tupled)
 
 
 def test_window_is_not_its_pair_of_ends():

@@ -346,7 +346,7 @@ def test_interval_to_module_support():
     w = Window(0, 3)
     m = interval_to_module(Interval(1, 2), w)
     assert m.dims == (0, 1, 1, 0)
-    assert m.maps[(1, 2)] == Matrix.identity(F2, 1)
+    assert m.map(1, 2) == Matrix.identity(F2, 1)
     assert interval_to_module(Interval(NEG_INF, POS_INF), w).dims == (1, 1, 1, 1)
     assert interval_to_module(Interval(NEG_INF, 1), w).dims == (1, 1, 0, 0)
     with pytest.raises(ValueError, match="outside window"):
@@ -609,7 +609,9 @@ def test_validate_decomposed_violations():
         Window(-2, 7), 1, F2, [(Interval(0, 2), Interval(1, 3), Interval(5, 5))]),
      r"\(left, right\) pair"),
     (lambda: Matching([Interval(0, 1)], Barcode([]), [], 1), "must be barcodes"),
-], ids=["window", "field", "three_sides", "matching_sides"])
+    (lambda: Matching(Barcode([Interval(0, 2)]), Barcode([Interval(0, 2)]), [(1, 2)], 1),
+     "must be two Intervals"),
+], ids=["window", "field", "three_sides", "matching_sides", "matching_pairs"])
 def test_constructors_refuse_frames_of_the_wrong_type(build, message):
     """Checked before validate_decomposed and validate_matching, which
     read the window, field, pairs and barcodes as those types."""
@@ -1085,11 +1087,11 @@ def test_find_matching_planted_pair_of_200_bars():
 def test_cached_module_maps_are_read_only():
     w = Window(0, 5)
     m = interval_to_module(Interval(1, 3), w)
-    before = dict(m.maps)
+    before = m.edges
     with pytest.raises(TypeError):
-        m.maps[(0, 1)] = Matrix.zeros(F2, 1, 0)
+        m.edges[0] = Matrix.zeros(F2, 1, 0)
     again = interval_to_module(Interval(1, 3), w)
-    assert again is m and dict(again.maps) == before
+    assert again is m and again.edges == before
     assert barcode(again, w) == Barcode([Interval(1, 3)])
 
 
