@@ -44,7 +44,11 @@ DEFAULT_SEED = 42
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise DocumentFormatError(
+                f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
 def _load(path: str, want: Optional[str] = None):
@@ -158,10 +162,14 @@ def _cmd_match_check(args) -> int:
 
 
 def _cmd_match_to_rep(args) -> int:
+    try:
+        field = FieldSpec(args.prime)
+    except ValueError as e:
+        raise DocumentFormatError(f"--prime: {e}") from None
     _, s = _load(args.matching, "matching")
     w = _parse_window(args.window)
     variant = {"F": "essential_F", "Fprime": "nonessential_Fprime"}[args.variant]
-    l = matching_to_rep(s, w, variant, FieldSpec(args.prime))
+    l = matching_to_rep(s, w, variant, field)
     _emit(save_document("decomposed_rep", l), args.out)
     return 0
 
@@ -179,6 +187,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_find_matching(args) -> int:
+    if args.epsilon < 0:
+        raise DocumentFormatError(f"--epsilon must be at least 0, got {args.epsilon}")
     _, left = _load(args.left, "barcode")
     _, right = _load(args.right, "barcode")
     s, witness = match_or_witness(left, right, args.epsilon,
@@ -342,18 +352,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DocumentFormatError as e:
+    except (DocumentFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except DocumentValidationError as e:
+    except (DocumentValidationError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from .zed import (
     Interval,
     Matching,
     Window,
+    window_chain,
 )
 
 VERSION = "1"
@@ -385,8 +386,6 @@ def _load_decomposed(payload: dict) -> DecomposedShoelaceRep:
 
 
 def _window_module_payload(w: Window, m: Representation) -> dict:
-    from .zed import window_chain
-
     # the steps are the edges of the window's chain
     if m.proset.up != window_chain(w).up:
         raise ValueError("module does not live on the chain of the window")
@@ -399,8 +398,6 @@ def _window_module_payload(w: Window, m: Representation) -> dict:
 
 
 def _load_window_module(payload: dict) -> tuple[Window, Representation]:
-    from .zed import window_chain
-
     field = _load_field(payload, "window_module")
     w = _load_window(_need(payload, "window", "window_module"), "window_module")
     dims = _load_dims(payload, "window_module")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import chain, repeat, zip_longest
+from itertools import chain, repeat, starmap, zip_longest
 from typing import Iterable, Sequence
 
 
@@ -232,95 +232,99 @@ def mat_scale(c: int, a: Matrix) -> Matrix:
                            tuple(tuple((c * x) % p for x in row) for row in a.entries))
 
 
-def _rref(field: FieldSpec, rows: list[list[int]], width: int) -> tuple[int, list[int]]:
-    """In-place reduced row echelon form.  Returns (rank, pivot columns)."""
-    p = field.p
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        # first nonzero entry in column c at or below row r
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] % p != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p != 0:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return r, pivots
+def _subtract(p: int, row: dict, f: int, other: dict) -> None:
+    """row -= f * other over F_p, in place, keeping only nonzero entries."""
+    for col, x in other.items():
+        v = (row.get(col, 0) - f * x) % p
+        if v:
+            row[col] = v
+        else:
+            del row[col]
+
+
+def _rref(p: int, rows: Iterable[dict]) -> dict:
+    """Reduced row echelon form over F_p of rows given as dicts of their
+    nonzero entries, reduced mod p, keyed by columns that order as the
+    columns of the dense rows do.  Each row is reduced, in place, until its
+    leading column is no pivot's, and becomes a pivot row; then each pivot
+    row is cleared at the later pivot columns.  Returns the pivot rows keyed
+    by their leading column, each 1 there and 0 at every other pivot column."""
+    pivots: dict = {}
+    for row in rows:
+        lead = min(row, default=None)
+        while lead in pivots:
+            _subtract(p, row, row[lead], pivots[lead])
+            lead = min(row, default=None)
+        if row:
+            inv = pow(row[lead], -1, p)
+            pivots[lead] = row if inv == 1 else {col: x * inv % p for col, x in row.items()}
+    # the last pivot row is reduced, and each row cleared against reduced
+    # rows only gains entries at columns that are no pivot's
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for col in [col for col in row if col != c and col in pivots]:
+            _subtract(p, row, row[col], pivots[col])
+    return pivots
+
+
+def _sparse(row: Sequence[int]) -> dict:
+    return {j: x for j, x in enumerate(row) if x}
 
 
 def mat_rank(a: Matrix) -> int:
-    rows = [list(r) for r in a.entries]
-    rank, _ = _rref(a.field, rows, a.cols)
-    return rank
+    return len(_rref(a.field.p, map(_sparse, a.entries)))
 
 
 def mat_inverse(a: Matrix) -> Matrix:
+    """The inverse of a, read off the reduced rows of [a | 1]; a pivot in
+    the right half means a is singular."""
     if a.rows != a.cols:
         raise ValueError(f"cannot invert non-square {a.rows}x{a.cols} matrix")
     n = a.rows
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(a.entries)]
-    rank, _ = _rref(a.field, aug, n)
-    if rank != n:
+    pivots = _rref(a.field.p, ({**_sparse(row), n + i: 1} for i, row in enumerate(a.entries)))
+    if any(c >= n for c in pivots):
         raise ValueError("matrix is singular")
-    # _rref leaves every entry reduced mod p
-    return Matrix._trusted(a.field, n, n, tuple(tuple(row[n:]) for row in aug))
+    return Matrix._trusted(a.field, n, n, tuple(tuple(pivots[i].get(n + j, 0) for j in range(n))
+                                                for i in range(n)))
 
 
 def _eliminate(
     field: FieldSpec,
     shapes: Sequence[tuple[int, int]],
     constraints: Sequence[tuple[Matrix, int, Matrix, int]],
-) -> tuple[list[int], list[list[int]], list[int]]:
-    """The elimination under mat_solve_homogeneous and homogeneous_dimension:
-    the offset of each unknown in the flat vector of all their entries,
-    followed by its length; the equation rows in reduced row echelon form;
-    and their pivot columns."""
-    offsets: list[int] = []
-    total = 0
+) -> dict:
+    """The pivot rows of the equations under mat_solve_homogeneous and
+    homogeneous_dimension: entry (i, j) of A @ X_k - X_l @ B for each
+    constraint, as a dict row in which entry (i, j) of X_k is column
+    (k, i, j)."""
     for (r, c) in shapes:
         if r < 0 or c < 0:
             raise ValueError(f"negative unknown shape {r}x{c}")
-        offsets.append(total)
-        total += r * c
 
-    def var(k: int, i: int, j: int) -> int:
-        return offsets[k] + i * shapes[k][1] + j
+    def equations():
+        for (a, k, b, l) in constraints:
+            if not (0 <= k < len(shapes) and 0 <= l < len(shapes)):
+                raise ValueError(f"constraint names X_{k} and X_{l} of {len(shapes)} unknowns")
+            rk, ck = shapes[k]
+            rl, cl = shapes[l]
+            if (a.field, b.field) != (field, field):
+                raise ValueError("constraint matrix field does not match the system field")
+            if a.cols != rk:
+                raise ValueError(f"A is {a.rows}x{a.cols} but X_{k} has {rk} rows")
+            if b.rows != cl:
+                raise ValueError(f"B is {b.rows}x{b.cols} but X_{l} has {cl} cols")
+            if a.rows != rl or b.cols != ck:
+                raise ValueError(
+                    f"constraint shape mismatch: A@X_{k} is {a.rows}x{ck}, "
+                    f"X_{l}@B is {rl}x{b.cols}")
+            for i, arow in enumerate(a.entries):
+                for j in range(ck):
+                    row = {(k, t, j): x for t, x in enumerate(arow) if x}
+                    _subtract(field.p, row, 1, {(l, i, t): brow[j]
+                                                for t, brow in enumerate(b.entries) if brow[j]})
+                    yield row
 
-    p = field.p
-    eq_rows: list[list[int]] = []
-    for (a, k, b, l) in constraints:
-        rk, ck = shapes[k]
-        rl, cl = shapes[l]
-        if a.field != field or b.field != field:
-            raise ValueError("constraint matrix field does not match the system field")
-        if a.cols != rk:
-            raise ValueError(f"A is {a.rows}x{a.cols} but X_{k} has {rk} rows")
-        if b.rows != cl:
-            raise ValueError(f"B is {b.rows}x{b.cols} but X_{l} has {cl} cols")
-        if a.rows != rl or b.cols != ck:
-            raise ValueError(
-                f"constraint shape mismatch: A@X_{k} is {a.rows}x{ck}, "
-                f"X_{l}@B is {rl}x{b.cols}")
-        for i in range(a.rows):
-            for j in range(ck):
-                row = [0] * total
-                for t in range(rk):
-                    row[var(k, t, j)] = (row[var(k, t, j)] + a.entries[i][t]) % p
-                for t in range(cl):
-                    row[var(l, i, t)] = (row[var(l, i, t)] - b.entries[t][j]) % p
-                eq_rows.append(row)
-    _, pivots = _rref(field, eq_rows, total) if eq_rows else (0, [])
-    offsets.append(total)
-    return offsets, eq_rows, pivots
+    return _rref(field.p, equations())
 
 
 def homogeneous_dimension(
@@ -330,8 +334,8 @@ def homogeneous_dimension(
 ) -> int:
     """The dimension of mat_solve_homogeneous's solution space, without
     building a basis: the number of unknown entries less the rank."""
-    offsets, _, pivots = _eliminate(field, shapes, constraints)
-    return offsets[-1] - len(pivots)
+    pivots = _eliminate(field, shapes, constraints)
+    return sum(starmap(operator.mul, shapes)) - len(pivots)
 
 
 def mat_solve_homogeneous(
@@ -343,27 +347,22 @@ def mat_solve_homogeneous(
 
     shapes[k] = (rows, cols) of unknown X_k.  Each constraint (A, k, B, l)
     imposes A @ X_k == X_l @ B entrywise.  Returns the solution space
-    dimension and a basis, each basis vector a tuple of concrete matrices.
+    dimension and a basis, each basis vector a tuple of concrete matrices:
+    one per free unknown entry, 1 there, 0 at the other free entries and
+    solved at the pivots.
 
     With no constraints the answer is the full product space and the basis is
     the standard one (one matrix entry set to 1 at a time).
     """
-    offsets, eq_rows, pivots = _eliminate(field, shapes, constraints)
-    total, p = offsets[-1], field.p
-    pivot_set = set(pivots)
-    free = [v for v in range(total) if v not in pivot_set]
-
+    pivots = _eliminate(field, shapes, constraints)
+    free = [(k, i, j) for k, (r, c) in enumerate(shapes)
+            for i in range(r) for j in range(c) if (k, i, j) not in pivots]
     basis: list[tuple[Matrix, ...]] = []
     for fv in free:
-        vec = [0] * total
+        vec = {pc: -row.get(fv, 0) % field.p for pc, row in pivots.items()}
         vec[fv] = 1
-        for row, pc in zip(eq_rows, pivots):
-            vec[pc] = (-row[fv]) % p
-        mats = []
-        for k, (r, c) in enumerate(shapes):
-            o = offsets[k]
-            mats.append(Matrix._trusted(field, r, c,
-                                        tuple(tuple(vec[o + i * c + j] for j in range(c))
-                                              for i in range(r))))
-        basis.append(tuple(mats))
+        basis.append(tuple(
+            Matrix._trusted(field, r, c, tuple(tuple(vec.get((k, i, j), 0) for j in range(c))
+                                               for i in range(r)))
+            for k, (r, c) in enumerate(shapes)))
     return len(free), basis

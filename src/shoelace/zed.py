@@ -385,8 +385,6 @@ def shoelace_window(w: Window, eps: int) -> ShoelaceProset:
     the module docstring for why this differs from shoelace(window_chain,
     lambda_eps).  Elements i and w.size + i both stand for w.value(i).
     """
-    if eps < 0:
-        raise ValueError(f"negative epsilon {eps}")
     full = (1 << w.size) - 1
     return laced(window_chain(w), lambda_eps(w, eps),
                  [full >> i + eps << i + eps for i in range(w.size)])

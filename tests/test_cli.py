@@ -122,6 +122,14 @@ def test_validate_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_refuses_a_file_that_is_not_utf8_in_one_line(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"kind": "proset"}'.encode("utf-16-le"))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: not UTF-8 text: invalid start byte at byte 0\n")
+
+
 def test_shoelace_worked_example(tmp_path, capsys):
     p = chain(3, labels=("1", "2", "3"))
     t = Translation(p, (1, 2, 2))
@@ -548,6 +556,27 @@ def test_match_to_rep_rejects_a_wide_window_flag(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: bad window '0:100000'")
     assert err.count("\n") == 1
+
+
+def test_match_to_rep_refuses_a_prime_flag_that_is_no_prime(tmp_path, capsys):
+    i01 = Interval(0, 1)
+    s = Matching(Barcode([i01]), Barcode([i01]), [(i01, i01)], 0)
+    s_path = _write(tmp_path, "s.json", "matching", s)
+    for prime, why in (("4", "field characteristic 4 is not prime"),
+                       ("1", "field characteristic 1 out of range [2, 2**31-1]")):
+        assert main(["match-to-rep", "--matching", s_path, "--window", "0:3",
+                     "--prime", prime]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: --prime: {why}\n")
+
+
+def test_find_matching_refuses_a_negative_epsilon_in_one_line(tmp_path, capsys):
+    bars = _write(tmp_path, "b.json", "barcode", Barcode([Interval(0, 2)]))
+    assert main(["find-matching", "--left", bars, "--right", bars,
+                 "--epsilon", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: --epsilon must be at least 0, got -1\n")
 
 
 def test_window_flag_needs_equals_for_negative_lo(tmp_path):

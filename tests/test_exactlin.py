@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from shoelace import zed
 from shoelace.exactlin import (
     FieldSpec,
     Matrix,
@@ -13,6 +16,16 @@ from shoelace.exactlin import (
     mat_scale,
     mat_solve_homogeneous,
 )
+from shoelace.proset import shoelace
+from shoelace.selftest import (
+    _conjugate,
+    _rand_invertible,
+    _rand_proset,
+    _rand_rep,
+    _rand_translation,
+)
+
+from test_barcode import _rand_bars, _rand_matrix, _rand_steps_module, _scrambled_sum
 
 F2 = FieldSpec(2)
 F5 = FieldSpec(5)
@@ -316,3 +329,202 @@ def test_single_entries_other_than_one_are_multiplied():
     top = F_BIG.p - 1
     b = Matrix(F_BIG, 1, 2, [[1, top]])
     assert mat_mul(Matrix(F_BIG, 1, 1, [[top]]), b).entries == ((top, 1),)
+
+
+# The dense elimination that the sparse kernel replaced: every equation a
+# flat row as long as all the unknown entries, cleared column by column.
+# It is the reference of the differential tests below.
+
+
+def _dense_rref(field, rows, width):
+    """In-place reduced row echelon form.  Returns (rank, pivot columns)."""
+    p = field.p
+    pivots = []
+    r = 0
+    for c in range(width):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] % p != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] % p != 0:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return r, pivots
+
+
+def _dense_rank(a):
+    return _dense_rref(a.field, [list(r) for r in a.entries], a.cols)[0]
+
+
+def _dense_inverse(a):
+    n = a.rows
+    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
+           for i, row in enumerate(a.entries)]
+    if _dense_rref(a.field, aug, n)[0] != n:
+        raise ValueError("matrix is singular")
+    return Matrix(a.field, n, n, [row[n:] for row in aug])
+
+
+def _dense_eliminate(field, shapes, constraints):
+    """The offset of each unknown in the flat vector of all their entries,
+    then its length; the equation rows in reduced row echelon form; and
+    their pivot columns."""
+    offsets = [0]
+    for (r, c) in shapes:
+        offsets.append(offsets[-1] + r * c)
+    p = field.p
+    eq_rows = []
+    for (a, k, b, l) in constraints:
+        ck, cl = shapes[k][1], shapes[l][1]
+        for i in range(a.rows):
+            for j in range(ck):
+                row = [0] * offsets[-1]
+                for t in range(a.cols):
+                    row[offsets[k] + t * ck + j] += a.entries[i][t]
+                for t in range(cl):
+                    row[offsets[l] + i * cl + t] -= b.entries[t][j]
+                eq_rows.append([x % p for x in row])
+    _, pivots = _dense_rref(field, eq_rows, offsets[-1]) if eq_rows else (0, [])
+    return offsets, eq_rows, pivots
+
+
+def _dense_dimension(field, shapes, constraints):
+    offsets, _, pivots = _dense_eliminate(field, shapes, constraints)
+    return offsets[-1] - len(pivots)
+
+
+def _dense_solve(field, shapes, constraints):
+    """The dimension and basis of the dense solver: one basis vector per
+    free column of the flat rows, in column order."""
+    offsets, eq_rows, pivots = _dense_eliminate(field, shapes, constraints)
+    basis = []
+    for fv in sorted(set(range(offsets[-1])) - set(pivots)):
+        vec = [0] * offsets[-1]
+        vec[fv] = 1
+        for row, pc in zip(eq_rows, pivots):
+            vec[pc] = (-row[fv]) % field.p
+        basis.append(tuple(
+            Matrix(field, r, c, [vec[offsets[k] + i * c:offsets[k] + (i + 1) * c]
+                                 for i in range(r)])
+            for k, (r, c) in enumerate(shapes)))
+    return len(basis), basis
+
+
+FIELDS = (F2, F5, F_BIG)
+
+
+def _rand_entries(rng, field, rows, cols, zero=False):
+    """Entries that are 0, 1 or p - 1 half the time, so that systems over
+    F_(2^31-1) are rank deficient too."""
+    def entry():
+        if zero:
+            return 0
+        if rng.random() < 0.5:
+            return rng.choice((0, 1, field.p - 1))
+        return rng.randrange(field.p)
+    return Matrix(field, rows, cols, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def _assert_solves_like_dense(field, shapes, constraints):
+    dim, basis = mat_solve_homogeneous(field, shapes, constraints)
+    assert (dim, basis) == _dense_solve(field, shapes, constraints)
+    assert homogeneous_dimension(field, shapes, constraints) == dim
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 10 ** 6))
+def test_solver_matches_the_dense_reference(seed):
+    """Random systems over F_2, F_5 and F_(2^31-1), unknowns of every
+    shape from 0x0 to 5x5, zero maps and unknowns tied to themselves:
+    dimension and basis equal the dense solver's entry for entry."""
+    rng = random.Random(seed)
+    field = rng.choice(FIELDS)
+    shapes = [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(rng.randint(0, 4))]
+    constraints = []
+    for _ in range(rng.randint(0, 4) if shapes else 0):
+        k = rng.randrange(len(shapes))
+        l = k if rng.random() < 0.25 else rng.randrange(len(shapes))
+        a = _rand_entries(rng, field, shapes[l][0], shapes[k][0], zero=rng.random() < 0.15)
+        b = _rand_entries(rng, field, shapes[l][1], shapes[k][1], zero=rng.random() < 0.15)
+        constraints.append((a, k, b, l))
+    _assert_solves_like_dense(field, shapes, constraints)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"F{f.p}")
+@pytest.mark.parametrize("shape", [(r, c) for r in range(6) for c in range(6)])
+def test_an_unknown_tied_to_itself_solves_like_dense(field, shape):
+    rng = random.Random(f"{field.p} {shape}")
+    r, c = shape
+    for zero in (False, True):
+        a = _rand_entries(rng, field, r, r, zero=zero)
+        _assert_solves_like_dense(field, [shape], [(a, 0, _rand_entries(rng, field, c, c), 0)])
+    _assert_solves_like_dense(field, [shape], [])
+
+
+def test_a_constraint_on_an_unknown_out_of_range_is_refused():
+    # a negative index would name a column of no unknown
+    one = Matrix(F2, 1, 1, [[1]])
+    for k, l in ((0, 1), (0, -1), (-1, 0)):
+        for solve in (homogeneous_dimension, mat_solve_homogeneous):
+            with pytest.raises(ValueError, match="of 1 unknowns"):
+                solve(F2, [(1, 1)], [(one, k, one, l)])
+
+
+def test_the_empty_system():
+    assert mat_solve_homogeneous(F5, [], []) == _dense_solve(F5, [], []) == (0, [])
+    assert homogeneous_dimension(F5, [], []) == 0
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 10 ** 6))
+def test_rank_and_inverse_match_the_dense_reference(seed):
+    """Rank of every shape up to 5x5, and the inverse of square matrices,
+    singular ones included: mat_inverse refuses exactly what the dense
+    elimination finds singular and otherwise returns the same matrix."""
+    rng = random.Random(seed)
+    field = rng.choice(FIELDS)
+    rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+    for a in (_rand_entries(rng, field, rows, cols), _rand_matrix(rng, field, rows, cols)):
+        assert mat_rank(a) == _dense_rank(a)
+    n = rng.randint(0, 5)
+    for a in (_rand_entries(rng, field, n, n), _rand_matrix(rng, field, n, n)):
+        try:
+            want = _dense_inverse(a)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                mat_inverse(a)
+        else:
+            assert mat_inverse(a) == want
+
+
+@pytest.mark.parametrize("family", ["window", "carrier"])
+def test_hom_dimensions_match_the_dense_reference(family, monkeypatch):
+    """Hom dimensions between scrambled window modules, and between
+    scrambled modules on shoelace carriers, equal the dense solver's."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        field = rng.choice(FIELDS)
+        lo = rng.randint(-3, 3)
+        w = zed.Window(lo, lo + rng.randint(0, 4))
+        if family == "window":
+            steps = _rand_steps_module(rng, field, w)
+            m = _scrambled_sum(rng, field, w, _rand_bars(rng, w))
+            n = _conjugate(steps, [_rand_invertible(rng, field, d) for d in steps.dims])[0]
+        else:
+            if rng.random() < 0.5:
+                sh = zed.shoelace_window(w, rng.randint(0, 3))
+            else:
+                base = _rand_proset(rng, max_n=4)
+                sh = shoelace(base, _rand_translation(rng, base))
+            m, n = (_rand_rep(rng, sh, field, max_dim=2) for _ in range(2))
+        got = [zed._hom_dimension(x, y) for x, y in ((m, n), (n, m), (m, m))]
+        with monkeypatch.context() as mp:
+            mp.setattr(zed, "homogeneous_dimension", _dense_dimension)
+            assert got == [zed._hom_dimension(x, y) for x, y in ((m, n), (n, m), (m, m))]
