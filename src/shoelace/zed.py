@@ -416,14 +416,17 @@ def barcode(m: Representation, w: Window, boundary: str = "finite") -> Barcode:
     vectors carry their birth index, oldest first, so that the vectors
     born at or before a span the image of V_a.  The images of the basis
     under the step are reduced in that order.  A vector whose image lies in
-    the span of the images before it ends the bar [birth, k]; the others go
-    on, reduced, with their births, and unit vectors born at k + 1 complete
-    them to a basis of V_(k+1).  The vectors alive after the last point end
-    their bars there.  So r(a, b) - r(a-1, b) - r(a, b+1) + r(a-1, b+1)
-    bars run from a to b, r being the rank of V_a -> V_b: the multiplicities
-    of the rank inclusion-exclusion formula, at a cost of O(n d^3) for n
-    points of dimension at most d.  Each vector is packed into one int, so
-    the inner loops are big-int arithmetic.
+    the span of the images before it ends the bar [birth, k].  The others go
+    on as -e/x, e the reduced image and x its first nonzero entry, the
+    pivot: basis vector and reducer at once.  Unit vectors born at k + 1,
+    one per coordinate c that is no pivot, complete them to a basis of
+    V_(k+1); each is kept as c, its image being column c of the next step.
+    The vectors alive after the last point end their bars there.  So
+    r(a, b) - r(a-1, b) - r(a, b+1) + r(a-1, b+1) bars run from a to b, r
+    being the rank of V_a -> V_b: the multiplicities of the rank
+    inclusion-exclusion formula, at a cost of O(n d^3) for n points of
+    dimension at most d.  Images are packed into one int each, so the inner
+    loops are big-int arithmetic.
 
     Only the steps, m.edges on the chain, are read, so the module must be
     functorial, as every Representation is by construction.  boundary="infinite"
@@ -446,35 +449,34 @@ def barcode(m: Representation, w: Window, boundary: str = "finite") -> Barcode:
     width = ((2 * max(dims) + 1) * p * p).bit_length()
     mask = (1 << width) - 1
     ends: Counter = Counter()
-    # (birth, entries) for a basis of V_k, oldest first
-    alive = [(0, e) for e in _unit_vectors(dims[0])]
+    # (birth, r) per survivor into V_k, oldest first; taken has their pivots' bits
+    alive, taken = [], 0
     for k, step in enumerate(m.edges):
         shifts = range(0, dims[k + 1] * width, width)
-        cols = [sum(map(lshift, col, shifts)) for col in zip(*step.entries)]
-        survivors: list[tuple[int, list[int]]] = []
-        # (pivot shift, packed -r) for each surviving reduced image r, r
-        # being 1 at its pivot and 0 at the pivots before it
-        reducers: list[tuple[int, int]] = []
-        pivots = set()
-        for birth, v in alive:
-            u = sum(map(mul, v, cols))
-            for s, neg in reducers:
+        # a step into a zero-dimensional point has no rows to transpose
+        cols = [sum(map(lshift, col, shifts)) for col in zip(*step.entries)] or [0] * dims[k]
+        images = [(birth, sum(map(mul, r, cols))) for birth, r in alive]
+        images += [(k, cols[c]) for c in range(dims[k]) if not taken >> c & 1]
+        # (pivot shift, packed r) for each survivor: r is -1 at its pivot
+        # and 0 at the pivots before it
+        alive, reducers, taken = [], [], 0
+        for birth, u in images:
+            for s, r in reducers:
                 f = (u >> s & mask) % p
                 if f:
-                    u += f * neg
+                    u += f * r
             e = [(u >> s & mask) % p for s in shifts]
             c = next((c for c, x in enumerate(e) if x), -1)
             if c < 0:
                 ends[(birth, k)] += 1
                 continue
-            inv = pow(e[c], p - 2, p)
+            inv = pow(p - e[c], -1, p)
             r = [x * inv % p for x in e]
-            survivors.append((birth, r))
-            reducers.append((shifts[c], sum(map(lshift, [-x % p for x in r], shifts))))
-            pivots.add(c)
-        alive = survivors + [(k + 1, e) for c, e in enumerate(_unit_vectors(dims[k + 1]))
-                             if c not in pivots]
+            alive.append((birth, r))
+            reducers.append((shifts[c], sum(map(lshift, r, shifts))))
+            taken |= 1 << c
     ends.update((birth, n - 1) for birth, _ in alive)
+    ends[(n - 1, n - 1)] += dims[n - 1] - len(alive)
     infinite = boundary == "infinite"
     bars = []
     for (a, b), mult in ends.items():
@@ -482,10 +484,6 @@ def barcode(m: Representation, w: Window, boundary: str = "finite") -> Barcode:
         hi = math.inf if infinite and b == n - 1 else w.value(b)
         bars.extend([Interval._trusted(lo, hi)] * mult)
     return Barcode(bars)
-
-
-def _unit_vectors(d: int) -> list[list[int]]:
-    return [[int(i == j) for i in range(d)] for j in range(d)]
 
 
 def condition_star(i: Interval, j: Interval, eps: int) -> bool:

@@ -216,8 +216,10 @@ def _planted_module(rng: random.Random, field: FieldSpec, n: int,
     return w, m, Barcode(Interval(a, b) for a, b in bars)
 
 
-def test_a_100_point_dimension_64_module_barcodes_in_under_two_seconds():
-    w, m, planted = _planted_module(random.Random(1), FieldSpec(5), 100, 120)
+@pytest.mark.parametrize("field", [FieldSpec(5), FieldSpec(2 ** 31 - 1)], ids=lambda f: str(f.p))
+def test_a_100_point_dimension_64_module_barcodes_in_under_two_seconds(field):
+    """F_(2^31-1) packs the widest slots."""
+    w, m, planted = _planted_module(random.Random(1), field, 100, 120)
     assert 60 <= max(m.dims) <= 66
     t0 = time.perf_counter()
     got = barcode(m, w)
