@@ -121,23 +121,26 @@ class FieldSpec(Value):
         x %= self.p
         if x == 0:
             raise ZeroDivisionError("inverse of 0 in F_p")
-        return pow(x, self.p - 2, self.p)
+        return pow(x, -1, self.p)
 
 
 class Matrix(Value):
     """Matrix over a FieldSpec.
 
     Entries are stored as a tuple of row tuples, already reduced mod p.
-    The constructor takes entries that are ints, and no bools: anything
-    else raises TypeError rather than being converted.  A 0xN or Nx0 matrix
-    is legal and represents a map to or from the zero space.  Equality,
-    hash and the trusted path are its own, as they are hot.
+    The constructor takes a shape and entries that are ints, and no bools:
+    anything else raises TypeError rather than being converted, so no
+    product of a bool- or float-shaped matrix lands in the shared zeros.
+    A 0xN or Nx0 matrix is legal and represents a map to or from the zero
+    space.  Equality, hash and the trusted path are its own, as they are
+    hot.
     """
 
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: FieldSpec, rows: int, cols: int,
                  entries: Iterable[Iterable[int]]):
+        check_ints((rows, cols), "matrix shape")
         if rows < 0 or cols < 0:
             raise ValueError(f"negative matrix shape {rows}x{cols}")
         ent = tuple(map(tuple, entries))
@@ -166,18 +169,31 @@ class Matrix(Value):
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
+        """The rows x cols zero matrix, one shared instance per field and
+        shape: every row is the shared _unit_row(cols, -1), so it holds
+        about 8 (rows + cols) bytes.  The cache keeps the 256 fields and
+        shapes last used, about 1 MiB for shapes up to zed.MAX_POINT_DIM =
+        256.  Shapes that are not ints, or are bools, raise TypeError."""
+        check_ints((rows, cols), "matrix shape")
         if rows < 0 or cols < 0:
             raise ValueError(f"negative matrix shape {rows}x{cols}")
-        return cls._trusted(field, rows, cols, ((0,) * cols,) * rows)
+        return _zeros(field, rows, cols)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
+        """The n x n identity, one shared instance per field and size:
+        row i is the shared _unit_row(n, i), so it holds about 8 n**2
+        bytes.  The cache keeps the 64 fields and sizes last used, at most
+        33 MiB for sizes up to zed.MAX_POINT_DIM = 256, the largest
+        dimension a document may hold.  A size that is not an int, or is a
+        bool, raises TypeError."""
+        check_ints((n,), "matrix shape")
         if n < 0:
             raise ValueError(f"negative matrix shape {n}x{n}")
-        return cls._trusted(field, n, n, tuple(_unit_row(n, i) for i in range(n)))
+        return _identity(field, n)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.entries))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -195,6 +211,18 @@ class Matrix(Value):
         return f"Matrix(p={self.field.p}, {self.rows}x{self.cols}, {list(map(list, self.entries))})"
 
 
+# A matrix is immutable and holds no cache, so one instance serves every
+# caller of Matrix.zeros and Matrix.identity.
+@lru_cache(maxsize=256)
+def _zeros(field: FieldSpec, rows: int, cols: int) -> Matrix:
+    return Matrix._trusted(field, rows, cols, (_unit_row(cols, -1),) * rows)
+
+
+@lru_cache(maxsize=64)
+def _identity(field: FieldSpec, n: int) -> Matrix:
+    return Matrix._trusted(field, n, n, tuple(_unit_row(n, i) for i in range(n)))
+
+
 def _check_same_field(a: Matrix, b: Matrix) -> None:
     if a.field is not b.field and a.field != b.field:
         raise ValueError(f"field mismatch: F_{a.field.p} vs F_{b.field.p}")
@@ -203,26 +231,42 @@ def _check_same_field(a: Matrix, b: Matrix) -> None:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """The product a @ b.  A zero row of a gives the shared zero row, and a
     unit row (one 1, all else 0) gives the row of b that its 1 picks, shared
-    and already reduced mod p; every other row takes the dot products."""
+    and already reduced mod p; every other row takes the dot products.
+
+    A product equal to a factor is that factor: b itself when its rows are
+    b's rows in order (a is an identity, say), else a itself when b is
+    square and its rows are a's.  Otherwise an all-zero product is the
+    shared Matrix.zeros.  Rows compare by value, the same row object
+    matching at once, so factors built by the public constructor are
+    reused too."""
     _check_same_field(a, b)
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch in mat_mul: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     p, n = a.field.p, a.cols
     mul = operator.mul
     bent = b.entries
+    zero = _unit_row(b.cols, -1)
     bt = None
     ent = []
     for row in a.entries:
         nz = n - row.count(0)
         if nz == 0:
-            ent.append(_unit_row(b.cols, -1))
+            ent.append(zero)
         elif nz == 1 and 1 in row:
             ent.append(bent[row.index(1)])
         else:
             if bt is None:
                 bt = tuple(zip(*bent)) if bent else ((),) * b.cols
             ent.append(tuple(sum(map(mul, row, col)) % p for col in bt))
-    return Matrix._trusted(a.field, a.rows, b.cols, tuple(ent))
+    # tuple equality checks the lengths, so equal rows mean equal shapes
+    ent = tuple(ent)
+    if ent == bent:
+        return b
+    if b.rows == b.cols and ent == a.entries:
+        return a
+    if ent.count(zero) == a.rows:
+        return _zeros(a.field, a.rows, b.cols)
+    return Matrix._trusted(a.field, a.rows, b.cols, ent)
 
 
 def mat_scale(c: int, a: Matrix) -> Matrix:

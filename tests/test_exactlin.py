@@ -42,8 +42,12 @@ def test_fieldspec_rejects_nonprimes():
 def test_fieldspec_inverse():
     assert F7.inv(3) == 5
     assert (F7.inv(3) * 3) % 7 == 1
+    for x in (2, 3, F_BIG.p - 1, -5):
+        assert F_BIG.inv(x) * x % F_BIG.p == 1
     with pytest.raises(ZeroDivisionError):
         F7.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        F7.inv(14)
 
 
 def test_matrix_reduces_entries_mod_p():
@@ -329,6 +333,148 @@ def test_single_entries_other_than_one_are_multiplied():
     top = F_BIG.p - 1
     b = Matrix(F_BIG, 1, 2, [[1, top]])
     assert mat_mul(Matrix(F_BIG, 1, 1, [[top]]), b).entries == ((top, 1),)
+
+
+@st.composite
+def _factor(draw, field, rows, cols):
+    """A rows x cols factor: the shared zeros or identity, or one built by
+    the public constructor, whose row tuples are fresh: zero, identity,
+    permutation, unit or zero rows, or dense."""
+    square = ["identity", "fresh identity", "permutation"] if rows == cols else []
+    kind = draw(st.sampled_from(["zeros", "fresh zeros", "units", "dense"] + square))
+    if kind == "zeros":
+        return Matrix.zeros(field, rows, cols)
+    if kind == "identity":
+        return Matrix.identity(field, rows)
+    if kind == "dense":
+        entry = st.integers(0, field.p - 1)
+        entries = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                min_size=rows, max_size=rows))
+    else:
+        if kind == "permutation":
+            picks = draw(st.permutations(range(rows)))
+        elif kind == "units" and cols:
+            picks = draw(st.lists(st.integers(-1, cols - 1), min_size=rows, max_size=rows))
+        else:
+            picks = range(rows) if kind == "fresh identity" else [-1] * rows
+        entries = [[int(j == c) for j in range(cols)] for c in picks]
+    return Matrix(field, rows, cols, entries)
+
+
+@st.composite
+def _shared_products(draw):
+    """Factors a @ b over F_2, F_5 or F_(2^31-1), each square half the time."""
+    field = draw(st.sampled_from((F2, F5, F_BIG)))
+    n = draw(st.integers(0, 4))
+    m, k = (draw(st.one_of(st.just(n), st.integers(0, 4))) for _ in range(2))
+    return draw(_factor(field, m, n)), draw(_factor(field, n, k))
+
+
+@settings(max_examples=400)
+@given(_shared_products())
+def test_mul_returns_the_factor_it_leaves_unchanged(ab):
+    """The product equals the dense one.  It is b itself when it equals b,
+    else a itself when b is square and it equals a, else the shared zeros
+    when it is zero, and otherwise a new matrix."""
+    a, b = ab
+    got = mat_mul(a, b)
+    ref = Matrix(a.field, a.rows, b.cols, _dense_mul(a, b))
+    assert got == ref and hash(got) == hash(ref)
+    zero = all(x == 0 for row in ref.entries for x in row)
+    assert got.is_zero() is zero
+    if ref == b:
+        assert got is b
+    elif b.rows == b.cols and ref == a:
+        assert got is a
+    elif zero:
+        assert got is Matrix.zeros(a.field, a.rows, b.cols)
+    else:
+        assert got is not a and got is not b
+
+
+def test_each_shortcut_of_mul_returns_a_shared_matrix():
+    a = Matrix(F5, 2, 3, [[1, 2, 3], [4, 0, 1]])
+    # fresh rows: the factors are reused by value, not only by identity
+    assert mat_mul(Matrix(F5, 2, 2, [[1, 0], [0, 1]]), a) is a
+    assert mat_mul(Matrix.identity(F5, 2), a) is a
+    assert mat_mul(a, Matrix(F5, 3, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])) is a
+    assert mat_mul(a, Matrix.identity(F5, 3)) is a
+    # a 1 x 2 b whose rows a's rows equal is still a new 2 x 2 product
+    b = Matrix(F5, 1, 2, [[1, 2]])
+    got = mat_mul(Matrix(F5, 2, 1, [[1], [1]]), b)
+    assert got.entries == ((1, 2), (1, 2)) and got is not b
+    z = Matrix.zeros(F5, 2, 4)
+    assert mat_mul(a, Matrix.zeros(F5, 3, 4)) is z
+    assert mat_mul(Matrix(F5, 2, 3, [[0, 0, 0], [0, 0, 0]]), Matrix(F5, 3, 4, [[1] * 4] * 3)) is z
+    # a dense row whose dot products all vanish is a zero row too
+    assert mat_mul(Matrix(F5, 2, 2, [[1, 4], [0, 0]]), Matrix(F5, 2, 4, [[1] * 4] * 2)) is z
+    assert Matrix.zeros(FieldSpec(5), 2, 3) is Matrix.zeros(FieldSpec(5), 2, 3)
+    assert Matrix.identity(FieldSpec(5), 3) is Matrix.identity(FieldSpec(5), 3)
+    assert Matrix.zeros(F5, 2, 3) is not Matrix.zeros(F7, 2, 3)
+    assert Matrix.zeros(F5, 2, 3).entries[1] is Matrix.zeros(F2, 5, 3).entries[0]
+
+
+def test_shared_matrices_refuse_writes_and_their_caches_are_bounded():
+    from shoelace import exactlin
+
+    for m in (Matrix.zeros(F5, 2, 3), Matrix.identity(F5, 2)):
+        with pytest.raises(AttributeError):
+            m.entries = ((9,),)
+        with pytest.raises(AttributeError):
+            del m.rows
+    assert Matrix.zeros(F5, 2, 3).entries == ((0, 0, 0), (0, 0, 0))
+    assert Matrix.identity(F5, 2).entries == ((1, 0), (0, 1))
+    for cached in (exactlin._zeros, exactlin._identity):
+        assert 0 < cached.cache_info().maxsize < 10 ** 4
+
+
+@pytest.mark.parametrize("shape", [(True, 2), (2, False), (2.0, 2), (2, "3"), (None, 0)])
+def test_shapes_of_zeros_and_identity_are_ints(shape):
+    """A bool shape would share a cache key with 1 or 0 and hand that
+    matrix, with a bool shape, to every later caller."""
+    with pytest.raises(TypeError, match="matrix shape"):
+        Matrix.zeros(F5, *shape)
+    with pytest.raises(TypeError, match="matrix shape"):
+        Matrix.identity(F5, next(x for x in shape if type(x) is not int))
+    assert Matrix.zeros(F5, 1, 2).rows == 1 and type(Matrix.zeros(F5, 1, 2).rows) is int
+
+
+@pytest.mark.parametrize("rows", [True, 1.0])
+def test_constructor_refuses_shapes_that_would_share_a_zeros_key(rows):
+    """1.0 and True hash and compare as 1, so a product of such a matrix
+    that is zero would take the cached zeros key (F_5, 1, 2) and hand
+    its non-int shape to every later Matrix.zeros(F_5, 1, 2)."""
+    with pytest.raises(TypeError, match="matrix shape"):
+        Matrix(F5, rows, 2, [[0, 0]])
+    with pytest.raises(TypeError, match="matrix shape"):
+        Matrix(F5, 2, rows, [[0], [0]])
+    a = Matrix(F5, 1, 2, [[0, 0]])
+    for m in (mat_mul(a, Matrix.identity(F5, 2)), mat_mul(Matrix(F5, 1, 1, [[0]]), a),
+              mat_scale(0, a), Matrix.zeros(F5, 1, 2)):
+        assert m == Matrix.zeros(F5, 1, 2)
+        assert type(m.rows) is int and type(m.cols) is int
+    assert type(Matrix.zeros(F5, 1, 2).rows) is int
+
+
+def test_a_warm_canonical_pair_and_its_checks_build_no_matrix(monkeypatch):
+    """Once the interval modules are cached, canonical_pair and its
+    naturality checks only take shared identities, zeros and factors."""
+    from shoelace.rep import validate_nat_trans
+
+    def run():
+        pair = zed.canonical_pair(zed.Interval(0, 2), zed.Interval(1, 3), 1,
+                                  zed.Window(-2, 7), F5)
+        assert [validate_nat_trans(t) for t in pair] == [None, None]
+        return pair
+
+    f, g = run()
+    assert not all(c.is_zero() for c in f.components)
+    built = []
+    trusted = Matrix._trusted.__func__
+    monkeypatch.setattr(Matrix, "_trusted",
+                        classmethod(lambda cls, *args: built.append(args) or trusted(cls, *args)))
+    run()
+    assert built == []
 
 
 # The dense elimination that the sparse kernel replaced: every equation a
