@@ -203,20 +203,14 @@ def _load_rep(payload: dict) -> Representation:
                                     _need(item, "entries", "representation map"),
                                     f"map ({i}, {j})")
     # a document lists every related pair; the Representation keeps the
-    # generating edges and checks the other maps against them.  A missing
-    # pair is reported after the frame, before that check
+    # generating edges and checks the other maps against them
     missing = [pair for pair in proset.related_pairs if pair not in maps]
-    with _constructing("representation"):
-        try:
-            m = Representation(proset, field, dims, maps)
-        except ValueError as e:
-            if not (missing and str(e).startswith("invalid ")):
-                raise
     if missing:
         raise DocumentValidationError(
             f"inconsistent representation: maps must cover exactly the related "
             f"pairs; missing {missing[:4]}")
-    return m
+    with _constructing("representation"):
+        return Representation(proset, field, dims, maps)
 
 
 def _nattrans_payload(t: NatTrans) -> dict:

@@ -29,10 +29,11 @@ class Representation(Value):
     dims[j] matrix of the structure map on the generating edge (j, k) =
     proset.generating_edges[e], and map(i, k) gives that of any related
     pair.  The constructor takes maps keyed by related pairs, which must
-    include every generating edge, and keeps the edges.  Valid by
-    construction: after those frame checks the constructor raises
-    ValueError on the report of validate_representation, its one check of
-    the edges, and on a given map off the edges that map(i, k) contradicts.
+    include every generating edge and keep the map-frame rule
+    (_check_frame), and keeps the edges.  Valid by construction: after
+    those frame checks the constructor raises ValueError on the report of
+    validate_representation, its one check of the edges, and on a given
+    map off the edges that map(i, k) contradicts.
     """
 
     __slots__ = ("proset", "field", "dims", "edges", "_known")
@@ -49,13 +50,7 @@ class Representation(Value):
                 f"maps must cover every generating edge and only related "
                 f"pairs; missing {missing[:4]}, unexpected {extra[:4]}")
         for (i, j), m in maps.items():
-            if m.field != field:
-                raise ValueError(f"map at ({i}, {j}) is over F_{m.field.p}, "
-                                 f"not F_{field.p}")
-            if (m.rows, m.cols) != (d[j], d[i]):
-                raise ValueError(
-                    f"map at ({i}, {j}) has shape {m.rows}x{m.cols}, "
-                    f"expected {d[j]}x{d[i]}")
+            _check_frame(m, field, d[j], d[i], f"map at ({i}, {j})")
         _fill(self, proset, field, d,
               tuple(map(maps.__getitem__, proset.generating_edges)))
         err = validate_representation(self)
@@ -124,6 +119,17 @@ def _checked_dims(proset: Proset, dims: Sequence[int]) -> tuple[int, ...]:
     if any(x < 0 for x in d):
         raise ValueError("negative dimension")
     return d
+
+
+def _check_frame(m: Matrix, field: FieldSpec, rows: int, cols: int,
+                 where: str) -> None:
+    """The map-frame rule: a given map is over field and rows x cols; else
+    ValueError, its report led by where."""
+    if m.field != field:
+        raise ValueError(f"{where} is over F_{m.field.p}, not F_{field.p}")
+    if (m.rows, m.cols) != (rows, cols):
+        raise ValueError(
+            f"{where} has shape {m.rows}x{m.cols}, expected {rows}x{cols}")
 
 
 def validate_representation(m: Representation) -> Optional[str]:
@@ -230,19 +236,15 @@ def chain_representation(proset: Proset, field: FieldSpec,
     if len(steps) != max(n - 1, 0):
         raise ValueError(f"expected {n - 1} step maps, got {len(steps)}")
     for i, s in enumerate(steps):
-        if s.field != field:
-            raise ValueError(f"map at ({i}, {i + 1}) is over F_{s.field.p}, "
-                             f"not F_{field.p}")
-        if s.rows != d[i + 1] or s.cols != d[i]:
-            raise ValueError(f"step {i} has shape {s.rows}x{s.cols},"
-                             f" expected {d[i + 1]}x{d[i]}")
+        _check_frame(s, field, d[i + 1], d[i], f"map at ({i}, {i + 1})")
     return Representation._trusted(proset, field, d, tuple(steps))
 
 
 class NatTrans(Value):
     """Natural transformation: one matrix per element.  Valid by
-    construction: after its frame checks the constructor raises ValueError
-    on the report of validate_nat_trans, its one check."""
+    construction: after its frame checks, component i keeping the map-frame
+    rule (_check_frame) at target.dims[i] x source.dims[i], the constructor
+    raises ValueError on the report of validate_nat_trans, its one check."""
 
     __slots__ = ("source", "target", "components")
 
@@ -256,12 +258,8 @@ class NatTrans(Value):
         if len(comp) != source.proset.n:
             raise ValueError(f"expected {source.proset.n} components, got {len(comp)}")
         for i, c in enumerate(comp):
-            if c.field != source.field:
-                raise ValueError(f"component {i} is over the wrong field")
-            if (c.rows, c.cols) != (target.dims[i], source.dims[i]):
-                raise ValueError(
-                    f"component {i} has shape {c.rows}x{c.cols}, expected "
-                    f"{target.dims[i]}x{source.dims[i]}")
+            _check_frame(c, source.field, target.dims[i], source.dims[i],
+                         f"component {i}")
         _fill(self, source, target, comp)
         err = validate_nat_trans(self)
         if err is not None:

@@ -69,7 +69,6 @@ from .zed import (
     barcode,
     canonical_pair,
     condition_star,
-    endpoint_distance,
     expand_decomposed,
     find_matching,
     hom_dimension,
@@ -80,6 +79,7 @@ from .zed import (
     matching_interleaving,
     matching_to_rep,
     pack_decomposed,
+    pair_ok,
     rep_to_matching,
     summand_support,
     support_is_interval,
@@ -460,8 +460,7 @@ def _suite_interval_hom_equivalence(rng: random.Random, cases: int) -> int:
                        what="canonical f nonzero == first disjunct")
                 _check((not gz) == d2, i=i, j=j, eps=eps,
                        what="canonical g nonzero == second disjunct")
-                if (endpoint_distance(i.ends[0], j.ends[0]) <= eps
-                        and endpoint_distance(i.ends[1], j.ends[1]) <= eps):
+                if pair_ok(i, j, eps):
                     x = Interleaving(interval_to_module(i, w, field),
                                      interval_to_module(j, w, field),
                                      lam, f, g)
@@ -519,15 +518,6 @@ def _expansion_invariants(l: DecomposedShoelaceRep):
             if r1.dims[aa] == 1 and r1.dims[bb] == 1:
                 _check(r1.map(aa, bb).entries == ((1,),), summand=s,
                        pair=(aa, bb), what="expansion maps are identities")
-        left, right = s
-        if left is not None and right is not None:
-            _check(endpoint_distance(left.ends[0], right.ends[0]) <= l.epsilon
-                   and endpoint_distance(left.ends[1], right.ends[1]) <= l.epsilon,
-                   summand=s, what="two-sided endpoints within epsilon")
-        else:
-            bar = left if left is not None else right
-            _check(bar.is_short(l.epsilon), summand=s,
-                   what="single-sided bar is short")
 
 
 def _suite_matching_bijection(rng: random.Random, cases: int) -> int:

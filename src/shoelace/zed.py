@@ -116,6 +116,14 @@ def _lowered(e: Endpoint, eps: int) -> Endpoint:
     return e - eps if -math.inf < e < math.inf else e
 
 
+def _check_epsilon(eps) -> None:
+    """The eps rule: eps is a nonnegative int, not a bool; else ValueError.
+    Every public entry point that takes eps runs it before eps meets any
+    arithmetic or cache."""
+    if not isinstance(eps, int) or isinstance(eps, bool) or eps < 0:
+        raise ValueError(f"epsilon must be a nonnegative integer, got {eps!r}")
+
+
 def endpoint_distance(a: Endpoint, b: Endpoint) -> Endpoint:
     """|a - b| on plain endpoints, with |+-inf - (+-inf)| = 0 and math.inf
     whenever exactly one side is infinite or they are opposite infinities.
@@ -289,17 +297,16 @@ class Window(Value):
 class Matching(Value):
     """An eps-matching: a partial bijection between barcode instances whose
     matched endpoints lie within eps and whose unmatched bars are short.
-    Valid by construction: the constructor raises ValueError on a negative
-    or non-integer epsilon, on sides that are not barcodes and on a pair
-    that is not two Intervals, then on the report of validate_matching, its
-    one check."""
+    Valid by construction: the constructor raises ValueError on an epsilon
+    that breaks the eps rule (_check_epsilon), on sides that are not
+    barcodes and on a pair that is not two Intervals, then on the report of
+    validate_matching, its one check."""
 
     __slots__ = ("source", "target", "pairs", "epsilon")
 
     def __init__(self, source: Barcode, target: Barcode,
                  pairs: Iterable[tuple[Interval, Interval]], epsilon: int):
-        if not isinstance(epsilon, int) or isinstance(epsilon, bool) or epsilon < 0:
-            raise ValueError(f"epsilon must be a nonnegative integer, got {epsilon!r}")
+        _check_epsilon(epsilon)
         if not (isinstance(source, Barcode) and isinstance(target, Barcode)):
             raise ValueError("the source and target of a matching must be barcodes")
         ps = tuple(map(tuple, pairs))
@@ -313,14 +320,10 @@ class Matching(Value):
             raise ValueError(f"invalid matching: {err}")
 
     def unmatched_source(self) -> Counter:
-        c = self.source.counts()
-        c.subtract(Counter(a for (a, _) in self.pairs))
-        return +c
+        return +_leftover(self.source, (a for (a, _) in self.pairs))
 
     def unmatched_target(self) -> Counter:
-        c = self.target.counts()
-        c.subtract(Counter(b for (_, b) in self.pairs))
-        return +c
+        return +_leftover(self.target, (b for (_, b) in self.pairs))
 
     def __repr__(self) -> str:
         return f"Matching(eps={self.epsilon}, pairs={len(self.pairs)})"
@@ -331,8 +334,9 @@ class DecomposedShoelaceRep(Value):
     interval-shaped summands, each a (left bar, right bar) pair with at
     least one side present.  Valid by construction: the constructor takes
     any iterable of summands, raises ValueError on a window or field of
-    the wrong type and on a summand that is not a pair, then on the report
-    of validate_decomposed, its one check."""
+    the wrong type, on an epsilon that breaks the eps rule (_check_epsilon)
+    and on a summand that is not a pair, then on the report of
+    validate_decomposed, its one check."""
 
     __slots__ = ("window", "epsilon", "field", "summands")
 
@@ -341,6 +345,7 @@ class DecomposedShoelaceRep(Value):
             raise ValueError(f"window must be a Window, got {window!r}")
         if not isinstance(field, FieldSpec):
             raise ValueError(f"field must be a FieldSpec, got {field!r}")
+        _check_epsilon(epsilon)
         summands = tuple(map(tuple, summands))
         if any(len(s) != 2 for s in summands):
             raise ValueError("each summand must be a (left, right) pair")
@@ -367,16 +372,16 @@ def window_chain(w: Window) -> Proset:
     return chain(w.size, tuple(str(w.value(i)) for i in range(w.size)))
 
 
-@lru_cache(maxsize=1024)
+# typed: True equals 1 and would otherwise hit its entry, past the eps rule
+@lru_cache(maxsize=1024, typed=True)
 def lambda_eps(w: Window, eps: int) -> Translation:
     """Uniform shift by eps, clamped at the window top."""
-    if eps < 0:
-        raise ValueError(f"negative epsilon {eps}")
+    _check_epsilon(eps)
     p = window_chain(w)
     return Translation._trusted(p, tuple(min(i + eps, w.size - 1) for i in range(w.size)))
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def shoelace_window(w: Window, eps: int) -> ShoelaceProset:
     """Restriction of the doubled integer chain to the window.
 
@@ -395,15 +400,16 @@ def interval_to_module(i: Interval, w: Window,
                        field: FieldSpec = FieldSpec(2)) -> Representation:
     """Thin representation of the window chain supported on the interval.
 
-    Finite endpoints must lie inside the window; clamping them silently
-    would change the module, so it is refused.  Infinite endpoints clamp to
-    the window edges by design.
+    The home of window realizability: finite endpoints must lie inside the
+    window, as clamping them silently would change the module, so another
+    is refused with ValueError.  Infinite endpoints clamp to the window
+    edges by design.
     """
     for e in i.finite_endpoints():
         if not (w.lo <= e <= w.hi):
             raise ValueError(
-                f"finite endpoint {e} of {i} lies outside window "
-                f"[{w.lo}, {w.hi}]; refusing a lossy clamp")
+                f"interval {i} is not realizable: finite endpoint {e} lies "
+                f"outside window [{w.lo}, {w.hi}]; refusing a lossy clamp")
     p = window_chain(w)
     return indicator_module(p, w.indices(*i.ends), field)
 
@@ -506,36 +512,53 @@ def short_pair_fails_star(a: Interval, b: Interval, eps: int) -> bool:
     return a.is_short(eps) and b.is_short(eps) and not condition_star(a, b, eps)
 
 
+def _pair_error(a: Interval, b: Interval, eps: int) -> Optional[str]:
+    """The matched-pair rule: a and b may be matched at eps only when their
+    left ends and their right ends each lie within eps (endpoint_distance).
+    None if they do, else which ends differ and by how much."""
+    for k, side in enumerate(("left", "right")):
+        d = endpoint_distance(a.ends[k], b.ends[k])
+        if d > eps:
+            return f"{side} endpoints differ by {_ext(d)} > {eps}"
+    return None
+
+
+def _leftover(bars: Barcode, drawn: Iterable[Interval]) -> Counter:
+    """The multiset draw: bars less drawn, with a negative count for each
+    bar drawn more often than bars holds it."""
+    c = bars.counts()
+    c.subtract(drawn)
+    return c
+
+
+def _unmatched_error(bar: Interval, eps: int) -> Optional[str]:
+    """The unmatched-bar rule: a bar left unmatched, or alone in a summand,
+    must be short at eps (Interval.is_short), so never infinite.  None if it
+    is, else its length."""
+    if bar.is_short(eps):
+        return None
+    return f"{bar} has length {_ext(bar.length())}, not < {2 * eps}"
+
+
 def validate_matching(s: Matching) -> Optional[str]:
     """None if s is a valid eps-matching, else the first violation; Matching
     runs it on construction.
 
-    Checks that pairs draw from the barcodes as multisets, that matched
-    endpoints are within eps, and that unmatched intervals are short
-    (length < 2*eps).  An unmatched infinite interval fails the shortness
-    rule, which is how the no-unmatched-infinite-bars consequence surfaces.
+    Checks each pair by the matched-pair rule (_pair_error), then each side:
+    that the pairs draw from its barcode as a multiset (_leftover) and that
+    its unmatched bars are short (_unmatched_error).
     """
     eps = s.epsilon
-    left_used = Counter(a for (a, _) in s.pairs)
-    right_used = Counter(b for (_, b) in s.pairs)
-    if left_used - s.source.counts():
-        bad = next(iter(left_used - s.source.counts()))
-        return f"pair uses {bad} more times than the source barcode provides"
-    if right_used - s.target.counts():
-        bad = next(iter(right_used - s.target.counts()))
-        return f"pair uses {bad} more times than the target barcode provides"
     for (a, b) in s.pairs:
-        for side, k in (("left", 0), ("right", 1)):
-            d = endpoint_distance(a.ends[k], b.ends[k])
-            if d > eps:
-                return (f"matched pair ({a}, {b}): {side} endpoints differ by "
-                        f"{_ext(d)} > {eps}")
-    for side, counter in (("source", s.unmatched_source()),
-                          ("target", s.unmatched_target())):
-        for bar, cnt in counter.items():
-            if cnt and not bar.is_short(eps):
-                return (f"unmatched {side} interval {bar} has length "
-                        f"{_ext(bar.length())}, not < {2 * eps}")
+        err = _pair_error(a, b, eps)
+        if err is not None:
+            return f"matched pair ({a}, {b}): {err}"
+    for side, bars, k in (("source", s.source, 0), ("target", s.target, 1)):
+        for bar, n in _leftover(bars, (ab[k] for ab in s.pairs)).items():
+            if n < 0:
+                return f"pair uses {bar} more times than the {side} barcode provides"
+            if n and (err := _unmatched_error(bar, eps)):
+                return f"unmatched {side} interval {err}"
     return None
 
 
@@ -591,23 +614,20 @@ def canonical_pair(i: Interval, j: Interval, eps: int, w: Window,
     canonical generator, and the support formula is exactly the matched-pair
     recipe.  Both are natural, so built through NatTrans._trusted.
 
-    Needs top headroom beyond realizability: a finite upper endpoint u is
-    allowed only if u < w.hi or u + 2*eps <= w.hi, else the clamp of the
-    shift distorts naturality and the construction is refused.
+    eps must keep the eps rule (lambda_eps) and both intervals be realizable
+    on w (interval_to_module).  Beyond that it needs top headroom: a finite
+    upper endpoint u is allowed only if u < w.hi or u + 2*eps <= w.hi, else
+    the clamp of the shift distorts naturality and the construction is
+    refused.
     """
-    for (name, iv) in (("first", i), ("second", j)):
-        for e in iv.finite_endpoints():
-            if not (w.lo <= e <= w.hi):
-                raise ValueError(
-                    f"{name} interval {iv} is not realizable on window "
-                    f"[{w.lo}, {w.hi}]")
+    lam = lambda_eps(w, eps)
+    m = interval_to_module(i, w, field)
+    n = interval_to_module(j, w, field)
+    for iv in (i, j):
         if not _headroom(iv, w, eps):
             raise ValueError(
                 f"window top {w.hi} leaves no headroom for {iv} at eps={eps}; "
                 f"upper endpoint must satisfy u < {w.hi} or u + {2 * eps} <= {w.hi}")
-    m = interval_to_module(i, w, field)
-    n = interval_to_module(j, w, field)
-    lam = lambda_eps(w, eps)
     f_on, g_on = _canonical_ranges(i, j, eps, w)
 
     def build(src, tgt, on: range):
@@ -619,23 +639,16 @@ def canonical_pair(i: Interval, j: Interval, eps: int, w: Window,
     return (build(m, precompose(n, lam), f_on), build(n, precompose(m, lam), g_on))
 
 
-def _unpadded_endpoint(bars: Iterable[Interval], w: Window,
-                       eps: int) -> Optional[int]:
-    """First finite endpoint e of the bars without 2*eps padding inside the
-    window, that is with e - 2*eps < w.lo or e + 2*eps > w.hi, or None."""
+def _padding_error(bars: Iterable[Interval], w: Window, eps: int) -> Optional[str]:
+    """The 2*eps padding rule: every finite endpoint e of the bars has
+    w.lo <= e - 2*eps and e + 2*eps <= w.hi.  None if so, else the first e
+    that has not."""
     for bar in bars:
         for e in bar.finite_endpoints():
             if not (w.lo <= e - 2 * eps and e + 2 * eps <= w.hi):
-                return e
+                return (f"endpoint {e} needs 2*eps = {2 * eps} "
+                        f"padding inside [{w.lo}, {w.hi}]")
     return None
-
-
-def _require_padding(bars: Iterable[Interval], w: Window, eps: int) -> None:
-    e = _unpadded_endpoint(bars, w, eps)
-    if e is not None:
-        raise ValueError(
-            f"window too small: endpoint {e} needs 2*eps = {2 * eps} "
-            f"padding inside [{w.lo}, {w.hi}]")
 
 
 def matching_to_rep(s: Matching, w: Window, variant: str = "essential_F",
@@ -655,7 +668,8 @@ def matching_to_rep(s: Matching, w: Window, variant: str = "essential_F",
         raise ValueError(
             f"matching is not essential: pair ({bad[0][0]}, {bad[0][1]}) "
             f"violates the overlap condition")
-    _require_padding(list(s.source) + list(s.target), w, eps)
+    if (err := _padding_error(list(s.source) + list(s.target), w, eps)) is not None:
+        raise ValueError(f"window too small: {err}")
     summands: list[tuple[Optional[Interval], Optional[Interval]]] = []
     for (a, b) in s.pairs:
         if variant == "nonessential_Fprime" and short_pair_fails_star(a, b, eps):
@@ -704,43 +718,44 @@ def support_is_interval(p: Proset, support: frozenset[int]) -> bool:
     return reach == inside and not above & below & ~inside
 
 
+def _summand_error(a: Optional[Interval], b: Optional[Interval], w: Window,
+                   eps: int) -> Optional[str]:
+    """The first rule the summand (a, b) breaks, or None: side types, side
+    presence, padding (_padding_error), then the unmatched-bar rule for a
+    single side, or for two the matched-pair rule and, when both are short,
+    Condition (*)."""
+    bars = [bar for bar in (a, b) if bar is not None]
+    if not all(isinstance(bar, Interval) for bar in bars):
+        return f"sides must be an Interval or None, got {(a, b)!r}"
+    if not bars:
+        return "no sides"
+    err = _padding_error(bars, w, eps)
+    if err is not None:
+        return err
+    if len(bars) == 1:
+        err = _unmatched_error(bars[0], eps)
+        return err and f"single-sided bar {err}"
+    err = _pair_error(a, b, eps)
+    if err is None and short_pair_fails_star(a, b, eps):
+        err = f"short pair ({a}, {b}) fails the overlap condition"
+    return err
+
+
 def validate_decomposed(l: DecomposedShoelaceRep) -> Optional[str]:
     """None if the certificate satisfies all structural rules, else the
     first violation; DecomposedShoelaceRep runs it on construction.
 
-    Checks side types, window padding, side presence, single-sided
-    shortness, two-sided endpoint distances and the overlap condition for
-    short-short pairs, then that every support is connected and convex
-    (support_is_interval) in closed form: it is, unless the window has at
-    most eps points.  Then the padding leaves only two-sided (-inf,+inf)
-    pairs, and as i + eps <= j never holds, their supports fall apart.
+    Checks each summand by _summand_error, then that every support is
+    connected and convex (support_is_interval) in closed form: it is,
+    unless the window has at most eps points.  Then the padding leaves only
+    two-sided (-inf,+inf) pairs, and as i + eps <= j never holds, their
+    supports fall apart.
     """
-    eps = l.epsilon
-    if not isinstance(eps, int) or isinstance(eps, bool) or eps < 0:
-        return f"epsilon must be a nonnegative integer, got {eps!r}"
-    w = l.window
+    w, eps = l.window, l.epsilon
     for idx, (a, b) in enumerate(l.summands):
-        if not all(side is None or isinstance(side, Interval) for side in (a, b)):
-            return f"summand {idx}: sides must be an Interval or None, got {(a, b)!r}"
-        e = _unpadded_endpoint((bar for bar in (a, b) if bar is not None), w, eps)
-        if e is not None:
-            return (f"summand {idx}: endpoint {e} needs 2*eps = "
-                    f"{2 * eps} padding inside [{w.lo}, {w.hi}]")
-        if a is None and b is None:
-            return f"summand {idx} has no sides"
-        if a is None or b is None:
-            bar = a if a is not None else b
-            if not bar.is_short(eps):
-                return (f"summand {idx}: single-sided bar {bar} has length "
-                        f"{_ext(bar.length())}, not < {2 * eps}")
-        else:
-            for side, k in (("left", 0), ("right", 1)):
-                if endpoint_distance(a.ends[k], b.ends[k]) > eps:
-                    return (f"summand {idx}: {side} endpoints of ({a}, {b}) "
-                            f"differ by more than {eps}")
-            if short_pair_fails_star(a, b, eps):
-                return (f"summand {idx}: short pair ({a}, {b}) fails the "
-                        f"overlap condition")
+        err = _summand_error(a, b, w, eps)
+        if err is not None:
+            return f"summand {idx}: {err}"
     if l.summands and w.size <= eps:
         return "summand 0: support is not connected and convex"
     return None
@@ -800,7 +815,8 @@ def matching_interleaving(s: Matching, w: Window,
     eps = s.epsilon
     src_bars = list(s.source)
     tgt_bars = list(s.target)
-    _require_padding(src_bars + tgt_bars, w, eps)
+    if (err := _padding_error(src_bars + tgt_bars, w, eps)) is not None:
+        raise ValueError(f"window too small: {err}")
     p = window_chain(w)
     lam = lambda_eps(w, eps)
     up = lam.mapping
@@ -831,12 +847,11 @@ def matching_interleaving(s: Matching, w: Window,
 
 def pair_ok(a: Interval, b: Interval, eps: int,
             require_essential: bool = False) -> bool:
-    """Whether a and b may be matched at eps: both endpoint pairs within eps
-    and, under require_essential, Condition (*) when both bars are short."""
-    (alo, ahi), (blo, bhi) = a.ends, b.ends
-    if endpoint_distance(alo, blo) > eps or endpoint_distance(ahi, bhi) > eps:
-        return False
-    return not (require_essential and short_pair_fails_star(a, b, eps))
+    """Whether a and b may be matched at eps: the matched-pair rule
+    (_pair_error) and, under require_essential, Condition (*) when both bars
+    are short."""
+    return _pair_error(a, b, eps) is None and not (
+        require_essential and short_pair_fails_star(a, b, eps))
 
 
 def iter_matchings(bm: Barcode, bn: Barcode, eps: int,
@@ -844,8 +859,7 @@ def iter_matchings(bm: Barcode, bn: Barcode, eps: int,
     """All valid (optionally essential) eps-matchings between two barcodes,
     distinct as pair-multisets, in a deterministic order that tries matched
     options before leaving a bar unmatched."""
-    if eps < 0:
-        raise ValueError(f"negative epsilon {eps}")
+    _check_epsilon(eps)
     src = list(bm)
     tgt_counts = Counter(bn)
 
@@ -926,8 +940,7 @@ class _MatchingOracle:
 
     def __init__(self, bm: Barcode, bn: Barcode, eps: int,
                  require_essential: bool):
-        if eps < 0:
-            raise ValueError(f"negative epsilon {eps}")
+        _check_epsilon(eps)
         src, tgt = bm.intervals, bn.intervals
         n, m = len(src), len(tgt)
         self.bars = (src, tgt)

@@ -334,6 +334,25 @@ def test_representation_payload_errors():
         load_document(json.dumps(missing_pair))
 
 
+@pytest.mark.parametrize("drop, zeroed", [((0, 1), None), ((0, 2), (1, 1))],
+                         ids=["generating_edge", "non_edge_and_not_functorial"])
+def test_representation_document_lacking_a_related_pair(drop, zeroed):
+    """Coverage is checked before construction, so neither a missing edge
+    nor a broken functor elsewhere takes the report."""
+    doc = document_dict("representation",
+                        chain_representation(chain(3), F2, (1, 1, 1),
+                                             [Matrix(F2, 1, 1, [[1]])] * 2))
+    maps = doc["payload"]["maps"]
+    maps[:] = [item for item in maps if (item["src"], item["dst"]) != drop]
+    for item in maps:
+        if (item["src"], item["dst"]) == zeroed:
+            item["entries"] = [[0]]
+    with pytest.raises(DocumentValidationError, match=re.escape(
+            "inconsistent representation: maps must cover exactly the related "
+            f"pairs; missing [{drop}]")):
+        load_document(json.dumps(doc))
+
+
 def test_nattrans_payload_errors():
     m = chain_representation(chain(2), F5, (1, 1), [Matrix(F5, 1, 1, [[1]])])
     good = document_dict("nattrans", zero_nat(m, m))

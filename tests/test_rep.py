@@ -171,7 +171,7 @@ def test_nat_trans_constructor_rejects_mismatches():
         NatTrans(m, m, comps[:1])
     with pytest.raises(ValueError, match="shape"):
         NatTrans(m, m, (Matrix.identity(F2, 1), Matrix.zeros(F2, 2, 1)))
-    with pytest.raises(ValueError, match="wrong field"):
+    with pytest.raises(ValueError, match="component 1 is over F_5, not F_2"):
         NatTrans(m, m, (Matrix.identity(F2, 1), Matrix(F5, 1, 1, [[1]])))
 
 
@@ -181,7 +181,7 @@ def test_chain_representation_rejects_bad_input():
         chain_representation(proset_from_pairs(2, []), F2, (1, 1), [step])
     with pytest.raises(ValueError, match="expected 2 step maps"):
         chain_representation(chain(3), F2, (1, 1, 1), [step])
-    with pytest.raises(ValueError, match="step 0 has shape"):
+    with pytest.raises(ValueError, match=r"map at \(0, 1\) has shape 1x1, expected 2x1"):
         chain_representation(chain(2), F2, (1, 2), [step])
     # dims count, then signs, then step fields, before any step is read
     with pytest.raises(ValueError, match="expected 3 dims, got 2"):

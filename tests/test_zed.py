@@ -1,12 +1,13 @@
 import math
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from shoelace.docio import load_document, save_document
@@ -294,7 +295,7 @@ def test_lambda_eps_examples():
     w = Window(0, 5)
     assert lambda_eps(w, 0).mapping == (0, 1, 2, 3, 4, 5)
     assert lambda_eps(w, 2).mapping == (2, 3, 4, 5, 5, 5)
-    with pytest.raises(ValueError, match="negative epsilon"):
+    with pytest.raises(ValueError, match="epsilon must be a nonnegative integer, got -1"):
         lambda_eps(w, -1)
 
 
@@ -328,7 +329,7 @@ def test_shoelace_window_cross_pairs():
     # i <= j' exactly when the heights satisfy w.value(i) + eps <= w.value(j)
     assert plain_to_primed == {(i, j) for i in range(4) for j in range(4)
                                if w.value(i) + 2 <= w.value(j)}
-    with pytest.raises(ValueError, match="negative epsilon"):
+    with pytest.raises(ValueError, match="epsilon must be a nonnegative integer, got -1"):
         shoelace_window(Window(0, 3), -1)
 
 
@@ -617,6 +618,32 @@ def test_constructors_refuse_frames_of_the_wrong_type(build, message):
     read the window, field, pairs and barcodes as those types."""
     with pytest.raises(ValueError, match=message):
         build()
+
+
+_ONE = Barcode([Interval(0, 1)])
+
+
+@pytest.mark.parametrize("eps", [-1, 1.5, True], ids=["negative", "float", "bool"])
+@pytest.mark.parametrize("call", [
+    lambda eps: lambda_eps(Window(0, 3), eps),
+    lambda eps: shoelace_window(Window(0, 3), eps),
+    lambda eps: canonical_pair(Interval(0, 1), Interval(0, 1), eps, Window(0, 5)),
+    lambda eps: list(iter_matchings(_ONE, _ONE, eps)),
+    lambda eps: find_matching(_ONE, _ONE, eps),
+    lambda eps: match_or_witness(_ONE, _ONE, eps),
+    lambda eps: Matching(_ONE, _ONE, [], eps),
+    lambda eps: DecomposedShoelaceRep(Window(-4, 9), eps, F2, []),
+], ids=["lambda_eps", "shoelace_window", "canonical_pair", "iter_matchings",
+        "find_matching", "match_or_witness", "Matching", "DecomposedShoelaceRep"])
+def test_every_entry_point_refuses_a_bad_epsilon(call, eps):
+    """One rule and one message for eps.  The window caches hold eps 1
+    first: True equals 1, and must not be answered from its entry."""
+    lambda_eps(Window(0, 3), 1)
+    shoelace_window(Window(0, 3), 1)
+    canonical_pair(Interval(0, 1), Interval(0, 1), 1, Window(0, 5))
+    with pytest.raises(ValueError, match=re.escape(
+            f"epsilon must be a nonnegative integer, got {eps!r}")):
+        call(eps)
 
 
 def test_summand_support_and_interval_check():
@@ -1103,7 +1130,7 @@ def test_iter_matchings_deterministic_enumeration():
     assert first == second
     assert len(first) == 3
     assert first[0].pairs == ((Interval(0, 1), Interval(0, 1)),)
-    with pytest.raises(ValueError, match="negative epsilon"):
+    with pytest.raises(ValueError, match="epsilon must be a nonnegative integer, got -1"):
         list(iter_matchings(bm, bn, -1))
 
 
@@ -1199,3 +1226,134 @@ def test_barcode_survives_random_scrambles(seed):
     for k in range(w.size):
         covering = sum(1 for bar in Barcode(truth) if bar.contains(w.value(k)))
         assert covering == scrambled.dims[k]
+
+
+# A brute-force reference for the two validators, on plain (lo, hi) tuples
+# with -inf and +inf as floats, written without the zed helpers.
+
+_PLAIN_END = st.integers(-3, 8) | st.sampled_from([-math.inf, math.inf])
+_PLAIN_BAR = st.tuples(_PLAIN_END, _PLAIN_END).map(lambda t: tuple(sorted(t))).filter(
+    lambda t: t[0] < math.inf and t[1] > -math.inf)
+
+# the rule each refusal must name, by the words of its report
+_RULE_WORDS = {"draw": "more times than", "pair": "endpoints differ",
+               "unmatched": "not < ", "padding": "padding inside",
+               "presence": "no sides", "star": "overlap condition",
+               "support": "not connected"}
+
+
+def _plain_interval(t):
+    return Interval(*("-inf" if e == -math.inf else "+inf" if e == math.inf else e
+                      for e in t))
+
+
+def _plain_short(t, eps):
+    return -math.inf < t[0] and t[1] < math.inf and t[1] - t[0] < 2 * eps
+
+
+def _plain_pair_fails(a, b, eps):
+    return any(a[k] != b[k] and abs(a[k] - b[k]) > eps for k in (0, 1))
+
+
+def _plain_star(i, j, eps):
+    (x, y), (s, t) = i, j
+    return s - eps <= x <= t - eps <= y or x - eps <= s <= y - eps <= t
+
+
+@st.composite
+def _plain_pair(draw, eps):
+    """A bar and a partner whose finite ends moved by at most eps + 1."""
+    a = draw(_PLAIN_BAR)
+    moved = [e if abs(e) == math.inf else e + draw(st.integers(-eps - 1, eps + 1))
+             for e in a]
+    return a, tuple(sorted(moved))
+
+
+def _assert_refusal_names_a_rule(build, broken):
+    if not broken:
+        build()
+        return
+    with pytest.raises(ValueError) as e:
+        build()
+    assert any(_RULE_WORDS[rule] in str(e.value) for rule in broken), (broken, e.value)
+
+
+@st.composite
+def _matching_inputs(draw):
+    eps = draw(st.integers(0, 3))
+    pairs = draw(st.lists(_plain_pair(eps), max_size=3))
+    src = [a for a, _ in pairs] + draw(st.lists(_PLAIN_BAR, max_size=1))
+    tgt = [b for _, b in pairs] + draw(st.lists(_PLAIN_BAR, max_size=1))
+    for bars in (src, tgt):
+        # now and then a pair draws a bar its barcode does not hold
+        if bars and draw(st.integers(0, 5)) == 0:
+            bars.pop(draw(st.integers(0, len(bars) - 1)))
+    return src, tgt, pairs, eps
+
+
+@settings(max_examples=400, deadline=None)
+@given(_matching_inputs())
+def test_matching_accepts_exactly_the_reference_matchings(args):
+    """Matching holds the multiset draw, the matched-pair rule and the
+    unmatched-bar rule, and nothing else."""
+    src, tgt, pairs, eps = args
+    broken = set()
+    if any(_plain_pair_fails(a, b, eps) for a, b in pairs):
+        broken.add("pair")
+    for bars, k in ((src, 0), (tgt, 1)):
+        left = Counter(bars)
+        left.subtract(p[k] for p in pairs)
+        if any(n < 0 for n in left.values()):
+            broken.add("draw")
+        if any(n > 0 and not _plain_short(bar, eps) for bar, n in left.items()):
+            broken.add("unmatched")
+    _assert_refusal_names_a_rule(lambda: Matching(
+        Barcode(map(_plain_interval, src)), Barcode(map(_plain_interval, tgt)),
+        [(_plain_interval(a), _plain_interval(b)) for a, b in pairs], eps), broken)
+
+
+@st.composite
+def _decomposed_inputs(draw):
+    eps = draw(st.integers(0, 3))
+    lo, size = draw(st.integers(-10, 2)), draw(st.integers(1, 24))
+    # drop 0 and 1 keep both sides, 2 and 3 drop one, 4 drops both
+    summands = [(None if drop in (2, 4) else a, None if drop in (3, 4) else b)
+                for (a, b), drop in draw(st.lists(
+                    st.tuples(_plain_pair(eps), st.integers(0, 4)), max_size=3))]
+    return lo, lo + size - 1, eps, summands
+
+
+@settings(max_examples=400, deadline=None)
+@given(_decomposed_inputs())
+# a short pair within eps that fails Condition (*), and the whole line twice
+# on a window of eps points
+@example((-6, 6, 2, [((0, 0), (1, 1))]))
+@example((0, 1, 2, [((-math.inf, math.inf),) * 2]))
+def test_decomposed_accepts_exactly_the_reference_summands(args):
+    """DecomposedShoelaceRep holds padding, side presence, shortness of a
+    single side, the matched-pair rule and Condition (*) for two short
+    sides, and the support rule, and nothing else."""
+    lo, hi, eps, summands = args
+    broken = set()
+    for a, b in summands:
+        bars = [bar for bar in (a, b) if bar is not None]
+        if not bars:
+            broken.add("presence")
+        if any(not (lo <= e - 2 * eps and e + 2 * eps <= hi)
+               for bar in bars for e in bar if abs(e) < math.inf):
+            broken.add("padding")
+        if len(bars) == 1 and not _plain_short(bars[0], eps):
+            broken.add("unmatched")
+        if len(bars) == 2:
+            if _plain_pair_fails(a, b, eps):
+                broken.add("pair")
+            if _plain_short(a, eps) and _plain_short(b, eps) and not _plain_star(a, b, eps):
+                broken.add("star")
+    # what passes the rules above on a window of at most eps points is the
+    # whole line on both sides, and no i + eps <= j joins its two copies
+    if summands and hi - lo + 1 <= eps:
+        broken.add("support")
+    _assert_refusal_names_a_rule(lambda: DecomposedShoelaceRep(
+        Window(lo, hi), eps, F2,
+        [tuple(None if bar is None else _plain_interval(bar) for bar in s)
+         for s in summands]), broken)
