@@ -169,28 +169,24 @@ class Matrix(Value):
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        """The rows x cols zero matrix, one shared instance per field and
-        shape: every row is the shared _unit_row(cols, -1), so it holds
-        about 8 (rows + cols) bytes.  The cache keeps the 256 fields and
-        shapes last used, about 1 MiB for shapes up to zed.MAX_POINT_DIM =
-        256.  Shapes that are not ints, or are bools, raise TypeError."""
+        """The rows x cols zero matrix, _units(field, cols, (-1,) * rows):
+        one shared instance per field and shape, every row the shared zero
+        row.  Shapes that are not ints, or are bools, raise TypeError."""
         check_ints((rows, cols), "matrix shape")
         if rows < 0 or cols < 0:
             raise ValueError(f"negative matrix shape {rows}x{cols}")
-        return _zeros(field, rows, cols)
+        return _units(field, cols, (-1,) * rows)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        """The n x n identity, one shared instance per field and size:
-        row i is the shared _unit_row(n, i), so it holds about 8 n**2
-        bytes.  The cache keeps the 64 fields and sizes last used, at most
-        33 MiB for sizes up to zed.MAX_POINT_DIM = 256, the largest
-        dimension a document may hold.  A size that is not an int, or is a
-        bool, raises TypeError."""
+        """The n x n identity, _units(field, n, tuple(range(n))): one
+        shared instance per field and size, row i the shared unit row
+        _unit_row(n, i).  A size that is not an int, or is a bool, raises
+        TypeError."""
         check_ints((n,), "matrix shape")
         if n < 0:
             raise ValueError(f"negative matrix shape {n}x{n}")
-        return _identity(field, n)
+        return _units(field, n, tuple(range(n)))
 
     def is_zero(self) -> bool:
         return not any(map(any, self.entries))
@@ -212,15 +208,16 @@ class Matrix(Value):
 
 
 # A matrix is immutable and holds no cache, so one instance serves every
-# caller of Matrix.zeros and Matrix.identity.
-@lru_cache(maxsize=256)
-def _zeros(field: FieldSpec, rows: int, cols: int) -> Matrix:
-    return Matrix._trusted(field, rows, cols, (_unit_row(cols, -1),) * rows)
-
-
+# caller.  For shapes up to zed.MAX_POINT_DIM = 256, the largest dimension
+# a document may hold, an entry holds at most 256 rows of width 256, about
+# 0.5 MiB, so the 64 entries hold at most about 33 MiB.
 @lru_cache(maxsize=64)
-def _identity(field: FieldSpec, n: int) -> Matrix:
-    return Matrix._trusted(field, n, n, tuple(_unit_row(n, i) for i in range(n)))
+def _units(field: FieldSpec, width: int, cols: tuple[int, ...]) -> Matrix:
+    """The one builder of 0/1 matrices: the len(cols) x width matrix whose
+    row r is the shared _unit_row(width, cols[r]), a zero row where
+    cols[r] is -1.  One shared instance per field, width and cols; zeros,
+    identities, indicator-sum edges and matching blocks all come from it."""
+    return Matrix._trusted(field, len(cols), width, tuple(_unit_row(width, c) for c in cols))
 
 
 def _check_same_field(a: Matrix, b: Matrix) -> None:
@@ -265,7 +262,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if b.rows == b.cols and ent == a.entries:
         return a
     if ent.count(zero) == a.rows:
-        return _zeros(a.field, a.rows, b.cols)
+        return _units(a.field, b.cols, (-1,) * a.rows)
     return Matrix._trusted(a.field, a.rows, b.cols, ent)
 
 

@@ -9,8 +9,9 @@ validate_representation checks that the edge maps do not depend on the path.
 
 Every module that zed builds for a certificate or a matching is a sum of
 indicator modules of convex supports.  indicator_sum writes such a sum
-directly, each edge map made of shared unit and zero rows; direct_sum
-copies general parts into dense blocks.
+directly, each edge map a 0/1 matrix from exactlin._units, the one cached
+builder of unit and zero rows; direct_sum copies general parts into dense
+blocks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Collection, Mapping
 from typing import Optional, Sequence
 
-from .exactlin import FieldSpec, Matrix, Value, _fill, _unit_row, mat_mul
+from .exactlin import FieldSpec, Matrix, Value, _fill, _units, mat_mul
 from .proset import Proset, ShoelaceProset, Translation, chain
 
 
@@ -178,12 +179,6 @@ def indicator_module(proset: Proset, support: Collection[int],
     return indicator_sum(proset, (support,), field)[0]
 
 
-def _unit_matrix(field: FieldSpec, width: int, cols: Sequence[int]) -> Matrix:
-    """The len(cols) x width matrix whose row r is _unit_row(width, cols[r])."""
-    return Matrix._trusted(field, len(cols), width,
-                           tuple(_unit_row(width, c) for c in cols))
-
-
 def indicator_sum(proset: Proset, supports: Sequence[Collection[int]],
                   field: FieldSpec) -> tuple[Representation, list[list[int]]]:
     """Direct sum, in order, of the indicator modules of supports, written
@@ -192,8 +187,10 @@ def indicator_sum(proset: Proset, supports: Sequence[Collection[int]],
     Returns (total, positions) where positions[x][k] is the row of summand
     k at point x, or -1 where x lies outside its support.  On a generating
     edge (a, b), the row of summand k at b is the unit row with a 1 at
-    positions[a][k] if k is alive at a, and the zero row otherwise.  The
-    sum is functorial when every support is convex, and built through
+    positions[a][k] if k is alive at a, and the zero row otherwise; each
+    edge map is the shared exactlin._units matrix of those rows, so edges
+    with the same rows, in this sum or an earlier one, share one matrix.
+    The sum is functorial when every support is convex, and built through
     Representation._trusted, as its shapes hold by construction.
     """
     n = proset.n
@@ -208,16 +205,9 @@ def indicator_sum(proset: Proset, supports: Sequence[Collection[int]],
                 positions[x][k] = len(alive[x])
                 alive[x].append(k)
     dims = tuple(map(len, alive))
-    # edges with the same shape and rows share one matrix
-    made: dict[tuple[int, tuple[int, ...]], Matrix] = {}
-    edges = []
-    for (a, b) in proset.generating_edges:
-        key = (dims[a], tuple(map(positions[a].__getitem__, alive[b])))
-        got = made.get(key)
-        if got is None:
-            got = made[key] = _unit_matrix(field, *key)
-        edges.append(got)
-    return Representation._trusted(proset, field, dims, tuple(edges)), positions
+    edges = tuple(_units(field, dims[a], tuple(map(positions[a].__getitem__, alive[b])))
+                  for (a, b) in proset.generating_edges)
+    return Representation._trusted(proset, field, dims, edges), positions
 
 
 def chain_representation(proset: Proset, field: FieldSpec,
@@ -377,8 +367,8 @@ def permutation_iso(parts: Sequence[Representation], order: Sequence[int],
     src, src_slices = direct_sum(parts, proset=proset, field=field)
     tgt, _ = direct_sum([parts[k] for k in order], proset=src.proset, field=src.field)
     return NatTrans._trusted(src, tgt, tuple(
-        _unit_matrix(src.field, src.dims[i],
-                     [c for k in order for c in range(*src_slices[k][i])])
+        _units(src.field, src.dims[i],
+               tuple(c for k in order for c in range(*src_slices[k][i])))
         for i in range(src.proset.n)))
 
 

@@ -20,7 +20,7 @@ from collections import Counter
 from functools import lru_cache, reduce
 from typing import Iterable, Optional, Union
 
-from .exactlin import FieldSpec, Matrix, Value, _fill, check_ints, homogeneous_dimension
+from .exactlin import FieldSpec, Matrix, Value, _fill, _units, check_ints, homogeneous_dimension
 from .proset import (
     Proset,
     ShoelaceProset,
@@ -32,7 +32,6 @@ from .proset import (
 from .rep import (
     NatTrans,
     Representation,
-    _unit_matrix,
     indicator_module,
     indicator_sum,
     precompose,
@@ -658,7 +657,9 @@ def matching_to_rep(s: Matching, w: Window, variant: str = "essential_F",
     essential_F: one two-sided summand per matched pair, a single-sided
     summand per unmatched bar; requires the matching to be essential.
     nonessential_Fprime: matched short-short pairs failing Condition (*) are
-    split into two single-sided summands instead.
+    split into two single-sided summands instead.  The certificate checks
+    the 2*eps padding of each summand (validate_decomposed), so a window
+    too small for the bars is refused by its report.
     """
     if variant not in ("essential_F", "nonessential_Fprime"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -668,8 +669,6 @@ def matching_to_rep(s: Matching, w: Window, variant: str = "essential_F",
         raise ValueError(
             f"matching is not essential: pair ({bad[0][0]}, {bad[0][1]}) "
             f"violates the overlap condition")
-    if (err := _padding_error(list(s.source) + list(s.target), w, eps)) is not None:
-        raise ValueError(f"window too small: {err}")
     summands: list[tuple[Optional[Interval], Optional[Interval]]] = []
     for (a, b) in s.pairs:
         if variant == "nonessential_Fprime" and short_pair_fails_star(a, b, eps):
@@ -804,9 +803,9 @@ def matching_interleaving(s: Matching, w: Window,
     """Explicit interleaving between the canonical interval-sum modules of
     the two barcodes, each written by rep.indicator_sum, with one
     canonical-pair block per matched pair: a 1 at each index of the pair's
-    _canonical_ranges, zero elsewhere.  Each component row is a shared unit
-    or zero row, as in the modules, and interleave._assemble builds the
-    result.
+    _canonical_ranges, zero elsewhere.  Each component is the shared
+    exactlin._units matrix of its unit and zero rows, as are the modules'
+    edges, and interleave._assemble builds the result.
 
     Matched short-short pairs that fail the overlap condition contribute
     zero blocks (their canonical maps vanish), so the result is valid for
@@ -841,8 +840,8 @@ def matching_interleaving(s: Matching, w: Window,
             psi_cols[idx][m_pos[up[idx]][ks]] = n_pos[idx][kt]
     return _assemble(
         m, n, lam,
-        [_unit_matrix(field, m.dims[a], phi_cols[a]) for a in range(p.n)],
-        [_unit_matrix(field, n.dims[a], psi_cols[a]) for a in range(p.n)])
+        [_units(field, m.dims[a], tuple(phi_cols[a])) for a in range(p.n)],
+        [_units(field, n.dims[a], tuple(psi_cols[a])) for a in range(p.n)])
 
 
 def pair_ok(a: Interval, b: Interval, eps: int,

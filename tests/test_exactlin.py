@@ -424,8 +424,24 @@ def test_shared_matrices_refuse_writes_and_their_caches_are_bounded():
             del m.rows
     assert Matrix.zeros(F5, 2, 3).entries == ((0, 0, 0), (0, 0, 0))
     assert Matrix.identity(F5, 2).entries == ((1, 0), (0, 1))
-    for cached in (exactlin._zeros, exactlin._identity):
-        assert 0 < cached.cache_info().maxsize < 10 ** 4
+    assert 0 < exactlin._units.cache_info().maxsize < 10 ** 4
+
+
+@settings(max_examples=300)
+@given(st.sampled_from((F2, F5, F_BIG)), st.integers(0, 5), st.data())
+def test_units_is_the_dense_zero_one_matrix_and_shared(field, width, data):
+    """_units equals the 0/1 matrix built through the public constructor,
+    for cols that mix -1, repeats and any order, and a second call, or
+    Matrix.zeros and Matrix.identity of its shape, returns the same object."""
+    from shoelace.exactlin import _units
+
+    cols = tuple(data.draw(st.lists(st.integers(-1, width - 1), max_size=6)))
+    got = _units(field, width, cols)
+    ref = Matrix(field, len(cols), width, [[int(j == c) for j in range(width)] for c in cols])
+    assert got == ref and hash(got) == hash(ref)
+    assert _units(field, width, cols) is got
+    assert Matrix.zeros(field, len(cols), width) is _units(field, width, (-1,) * len(cols))
+    assert Matrix.identity(field, width) is _units(field, width, tuple(range(width)))
 
 
 @pytest.mark.parametrize("shape", [(True, 2), (2, False), (2.0, 2), (2, "3"), (None, 0)])
@@ -469,12 +485,38 @@ def test_a_warm_canonical_pair_and_its_checks_build_no_matrix(monkeypatch):
 
     f, g = run()
     assert not all(c.is_zero() for c in f.components)
+    built = _count_built(monkeypatch)
+    run()
+    assert built == []
+
+
+def test_a_warm_matching_interleaving_and_its_certificate_build_no_matrix(monkeypatch):
+    """Every module, component and edge that a matching's interleaving and
+    the expansion of its certificate hold is a 0/1 matrix, so a second run
+    takes them all from the shared cache of _units."""
+    i02, i13, i55 = zed.Interval(0, 2), zed.Interval(1, 3), zed.Interval(5, 5)
+    s = zed.Matching(zed.Barcode([i02, i55]), zed.Barcode([i13]), [(i02, i13)], 1)
+    w = zed.Window(-2, 7)
+
+    def run():
+        x = zed.matching_interleaving(s, w, F5)
+        return x, zed.expand_decomposed(zed.matching_to_rep(s, w, field=F5))
+
+    x, total = run()
+    assert not all(c.is_zero() for c in x.phi.components)
+    assert sum(total.dims) > 0
+    built = _count_built(monkeypatch)
+    assert run() == (x, total)
+    assert built == []
+
+
+def _count_built(monkeypatch) -> list:
+    """Record the arguments of every later Matrix._trusted call."""
     built = []
     trusted = Matrix._trusted.__func__
     monkeypatch.setattr(Matrix, "_trusted",
                         classmethod(lambda cls, *args: built.append(args) or trusted(cls, *args)))
-    run()
-    assert built == []
+    return built
 
 
 # The dense elimination that the sparse kernel replaced: every equation a
