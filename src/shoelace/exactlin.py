@@ -9,6 +9,7 @@ of the package, lives here too, as every module imports this one.
 from __future__ import annotations
 
 import operator
+from collections import deque
 from functools import lru_cache
 from itertools import chain, repeat, starmap, zip_longest
 from typing import Iterable, Sequence
@@ -93,29 +94,33 @@ class Value:
         return f"{type(self).__name__}({', '.join(fields)})"
 
 
+_FIELDS: dict[int, "FieldSpec"] = {}
+
+
 class FieldSpec(Value):
-    """The prime field F_p, for 2 <= p <= 2**31 - 1.  Equality and hash
-    are its own: they are hot, and the traced benchmark counts calls of
-    FieldSpec.__eq__."""
+    """The prime field F_p, for 2 <= p <= 2**31 - 1.  There is one instance
+    per p: FieldSpec(p) checks p on first use and returns the shared
+    instance after that, so equality and hash are identity's.  The traced
+    benchmark counts calls of FieldSpec.__eq__."""
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int):
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ValueError(f"field characteristic must be an int, got {p!r}")
-        if not (2 <= p <= 2**31 - 1):
-            raise ValueError(f"field characteristic {p} out of range [2, 2**31-1]")
-        if not _is_prime(p):
-            raise ValueError(f"field characteristic {p} is not prime")
-        _fill(self, p)
+    def __new__(cls, p: int):
+        # 5.0 and True hash and compare as ints, so they must not reach the table
+        got = _FIELDS.get(p) if type(p) is int else None
+        if got is None:
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise ValueError(f"field characteristic must be an int, got {p!r}")
+            if not (2 <= p <= 2**31 - 1):
+                raise ValueError(f"field characteristic {p} out of range [2, 2**31-1]")
+            if not _is_prime(p):
+                raise ValueError(f"field characteristic {p} is not prime")
+            p = int(p)
+            got = _FIELDS.setdefault(p, _fill(object.__new__(cls), p))
+        return got
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash((self.p,))
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def inv(self, x: int) -> int:
         x %= self.p
@@ -196,8 +201,7 @@ class Matrix(Value):
             return True
         if not isinstance(other, Matrix):
             return NotImplemented
-        return ((self.field is other.field or self.field == other.field)
-                and self.rows == other.rows
+        return (self.field is other.field and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
 
     def __hash__(self) -> int:
@@ -208,20 +212,43 @@ class Matrix(Value):
 
 
 # A matrix is immutable and holds no cache, so one instance serves every
-# caller.  For shapes up to zed.MAX_POINT_DIM = 256, the largest dimension
-# a document may hold, an entry holds at most 256 rows of width 256, about
-# 0.5 MiB, so the 64 entries hold at most about 33 MiB.
-@lru_cache(maxsize=64)
+# caller.  The cache is bounded by the rows it holds, not by its entries:
+# for shapes up to zed.MAX_POINT_DIM = 256, the largest dimension a document
+# may hold, a row is at most 256 wide, so 64 * 256 rows hold at most about
+# 33 MiB, while a matchings round's 837 small entries (3,175 rows) all fit.
+# Lookups hit a plain dict.  Its oldest key would be found by a scan over
+# the holes that earlier evictions left at its front, so a deque keeps the
+# keys oldest first instead.
+_UNIT_ROWS = 64 * 256
+_unit_cache: dict[tuple, Matrix] = {}
+_unit_order: deque = deque()
+_unit_rows_held = 0
+
+
 def _units(field: FieldSpec, width: int, cols: tuple[int, ...]) -> Matrix:
     """The one builder of 0/1 matrices: the len(cols) x width matrix whose
     row r is the shared _unit_row(width, cols[r]), a zero row where
-    cols[r] is -1.  One shared instance per field, width and cols; zeros,
-    identities, indicator-sum edges and matching blocks all come from it."""
-    return Matrix._trusted(field, len(cols), width, tuple(_unit_row(width, c) for c in cols))
+    cols[r] is -1.  One shared instance per field, width and cols while it
+    is cached; zeros, identities, indicator-sum maps and matching blocks
+    all come from it.  The cache evicts its oldest entries first, a hit
+    refreshing none, so that it never holds more than _UNIT_ROWS rows; a
+    matrix of more rows than that is built and not kept."""
+    global _unit_rows_held
+    key = (field, width, cols)
+    got = _unit_cache.get(key)
+    if got is None:
+        got = Matrix._trusted(field, len(cols), width, tuple(_unit_row(width, c) for c in cols))
+        if got.rows <= _UNIT_ROWS:
+            _unit_rows_held += got.rows
+            while _unit_rows_held > _UNIT_ROWS:
+                _unit_rows_held -= _unit_cache.pop(_unit_order.popleft()).rows
+            _unit_cache[key] = got
+            _unit_order.append(key)
+    return got
 
 
 def _check_same_field(a: Matrix, b: Matrix) -> None:
-    if a.field is not b.field and a.field != b.field:
+    if a.field is not b.field:
         raise ValueError(f"field mismatch: F_{a.field.p} vs F_{b.field.p}")
 
 

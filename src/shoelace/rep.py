@@ -9,14 +9,17 @@ validate_representation checks that the edge maps do not depend on the path.
 
 Every module that zed builds for a certificate or a matching is a sum of
 indicator modules of convex supports.  indicator_sum writes such a sum
-directly, each edge map a 0/1 matrix from exactlin._units, the one cached
-builder of unit and zero rows; direct_sum copies general parts into dense
+directly and keeps the summands' positions on it, so each of its maps,
+on an edge or not, is read off the supports (_support_map) as a 0/1
+matrix from exactlin._units, the one cached builder of unit and zero
+rows, with no path product.  direct_sum copies general parts into dense
 blocks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection, Mapping
+from itertools import compress
 from typing import Optional, Sequence
 
 from .exactlin import FieldSpec, Matrix, Value, _fill, _units, mat_mul
@@ -37,7 +40,7 @@ class Representation(Value):
     map off the edges that map(i, k) contradicts.
     """
 
-    __slots__ = ("proset", "field", "dims", "edges", "_known")
+    __slots__ = ("proset", "field", "dims", "edges", "_known", "_pos")
 
     def __init__(self, proset: Proset, field: FieldSpec,
                  dims: Sequence[int], maps: Mapping[tuple[int, int], Matrix]):
@@ -80,9 +83,11 @@ class Representation(Value):
 
     def map(self, i: int, k: int) -> Matrix:
         """The dims[k] x dims[i] matrix of the structure map i <= k: its
-        edge map, the identity on the diagonal, and otherwise the product
-        along the fixed path of generating edges (Proset.path_step),
-        memoised.  KeyError when i <= k does not hold."""
+        edge map, the identity on the diagonal, and otherwise, for a sum
+        written by indicator_sum, the 0/1 matrix read off its supports
+        (_support_map), and for any other module the product along the
+        fixed path of generating edges (Proset.path_step).  Memoised.
+        KeyError when i <= k does not hold."""
         known = self._known
         if known is None:
             known = dict(zip(self.proset.generating_edges, self.edges))
@@ -96,6 +101,9 @@ class Representation(Value):
             raise KeyError((i, k))
         if i == k:
             got = known[(i, k)] = Matrix.identity(self.field, self.dims[i])
+            return got
+        if self._pos is not None:
+            got = known[(i, k)] = _support_map(self.field, self.dims, self._pos, i, k)
             return got
         # a loop, as paths can be as long as the proset; edges are always
         # known, so the walk back stops before it reaches i
@@ -185,10 +193,10 @@ def indicator_sum(proset: Proset, supports: Sequence[Collection[int]],
     directly: no per-summand module and no dense block.
 
     Returns (total, positions) where positions[x][k] is the row of summand
-    k at point x, or -1 where x lies outside its support.  On a generating
-    edge (a, b), the row of summand k at b is the unit row with a 1 at
-    positions[a][k] if k is alive at a, and the zero row otherwise; each
-    edge map is the shared exactlin._units matrix of those rows, so edges
+    k at point x, or -1 where x lies outside its support.  The total keeps
+    its own copy of the positions, so changing the returned lists leaves
+    it unchanged.  Each of its maps, on a generating edge or any other
+    related pair, is _support_map's shared exactlin._units matrix, so maps
     with the same rows, in this sum or an earlier one, share one matrix.
     The sum is functorial when every support is convex, and built through
     Representation._trusted, as its shapes hold by construction.
@@ -205,9 +213,21 @@ def indicator_sum(proset: Proset, supports: Sequence[Collection[int]],
                 positions[x][k] = len(alive[x])
                 alive[x].append(k)
     dims = tuple(map(len, alive))
-    edges = tuple(_units(field, dims[a], tuple(map(positions[a].__getitem__, alive[b])))
-                  for (a, b) in proset.generating_edges)
-    return Representation._trusted(proset, field, dims, edges), positions
+    pos = tuple(map(tuple, positions))
+    edges = tuple(_support_map(field, dims, pos, a, b) for (a, b) in proset.generating_edges)
+    total = Representation._trusted(proset, field, dims, edges)
+    object.__setattr__(total, "_pos", pos)
+    return total, positions
+
+
+def _support_map(field: FieldSpec, dims: tuple[int, ...],
+                 pos: tuple[tuple[int, ...], ...], i: int, k: int) -> Matrix:
+    """The map i <= k of an indicator sum with positions pos (indicator_sum):
+    the row at k of each summand alive there, in summand order, is the unit
+    row at its position at i, or the zero row where it is not alive at i.
+    Within a convex support every map is the identity, so this is the
+    product along any path."""
+    return _units(field, dims[i], tuple(compress(pos[i], map((-1).__lt__, pos[k]))))
 
 
 def chain_representation(proset: Proset, field: FieldSpec,

@@ -20,7 +20,7 @@ from collections import Counter
 from functools import lru_cache, reduce
 from typing import Iterable, Optional, Union
 
-from .exactlin import FieldSpec, Matrix, Value, _fill, _units, check_ints, homogeneous_dimension
+from .exactlin import FieldSpec, Value, _fill, _units, check_ints, homogeneous_dimension
 from .proset import (
     Proset,
     ShoelaceProset,
@@ -632,8 +632,8 @@ def canonical_pair(i: Interval, j: Interval, eps: int, w: Window,
     def build(src, tgt, on: range):
         # on lies where both src and tgt have dimension 1
         return NatTrans._trusted(src, tgt, tuple(
-            Matrix.identity(field, 1) if a in on
-            else Matrix.zeros(field, tgt.dims[a], src.dims[a]) for a in range(w.size)))
+            _units(field, src.dims[a], (0,) if a in on else (-1,) * tgt.dims[a])
+            for a in range(w.size)))
 
     return (build(m, precompose(n, lam), f_on), build(n, precompose(m, lam), g_on))
 

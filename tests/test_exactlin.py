@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -424,7 +425,47 @@ def test_shared_matrices_refuse_writes_and_their_caches_are_bounded():
             del m.rows
     assert Matrix.zeros(F5, 2, 3).entries == ((0, 0, 0), (0, 0, 0))
     assert Matrix.identity(F5, 2).entries == ((1, 0), (0, 1))
-    assert 0 < exactlin._units.cache_info().maxsize < 10 ** 4
+    # 64 matrices of the largest document shape, 256 x 256
+    assert exactlin._UNIT_ROWS == 64 * 256
+    held = sum(m.rows for m in exactlin._unit_cache.values())
+    assert 0 < held == exactlin._unit_rows_held <= exactlin._UNIT_ROWS
+    assert list(exactlin._unit_cache) == list(exactlin._unit_order)
+
+
+def test_units_evicts_its_oldest_entries_first_and_keeps_its_row_bound(monkeypatch):
+    """_units against a model of its cache, a list of keys oldest first:
+    a hit refreshes nothing, a miss drops the oldest keys until the rows
+    held fit the bound, and a 256 x 256 matrix fits among small ones."""
+    from shoelace import exactlin
+    from shoelace.exactlin import _units
+
+    monkeypatch.setattr(exactlin, "_unit_cache", {})
+    monkeypatch.setattr(exactlin, "_unit_order", deque())
+    monkeypatch.setattr(exactlin, "_unit_rows_held", 0)
+    bound = exactlin._UNIT_ROWS
+    big = (F5, 256, tuple(range(256)))
+    # r-row zero columns: distinct keys that all share one row object
+    calls = [big] + [(F5, 1, (-1,) * r) for r in range(1, 150)] + [big]
+    calls += [(F7, 1, (-1,) * r) for r in range(1, 110)] + [big] * 2 + calls[1:40]
+    model: list = []
+    evicted = []
+    for key in calls:
+        got = _units(*key)
+        assert got.rows == len(key[2]) and got.cols == key[1]
+        if key not in model:
+            model.append(key)
+            while sum(len(k[2]) for k in model) > bound:
+                evicted.append(model.pop(0))
+        assert list(exactlin._unit_cache) == model == list(exactlin._unit_order)
+        assert _units(*key) is got
+        held = sum(m.rows for m in exactlin._unit_cache.values())
+        assert held == exactlin._unit_rows_held <= bound
+    # the hits on big did not keep it from going first
+    assert evicted[0] == big and big in model and model[0] != big
+    # a matrix of more rows than the bound is built, and not kept
+    tall = _units(F5, 1, (-1,) * (bound + 1))
+    assert tall.rows == bound + 1 and tall.is_zero()
+    assert list(exactlin._unit_cache) == model
 
 
 @settings(max_examples=300)

@@ -1,5 +1,6 @@
 import json
 import random
+from unittest import mock
 
 import pytest
 
@@ -52,6 +53,7 @@ from shoelace.zed import (
 
 F2 = FieldSpec(2)
 F5 = FieldSpec(5)
+F_BIG = FieldSpec(2 ** 31 - 1)
 
 
 def _ones_chain(n, field):
@@ -343,6 +345,31 @@ def test_indicator_sum_equals_the_direct_sum_of_indicator_modules(family, seed):
             start, stop = slices[k][x]
             assert stop - start == (x in support)
             assert positions[x][k] == (start if x in support else -1)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_indicator_sum_reads_its_maps_off_the_supports(family, seed):
+    """Every map of an indicator sum is read off its supports, with no
+    product, and equals the path product of a trusted copy of the same
+    edges, which has no supports.  Changing the positions that
+    indicator_sum returned changes no map."""
+    rng = random.Random(seed)
+    q = _rand_carrier(rng, family)
+    field = rng.choice((F2, F5, F_BIG))
+    supports = [_rand_convex(rng, q) for _ in range(rng.randint(0, 6))]
+    total, positions = indicator_sum(q, supports, field)
+    walked = Representation._trusted(q, field, total.dims, total.edges)
+    for row in positions:
+        row.reverse()
+        row.append(0)
+    positions.append([0] * len(supports))
+    with mock.patch("shoelace.rep.mat_mul", side_effect=AssertionError("a path product")):
+        got = {key: total.map(*key) for key in q.related_pairs}
+    for key in q.related_pairs:
+        assert got[key] == walked.map(*key), key
+    assert total == walked
 
 
 @pytest.mark.parametrize("family", FAMILIES)

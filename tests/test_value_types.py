@@ -1,6 +1,7 @@
 """The immutable value types, every subclass of exactlin.Value: equality
-and hashing over their fields, no equality with other types, no attribute
-assignment or deletion, and the reprs of FieldSpec and Window."""
+and hashing over their fields, or by identity for FieldSpec, one instance
+per prime, no equality with other types, no attribute assignment or
+deletion, and the reprs of FieldSpec and Window."""
 
 from fractions import Fraction
 
@@ -37,7 +38,6 @@ F2 = FieldSpec(2)
 
 # (build from a key, a key, a different key, the tuple hashed)
 CASES = {
-    "FieldSpec": (FieldSpec, 5, 7, lambda x: (5,)),
     "Window": (lambda k: Window(*k), (0, 3), (0, 4), lambda x: (0, 3)),
     "HeightFunction": (HeightFunction, (0, "1/2", 2), (0, 1, 2),
                        lambda x: ((Fraction(0), Fraction(1, 2), Fraction(2)),)),
@@ -72,6 +72,32 @@ def test_equal_fields_give_equal_objects_and_hashes(name):
     assert a != build(other)
     assert a != fields(a) and fields(a) != a
     assert len({a, b, build(other)}) == 2
+
+
+def test_fieldspec_is_one_instance_per_prime():
+    """FieldSpec(p) returns the one instance for p, so its equality and
+    hash are identity's."""
+    a, b = FieldSpec(5), FieldSpec(5)
+    assert a is b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != FieldSpec(7)
+    assert a != 5 and 5 != a and a != (5,)
+    assert len({a, b, FieldSpec(7)}) == 2
+
+
+@pytest.mark.parametrize("bad", [True, 5.0, 4])
+def test_fieldspec_refuses_a_bad_characteristic_and_keeps_nothing(bad):
+    """True and 5.0 hash and compare as 1 and 5, so the table of shared
+    instances must not be asked before the checks run."""
+    from shoelace import exactlin
+
+    FieldSpec(5)
+    before = dict(exactlin._FIELDS)
+    with pytest.raises(ValueError):
+        FieldSpec(bad)
+    assert exactlin._FIELDS == before
+    assert all(type(p) is int and f.p == p for p, f in exactlin._FIELDS.items())
 
 
 def _interleaving():
