@@ -1,12 +1,11 @@
 """JSON interchange documents.
 
 Every file is an envelope {"kind", "version", "payload"}.  Loading builds
-each object through its type's validating public constructor (a height is
-checked by validate_height), and nothing is checked again, so a document
-that parses but violates the mathematical rules raises
-DocumentValidationError, while a structurally malformed file raises
-DocumentFormatError.  Emission uses a fixed key order and canonical array
-orders, so output is byte-stable.
+each object through its type's validating public constructor, and nothing
+is checked again, so a document that parses but violates the mathematical
+rules raises DocumentValidationError, while a structurally malformed file
+raises DocumentFormatError.  Emission writes each value's own tuples in a
+fixed key order and canonical array orders, so output is byte-stable.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from contextlib import contextmanager
 from typing import Any
 
 from .exactlin import _INT, FieldSpec, Matrix
-from .proset import HeightFunction, Proset, Translation, validate_height
+from .proset import HeightFunction, Proset, Translation
 from .rep import NatTrans, Representation, chain_representation, precompose
 from .interleave import Interleaving
 from .zed import (
@@ -95,7 +94,7 @@ def _constructing(kind: str, own: str = "", context: str = "",
 def _proset_payload(p: Proset) -> dict:
     return {
         "n": p.n,
-        "labels": list(p.labels) if p.labels is not None else None,
+        "labels": p.labels,
         "rel": [list(map(int, reversed(f"{u:0{p.n}b}"))) for u in p.up],
     }
 
@@ -121,7 +120,7 @@ def _load_proset(payload: dict) -> Proset:
 
 
 def _translation_payload(t: Translation) -> dict:
-    return {"base": _proset_payload(t.base), "mapping": list(t.mapping)}
+    return {"base": _proset_payload(t.base), "mapping": t.mapping}
 
 
 def _load_translation(payload: dict) -> Translation:
@@ -131,31 +130,27 @@ def _load_translation(payload: dict) -> Translation:
         return Translation(base, mapping)
 
 
-def _height_payload(p: Proset, h: HeightFunction) -> dict:
-    return {"proset": _proset_payload(p),
+def _height_payload(h: HeightFunction) -> dict:
+    return {"proset": _proset_payload(h.proset),
             "values": [str(v) for v in h.values]}
 
 
-def _load_height(payload: dict) -> tuple[Proset, HeightFunction]:
+def _load_height(payload: dict) -> HeightFunction:
+    from fractions import Fraction
     p = _load_proset(_need(payload, "proset", "height"))
     raw = _as_list(_need(payload, "values", "height"), "values")
-    # the saver writes strings such as "1/2"; 0.5 or true would not round-trip
-    if not all(type(v) in (int, str) for v in raw):
-        bad = next(v for v in raw if type(v) not in (int, str))
-        raise DocumentFormatError(
-            f"bad height values: values must be integers or strings, got {bad!r}")
-    try:
-        h = HeightFunction(raw)
-    except (ValueError, TypeError, ZeroDivisionError) as e:
-        raise DocumentFormatError(f"bad height values: {e}") from None
-    report = validate_height(p, h)
-    if report is not None:
-        raise DocumentValidationError(f"invalid height: {report}")
-    return p, h
-
-
-def _matrix_entries(m: Matrix) -> list:
-    return [list(row) for row in m.entries]
+    # the saver writes str(Fraction(v)); 2, "0.5" or " 2/4 " would not round-trip
+    for v in raw:
+        try:
+            saved = type(v) is str and str(Fraction(v)) == v
+        except (ValueError, ZeroDivisionError):
+            saved = False
+        if not saved:
+            raise DocumentFormatError(
+                f"bad height values: values must be written as "
+                f"str(Fraction(v)), such as \"2\" or \"-1/3\", got {v!r}")
+    with _constructing("height"):
+        return HeightFunction(p, raw)
 
 
 def _load_matrix(field: FieldSpec, rows: int, cols: int, entries, what: str) -> Matrix:
@@ -169,9 +164,9 @@ def _rep_payload(m: Representation) -> dict:
     return {
         "prime": m.field.p,
         "proset": _proset_payload(m.proset),
-        "dims": list(m.dims),
+        "dims": m.dims,
         "maps": [
-            {"src": i, "dst": j, "entries": _matrix_entries(m.map(i, j))}
+            {"src": i, "dst": j, "entries": m.map(i, j).entries}
             for (i, j) in m.proset.related_pairs
         ],
     }
@@ -218,7 +213,7 @@ def _nattrans_payload(t: NatTrans) -> dict:
         "prime": t.source.field.p,
         "source": _rep_payload(t.source),
         "target": _rep_payload(t.target),
-        "components": [_matrix_entries(c) for c in t.components],
+        "components": [c.entries for c in t.components],
     }
 
 
@@ -247,8 +242,8 @@ def _interleaving_payload(x: Interleaving) -> dict:
         "translation": _translation_payload(x.lam),
         "m": _rep_payload(x.m),
         "n": _rep_payload(x.n),
-        "phi": [_matrix_entries(c) for c in x.phi.components],
-        "psi": [_matrix_entries(c) for c in x.psi.components],
+        "phi": [c.entries for c in x.phi.components],
+        "psi": [c.entries for c in x.psi.components],
     }
 
 
@@ -293,11 +288,9 @@ def _load_interval(raw, what: str) -> Interval:
 
 
 def _barcode_payload(b: Barcode) -> dict:
-    items = []
-    for bar, count in sorted(b.counts().items(), key=lambda kv: kv[0].ends):
-        items.append({"lo": bar.lo.to_json(), "hi": bar.hi.to_json(),
-                      "count": count})
-    return {"intervals": items}
+    # a Barcode holds its bars sorted, and counts() keeps that order
+    return {"intervals": [{**_interval_payload(bar), "count": count}
+                          for bar, count in b.counts().items()]}
 
 
 def _load_barcode(payload: dict) -> Barcode:
@@ -386,8 +379,8 @@ def _window_module_payload(w: Window, m: Representation) -> dict:
     return {
         "prime": m.field.p,
         "window": {"lo": w.lo, "hi": w.hi},
-        "dims": list(m.dims),
-        "steps": [_matrix_entries(s) for s in m.edges],
+        "dims": m.dims,
+        "steps": [s.entries for s in m.edges],
     }
 
 
@@ -414,7 +407,7 @@ def _load_window_module(payload: dict) -> tuple[Window, Representation]:
 _SAVERS = {
     "proset": _proset_payload,
     "translation": _translation_payload,
-    "height": lambda obj: _height_payload(*obj),
+    "height": _height_payload,
     "representation": _rep_payload,
     "nattrans": _nattrans_payload,
     "interleaving": _interleaving_payload,
@@ -448,14 +441,16 @@ def document_dict(kind: str, obj: Any) -> dict:
 
 # The writer.  json.dumps(obj, indent=2) runs the pure-Python encoder, one
 # generator step per token; _dumps gives the same bytes with Python walking
-# only the dict/list skeleton.  Each list of scalars, and each matrix (a list
-# of non-empty lists of scalars), is one call of the C encoder whose item
-# separator already holds the newline and indent.  Under ensure_ascii a
-# string never holds a literal newline, so the only newlines in its output
-# come from separators, and a matrix's row boundaries are exactly the
-# occurrences of "],\n<indent>[".
+# only the dict/list skeleton.  Each list or tuple of scalars, and each
+# matrix (a list or tuple of non-empty rows of scalars, such as a Matrix's
+# own entries), is one call of the C encoder whose item separator already
+# holds the newline and indent.  Under ensure_ascii a string never holds a
+# literal newline, so the only newlines in its output come from separators,
+# and a matrix's row boundaries are exactly the occurrences of
+# "],\n<indent>[".
 
-_CONTAINERS = frozenset((list, tuple, dict))
+_ARRAYS = frozenset((list, tuple))
+_CONTAINERS = _ARRAYS | {dict}
 _ENCODERS: list = []
 
 
@@ -488,8 +483,8 @@ def _dumps(obj, level: int = 0) -> str:
     if _CONTAINERS.isdisjoint(kinds):
         flat = "".join(_encoder(level + 1)(obj, 0))
         return f"[\n{inner}{flat[1:-1]}\n{outer}]"
-    if kinds == {list} and all(row and _CONTAINERS.isdisjoint(map(type, row))
-                               for row in obj):
+    if _ARRAYS.issuperset(kinds) and all(
+            row and _CONTAINERS.isdisjoint(map(type, row)) for row in obj):
         cells = "  " * (level + 2)
         flat = "".join(_encoder(level + 2)(obj, 0))[2:-2].replace(
             f"],\n{cells}[", f"\n{inner}],\n{inner}[\n{cells}")

@@ -15,10 +15,7 @@ from itertools import chain, repeat, starmap, zip_longest
 from typing import Iterable, Sequence
 
 
-@lru_cache(maxsize=128)
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
     if n % 2 == 0:
         return n == 2
     d = 3

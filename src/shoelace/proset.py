@@ -416,18 +416,22 @@ def induced_translation(sh: ShoelaceProset, gamma: Translation,
 
 
 class HeightFunction(Value):
-    """Rational heights of a proset's elements, values[i] for element i, each
-    read by fractions.Fraction (imported on first use, as nothing else in the
-    package needs it).  validate_height checks them against a proset."""
+    """A monotone height of a proset, values[i] for element i, each read by
+    fractions.Fraction (imported on first use, as nothing else in the package
+    needs it).  Valid by construction: it raises on validate_height's report."""
 
-    __slots__ = ("values",)
+    __slots__ = ("proset", "values")
 
-    def __init__(self, values: Iterable):
+    def __init__(self, proset: Proset, values: Iterable):
         from fractions import Fraction
-        _fill(self, tuple(map(Fraction, values)))
+        _fill(self, proset, tuple(map(Fraction, values)))
+        err = validate_height(self)
+        if err is not None:
+            raise ValueError(f"invalid height: {err}")
 
 
-def validate_height(p: Proset, h: HeightFunction) -> Optional[str]:
+def validate_height(h: HeightFunction) -> Optional[str]:
+    p = h.proset
     if len(h.values) != p.n:
         return f"expected {p.n} heights, got {len(h.values)}"
     for (i, j) in p.related_pairs:

@@ -882,11 +882,10 @@ def iter_matchings(bm: Barcode, bn: Barcode, eps: int,
                 yield out
             return
         a = src[idx]
-        tried = set()
-        for b in sorted(tgt_counts, key=lambda x: x.ends):
-            if tgt_counts[b] == 0 or b in tried:
+        # a Counter keeps the first-seen order of bn, which is sorted
+        for b in tgt_counts:
+            if tgt_counts[b] == 0:
                 continue
-            tried.add(b)
             if not pair_ok(a, b, eps, require_essential):
                 continue
             tgt_counts[b] -= 1

@@ -528,14 +528,17 @@ def test_validate_refuses_labels_that_are_not_strings(tmp_path, capsys):
 
 
 def test_validate_refuses_a_height_value_that_is_a_float(tmp_path, capsys):
-    # loaded as Fraction(0.5), this value would save as "1/2"
+    # loaded as Fraction(0.5), or 1 as Fraction(1), these values would
+    # save as "1/2" and "1"
     path = tmp_path / "h.json"
-    path.write_text(json.dumps({"kind": "height", "version": "1", "payload": {
-        "proset": {"n": 2, "labels": None, "rel": [[1, 1], [0, 1]]},
-        "values": [0.5, 1]}}), encoding="utf-8")
-    assert main(["validate", str(path)]) == 2
-    assert capsys.readouterr().err == (
-        "error: bad height values: values must be integers or strings, got 0.5\n")
+    for value in (0.5, 1, "2/4"):
+        path.write_text(json.dumps({"kind": "height", "version": "1", "payload": {
+            "proset": {"n": 2, "labels": None, "rel": [[1, 1], [0, 1]]},
+            "values": [value, "1"]}}), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad height values: values must be written as str(Fraction(v)), "
+            f"such as \"2\" or \"-1/3\", got {value!r}\n")
 
 
 def test_find_matching_takes_an_epsilon_beyond_float_range(tmp_path, capsys):

@@ -63,7 +63,7 @@ def _examples():
     return {
         "proset": proset_from_pairs(3, [(0, 1), (1, 0)], labels=("a", "b", "c")),
         "translation": Translation(chain(3), (1, 2, 2)),
-        "height": (chain(3), HeightFunction([0, Fraction(1, 2), 7])),
+        "height": HeightFunction(chain(3), [0, Fraction(1, 2), 7]),
         "representation": m,
         # the canonical map M -> M(lam), with component M(i <= lam(i)) at i
         "nattrans": NatTrans(m, precompose(m, lam),
@@ -85,7 +85,7 @@ def test_every_kind_round_trips():
         assert text == json.dumps(document_dict(kind, obj), indent=2) + "\n"
         got_kind, loaded = load_document(text)
         assert got_kind == kind
-        if kind in ("height", "window_module"):
+        if kind == "window_module":
             assert tuple(loaded) == tuple(obj)
         else:
             assert loaded == obj
@@ -107,9 +107,11 @@ _SCALARS = st.one_of(
     st.none(), st.booleans(),
     st.integers(-10 ** 40, 10 ** 40), st.integers(-3, 3),
     st.floats(), st.sampled_from(_AWKWARD), st.text(max_size=6))
-# matrices of 0 to 3 columns, so 0-column ones and lists of empty lists occur
+# matrices of 0 to 3 columns, so 0-column ones and lists of empty lists
+# occur, as lists or as tuples, the way a Matrix holds its entries
 _MATRICES = st.integers(0, 3).flatmap(
     lambda cols: st.lists(st.lists(_SCALARS, min_size=cols, max_size=cols), max_size=3))
+_MATRICES = _MATRICES | _MATRICES.map(lambda rows: tuple(map(tuple, rows)))
 _TREES = st.recursive(
     _SCALARS | _MATRICES,
     lambda kids: st.one_of(
@@ -130,6 +132,7 @@ def test_writer_matches_the_indenting_encoder(obj):
     [], {}, [[]], [[], []], [{}], {"a": []}, {"a": {}}, [[[]]], [[[], []]],
     {"a": [[], [[]], {"b": [{}]}]}, [[1, [2]], [3]], [[1, 2], []], [[], [1]],
     [[1, {"x": 2}], ["y"]], [1, [2, 3], [[4]]], [[[1, 2], [3, 4]], [[5, 6]]],
+    (), ((),), ((1, 2), (3, 4)), ((1,), [2]), ("a", ("b",)), [(1, 2), ()],
     ["\n]", "],[", "],\n  [", "é日本"], [["],\n    [", "\n]"], ["é", "],["]],
     [True, False, None, -7, 10 ** 40, -10 ** 40, 0.1, -0.0, 1e300,
      float("inf"), float("-inf"), float("nan")],
@@ -259,7 +262,8 @@ _MATRICES_OF = {
 @pytest.mark.parametrize("kind", sorted(_MATRICES_OF))
 @pytest.mark.parametrize("entry", [True, 1.0, "1", None], ids=repr)
 def test_matrix_entries_are_integers_in_every_kind(kind, entry):
-    doc = document_dict(kind, _examples()[kind])
+    # through JSON, as document_dict holds a matrix's own tuples
+    doc = json.loads(json.dumps(document_dict(kind, _examples()[kind])))
     matrix = next(m for m in _MATRICES_OF[kind](doc["payload"]) if m and m[0])
     matrix[0][0] = entry
     with pytest.raises(DocumentFormatError, match=re.escape(
@@ -287,23 +291,77 @@ def test_proset_labels_are_strings(label):
         load_document(_doc("proset", {"n": 2, "labels": "ab", "rel": [[1, 1], [0, 1]]}))
 
 
-@pytest.mark.parametrize("value", [0.5, 1.0, True, False, None, [1]], ids=repr)
+@pytest.mark.parametrize("value", [
+    0.5, 1.0, True, False, None, [1], 2, "0.5", " 2/4 ", "2/4", "+1", "1/1",
+    "-0", "1_0", "", "x", "1/0"], ids=repr)
 def test_height_values_are_integers_or_strings(value):
-    # the saver writes str(Fraction); 0.5 would come back as "1/2"
+    # the saver writes str(Fraction(v)); 2, 0.5 or "2/4" would come back as
+    # "2", "1/2" or "1/2", so only the saved strings load
     base = {"n": 2, "labels": None, "rel": [[1, 1], [0, 1]]}
     with pytest.raises(DocumentFormatError, match=re.escape(
-            f"bad height values: values must be integers or strings, got {value!r}")):
+            f"bad height values: values must be written as str(Fraction(v)), "
+            f"such as \"2\" or \"-1/3\", got {value!r}")):
         load_document(_doc("height", {"proset": base, "values": [value, "7"]}))
 
 
 def test_height_values_keep_integers_and_the_saved_strings():
     base = {"n": 3, "labels": ["x", "y", "z"], "rel": [[1, 1, 1], [0, 1, 1], [0, 0, 1]]}
-    doc = _doc("height", {"proset": base, "values": [-2, "-1/3", "7"]})
-    kind, (p, h) = load_document(doc)
-    assert kind == "height" and p.labels == ("x", "y", "z")
+    doc = _doc("height", {"proset": base, "values": ["-2", "-1/3", "7"]})
+    kind, h = load_document(doc)
+    assert kind == "height" and h.proset.labels == ("x", "y", "z")
     assert h.values == (-2, Fraction(-1, 3), 7)
-    assert json.loads(save_document("height", (p, h)))["payload"]["values"] == [
+    assert json.loads(save_document("height", h))["payload"]["values"] == [
         "-2", "-1/3", "7"]
+
+
+def _monotone(p, values):
+    """The reference: values[i] <= values[j] for every related pair."""
+    return all(values[i] <= values[j] for (i, j) in p.related_pairs)
+
+
+@st.composite
+def _prosets_with_values(draw, values):
+    """A proset on as many points as the drawn values, from random pairs."""
+    vals = draw(st.lists(values, min_size=1, max_size=5))
+    points = st.integers(0, len(vals) - 1)
+    pairs = draw(st.lists(st.tuples(points, points), max_size=2 * len(vals)))
+    return proset_from_pairs(len(vals), pairs), vals
+
+
+_HEIGHT_VALUES = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_prosets_with_values(_HEIGHT_VALUES))
+def test_a_height_is_exactly_a_monotone_value_list(case):
+    p, values = case
+    if _monotone(p, values):
+        assert HeightFunction(p, values).values == tuple(values)
+    else:
+        with pytest.raises(ValueError, match="^invalid height: not monotone: "):
+            HeightFunction(p, values)
+    with pytest.raises(ValueError, match=(
+            f"^invalid height: expected {p.n} heights, got {p.n - 1}$")):
+        HeightFunction(p, values[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_prosets_with_values(_HEIGHT_VALUES.map(str) | st.sampled_from(
+    ["0", "-1", "7", "1/2", "-1/3", "2/4", "+1", "0.5", " 1", "x", "1/0"])))
+def test_every_height_document_that_loads_saves_back_byte_for_byte(case):
+    p, values = case
+    proset = document_dict("proset", p)["payload"]
+    text = _dumps({"kind": "height", "version": "1",
+                   "payload": {"proset": proset, "values": values}}) + "\n"
+    try:
+        _, h = load_document(text)
+    except DocumentFormatError as e:
+        assert str(e).startswith("bad height values: ")
+        return
+    except DocumentValidationError as e:
+        assert str(e).startswith("invalid height: not monotone: ")
+        return
+    assert save_document("height", h) == text
 
 
 def test_representation_payload_errors():
@@ -504,7 +562,8 @@ def test_random_payloads_raise_only_document_errors(kind, data):
     if data.draw(st.booleans()):
         payload = data.draw(_JSON)
     else:
-        payload = document_dict(kind, _examples()[kind])["payload"]
+        # through JSON, as document_dict holds the values' own tuples
+        payload = json.loads(json.dumps(document_dict(kind, _examples()[kind])["payload"]))
         path, node = [], payload
         while (isinstance(node, (dict, list)) and node
                and (not path or data.draw(st.booleans()))):

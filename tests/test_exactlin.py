@@ -1,4 +1,5 @@
 import random
+import re
 from collections import deque
 
 import pytest
@@ -704,6 +705,28 @@ def test_a_constraint_on_an_unknown_out_of_range_is_refused():
         for solve in (homogeneous_dimension, mat_solve_homogeneous):
             with pytest.raises(ValueError, match="of 1 unknowns"):
                 solve(F2, [(1, 1)], [(one, k, one, l)])
+
+
+_ONE2 = Matrix(F2, 1, 1, [[1]])
+
+
+@pytest.mark.parametrize("shapes, constraint, message", [
+    ([(-1, 1)], None, "negative unknown shape -1x1"),
+    ([(1, 1)], (_ONE2, 0, _ONE2, 1), "constraint names X_0 and X_1 of 1 unknowns"),
+    ([(1, 1)], (Matrix(F5, 1, 1, [[1]]), 0, _ONE2, 0),
+     "constraint matrix field does not match the system field"),
+    ([(1, 1)], (Matrix(F2, 1, 2, [[1, 0]]), 0, _ONE2, 0), "A is 1x2 but X_0 has 1 rows"),
+    ([(1, 1)], (_ONE2, 0, Matrix(F2, 2, 1, [[1], [0]]), 0), "B is 2x1 but X_0 has 1 cols"),
+    ([(1, 1)], (Matrix(F2, 2, 1, [[1], [0]]), 0, _ONE2, 0),
+     "constraint shape mismatch: A@X_0 is 2x1, X_0@B is 1x1"),
+    ([(1, 1)], (_ONE2, 0, Matrix(F2, 1, 2, [[1, 0]]), 0),
+     "constraint shape mismatch: A@X_0 is 1x1, X_0@B is 1x2"),
+], ids=["negative shape", "missing unknown", "field", "A cols", "B rows",
+        "A rows", "B cols"])
+def test_a_malformed_system_is_refused_with_its_message(shapes, constraint, message):
+    constraints = [] if constraint is None else [constraint]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        homogeneous_dimension(F2, shapes, constraints)
 
 
 def test_the_empty_system():

@@ -352,9 +352,13 @@ def test_twist_requires_dominating_gamma():
 
 def test_height_validation():
     p = chain(3)
-    assert validate_height(p, HeightFunction((0, 1, 2))) is None
-    report = validate_height(p, HeightFunction((0, 2, 1)))
-    assert report is not None and "monotone" in report
+    h = HeightFunction(p, (0, "1/2", 2))
+    assert h.proset == p and validate_height(h) is None
+    with pytest.raises(ValueError, match=(
+            r"^invalid height: not monotone: 1 <= 2 but height 2 > 1$")):
+        HeightFunction(p, (0, 2, 1))
+    with pytest.raises(ValueError, match=r"^invalid height: expected 3 heights, got 2$"):
+        HeightFunction(p, (0, 1))
 
 
 @given(st.integers(0, 10 ** 6))

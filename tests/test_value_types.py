@@ -39,8 +39,8 @@ F2 = FieldSpec(2)
 # (build from a key, a key, a different key, the tuple hashed)
 CASES = {
     "Window": (lambda k: Window(*k), (0, 3), (0, 4), lambda x: (0, 3)),
-    "HeightFunction": (HeightFunction, (0, "1/2", 2), (0, 1, 2),
-                       lambda x: ((Fraction(0), Fraction(1, 2), Fraction(2)),)),
+    "HeightFunction": (lambda k: HeightFunction(chain(3), k), (0, "1/2", 2), (0, 1, 2),
+                       lambda x: (chain(3), (Fraction(0), Fraction(1, 2), Fraction(2)))),
     "HallWitness": (lambda k: HallWitness(k, (Interval(0, 5),), ()),
                     "source", "target",
                     lambda x: ("source", (Interval(0, 5),), ())),
@@ -130,7 +130,7 @@ INSTANCES = {
     "Ext": lambda: Ext(3),
     "FieldSpec": lambda: FieldSpec(5),
     "HallWitness": lambda: HallWitness("source", (Interval(0, 5),), ()),
-    "HeightFunction": lambda: HeightFunction((0, 1)),
+    "HeightFunction": lambda: HeightFunction(chain(2), (0, 1)),
     "Interleaving": _interleaving,
     "InterleavingMorphism": _interleaving_morphism,
     "Interval": lambda: Interval(0, 2),
