@@ -64,14 +64,7 @@ class Ext(Value):
 
     @staticmethod
     def of(x: Union["Ext", int, str]) -> "Ext":
-        if isinstance(x, Ext):
-            return x
-        if x in ("-inf", "+inf"):
-            return NEG_INF if x == "-inf" else POS_INF
-        if isinstance(x, int) and not isinstance(x, bool):
-            return Ext(x)
-        # the type tells a JSON -Infinity or 1.0 apart from "-inf" or 1
-        raise ValueError(f"not an extended integer: {x!r} ({type(x).__name__})")
+        return x if isinstance(x, Ext) else _ext(_endpoint(x))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Ext):
@@ -109,6 +102,22 @@ def _ext(e: Endpoint) -> Ext:
     return NEG_INF if e == -math.inf else POS_INF if e == math.inf else Ext(e)
 
 
+def _endpoint(x: Union[Ext, int, str]) -> Endpoint:
+    """The plain endpoint of an argument or document value: an int (not a
+    bool), "-inf", "+inf" or an Ext; anything else is a ValueError.  The
+    one parse rule of endpoints, which Interval and Ext.of share."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Ext):
+        return x.value if x.kind == 0 else x.kind * math.inf
+    if x in ("-inf", "+inf"):
+        return -math.inf if x == "-inf" else math.inf
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    # the type tells a JSON -Infinity or 1.0 apart from "-inf" or 1
+    raise ValueError(f"not an extended integer: {x!r} ({type(x).__name__})")
+
+
 def _lowered(e: Endpoint, eps: int) -> Endpoint:
     """e - eps, an infinite e staying as it is: math.inf - eps would turn
     eps into a float, which overflows from 2**1024 on."""
@@ -143,8 +152,8 @@ class Interval(Value):
     endpoints plainly: ints, with -math.inf and math.inf for the infinite
     ends.  An int compares with a float exactly and math.inf - eps is
     math.inf, so ordering (ends is the sort key), shifting and the overlap
-    tests are plain expressions.  Interval(lo, hi) parses each end through
-    Ext.of, so no float comes in from outside, and refuses a finite end
+    tests are plain expressions.  Interval(lo, hi) parses each end by
+    _endpoint, so no float comes in from outside, and refuses a finite end
     beyond +-MAX_ENDPOINT; lo and hi give the ends back as Ext.  Equality
     and hash are its own, as they are hot.
     """
@@ -152,8 +161,7 @@ class Interval(Value):
     __slots__ = ("ends",)
 
     def __init__(self, lo: Union[Ext, int, str], hi: Union[Ext, int, str]):
-        lo, hi = (e.value if e.kind == 0 else e.kind * math.inf
-                  for e in (Ext.of(lo), Ext.of(hi)))
+        lo, hi = _endpoint(lo), _endpoint(hi)
         if lo == math.inf:
             raise ValueError("interval cannot start at +inf")
         if hi == -math.inf:
@@ -293,30 +301,41 @@ class Window(Value):
         return range(max(lo, self.lo) - self.lo, min(hi, self.hi) - self.lo + 1)
 
 
+def _check_barcodes(source, target) -> None:
+    """The sides of a matching are Barcodes; else ValueError."""
+    if not (isinstance(source, Barcode) and isinstance(target, Barcode)):
+        raise ValueError("the source and target of a matching must be barcodes")
+
+
 class Matching(Value):
     """An eps-matching: a partial bijection between barcode instances whose
     matched endpoints lie within eps and whose unmatched bars are short.
     Valid by construction: the constructor raises ValueError on an epsilon
     that breaks the eps rule (_check_epsilon), on sides that are not
-    barcodes and on a pair that is not two Intervals, then on the report of
-    validate_matching, its one check."""
+    barcodes (_check_barcodes) and on a pair that is not two Intervals,
+    then on the report of validate_matching, its one check."""
 
     __slots__ = ("source", "target", "pairs", "epsilon")
 
     def __init__(self, source: Barcode, target: Barcode,
                  pairs: Iterable[tuple[Interval, Interval]], epsilon: int):
         _check_epsilon(epsilon)
-        if not (isinstance(source, Barcode) and isinstance(target, Barcode)):
-            raise ValueError("the source and target of a matching must be barcodes")
+        _check_barcodes(source, target)
         ps = tuple(map(tuple, pairs))
         if not all(len(ab) == 2 and isinstance(ab[0], Interval)
                    and isinstance(ab[1], Interval) for ab in ps):
             raise ValueError("each pair of a matching must be two Intervals")
-        ps = tuple(sorted(ps, key=lambda ab: (ab[0].ends, ab[1].ends)))
-        _fill(self, source, target, ps, epsilon)
+        _fill(self, source, target, _sorted_pairs(ps), epsilon)
         err = validate_matching(self)
         if err is not None:
             raise ValueError(f"invalid matching: {err}")
+
+    @classmethod
+    def _trusted(cls, source: Barcode, target: Barcode,
+                 pairs: Iterable[tuple[Interval, Interval]], epsilon: int) -> "Matching":
+        """Skip validate_matching: pairs, in any order, must keep its rules
+        and epsilon the eps rule."""
+        return _fill(object.__new__(cls), source, target, _sorted_pairs(pairs), epsilon)
 
     def unmatched_source(self) -> Counter:
         return +_leftover(self.source, (a for (a, _) in self.pairs))
@@ -326,6 +345,11 @@ class Matching(Value):
 
     def __repr__(self) -> str:
         return f"Matching(eps={self.epsilon}, pairs={len(self.pairs)})"
+
+
+def _sorted_pairs(pairs: Iterable[tuple[Interval, Interval]]) -> tuple:
+    """The pairs of a matching in the order it stores them."""
+    return tuple(sorted(pairs, key=lambda ab: (ab[0].ends, ab[1].ends)))
 
 
 class DecomposedShoelaceRep(Value):
@@ -340,10 +364,7 @@ class DecomposedShoelaceRep(Value):
     __slots__ = ("window", "epsilon", "field", "summands")
 
     def __init__(self, window: Window, epsilon: int, field: FieldSpec, summands: Iterable):
-        if not isinstance(window, Window):
-            raise ValueError(f"window must be a Window, got {window!r}")
-        if not isinstance(field, FieldSpec):
-            raise ValueError(f"field must be a FieldSpec, got {field!r}")
+        _check_certificate_frame(window, field)
         _check_epsilon(epsilon)
         summands = tuple(map(tuple, summands))
         if any(len(s) != 2 for s in summands):
@@ -353,10 +374,26 @@ class DecomposedShoelaceRep(Value):
         if err is not None:
             raise ValueError(f"invalid decomposed representation: {err}")
 
+    @classmethod
+    def _trusted(cls, window: Window, epsilon: int, field: FieldSpec,
+                 summands: tuple) -> "DecomposedShoelaceRep":
+        """Skip validate_decomposed: the tuple of (left, right) summands
+        must pass it, and the frame and epsilon the constructor's checks."""
+        return _fill(object.__new__(cls), window, epsilon, field, summands)
+
     def canonical(self) -> "DecomposedShoelaceRep":
-        return DecomposedShoelaceRep(
+        # validity does not depend on the order of the summands
+        return DecomposedShoelaceRep._trusted(
             self.window, self.epsilon, self.field,
-            sorted(self.summands, key=_summand_key))
+            tuple(sorted(self.summands, key=_summand_key)))
+
+
+def _check_certificate_frame(window, field) -> None:
+    """The certificate frame: a Window and a FieldSpec; else ValueError."""
+    if not isinstance(window, Window):
+        raise ValueError(f"window must be a Window, got {window!r}")
+    if not isinstance(field, FieldSpec):
+        raise ValueError(f"field must be a FieldSpec, got {field!r}")
 
 
 def _summand_key(s: tuple[Optional[Interval], Optional[Interval]]):
@@ -657,10 +694,12 @@ def matching_to_rep(s: Matching, w: Window, variant: str = "essential_F",
     essential_F: one two-sided summand per matched pair, a single-sided
     summand per unmatched bar; requires the matching to be essential.
     nonessential_Fprime: matched short-short pairs failing Condition (*) are
-    split into two single-sided summands instead.  The certificate checks
-    the 2*eps padding of each summand (validate_decomposed), so a window
-    too small for the bars is refused by its report.
+    split into two single-sided summands instead.  The summands of a valid
+    matching keep every other rule of validate_decomposed, so only the
+    frame, the padding and the window size are checked, with its messages.
     """
+    if not isinstance(s, Matching):
+        raise ValueError(f"not a matching: {s!r}")
     if variant not in ("essential_F", "nonessential_Fprime"):
         raise ValueError(f"unknown variant {variant!r}")
     eps = s.epsilon
@@ -678,16 +717,30 @@ def matching_to_rep(s: Matching, w: Window, variant: str = "essential_F",
             summands.append((a, b))
     summands += [(bar, None) for bar in s.unmatched_source().elements()]
     summands += [(None, bar) for bar in s.unmatched_target().elements()]
-    return DecomposedShoelaceRep(w, eps, field, sorted(summands, key=_summand_key))
+    summands.sort(key=_summand_key)
+    _check_certificate_frame(w, field)
+    for idx, summand in enumerate(summands):
+        err = _padding_error([bar for bar in summand if bar is not None], w, eps)
+        if err is not None:
+            err = f"summand {idx}: {err}"
+            break
+    else:
+        err = _size_error(summands, w, eps)
+    if err is not None:
+        raise ValueError(f"invalid decomposed representation: {err}")
+    return DecomposedShoelaceRep._trusted(w, eps, field, tuple(summands))
 
 
 def rep_to_matching(l: DecomposedShoelaceRep) -> Matching:
     """Read the matching back off a decomposition certificate: two-sided
-    summands become matched pairs, single-sided ones unmatched bars."""
+    summands become matched pairs, single-sided ones unmatched bars, which
+    keep the rules of a matching as the certificate is valid."""
+    if not isinstance(l, DecomposedShoelaceRep):
+        raise ValueError(f"not a decomposed representation: {l!r}")
     source = Barcode(s[0] for s in l.summands if s[0] is not None)
     target = Barcode(s[1] for s in l.summands if s[1] is not None)
     pairs = [s for s in l.summands if None not in s]
-    return Matching(source, target, pairs, l.epsilon)
+    return Matching._trusted(source, target, pairs, l.epsilon)
 
 
 def summand_support(s: tuple[Optional[Interval], Optional[Interval]],
@@ -755,7 +808,13 @@ def validate_decomposed(l: DecomposedShoelaceRep) -> Optional[str]:
         err = _summand_error(a, b, w, eps)
         if err is not None:
             return f"summand {idx}: {err}"
-    if l.summands and w.size <= eps:
+    return _size_error(l.summands, w, eps)
+
+
+def _size_error(summands, w: Window, eps: int) -> Optional[str]:
+    """The window-size rule, for summands that pass _summand_error: None,
+    unless there is one and the window has at most eps points."""
+    if summands and w.size <= eps:
         return "summand 0: support is not connected and convex"
     return None
 
@@ -857,8 +916,9 @@ def iter_matchings(bm: Barcode, bn: Barcode, eps: int,
                    require_essential: bool = False):
     """All valid (optionally essential) eps-matchings between two barcodes,
     distinct as pair-multisets, in a deterministic order that tries matched
-    options before leaving a bar unmatched."""
+    options before leaving a bar unmatched, each valid by construction."""
     _check_epsilon(eps)
+    _check_barcodes(bm, bn)
     src = list(bm)
     tgt_counts = Counter(bn)
 
@@ -870,7 +930,7 @@ def iter_matchings(bm: Barcode, bn: Barcode, eps: int,
         if key in seen:
             return None
         seen.add(key)
-        return Matching(bm, bn, pairs, eps)
+        return Matching._trusted(bm, bn, pairs, eps)
 
     def rec(idx: int):
         if idx == len(src):
@@ -939,6 +999,7 @@ class _MatchingOracle:
     def __init__(self, bm: Barcode, bn: Barcode, eps: int,
                  require_essential: bool):
         _check_epsilon(eps)
+        _check_barcodes(bm, bn)
         src, tgt = bm.intervals, bn.intervals
         n, m = len(src), len(tgt)
         self.bars = (src, tgt)
@@ -1109,10 +1170,12 @@ def match_or_witness(bm: Barcode, bn: Barcode, eps: int,
     """(find_matching, None) when a matching exists, else (None, a
     HallWitness): a set of bars that must all be matched but have fewer
     admissible partners than bars, which Hall's theorem guarantees on one
-    side or the other.  Both come from one search."""
+    side or the other.  Both come from one search, and the matching is
+    valid by construction: the oracle pairs only what pair_ok admits, uses
+    each bar once and leaves only short bars unmatched."""
     oracle = _MatchingOracle(bm, bn, eps, require_essential)
     if oracle.witness is not None:
         return None, oracle.witness
     src, tgt = oracle.bars
-    return Matching(bm, bn, [(src[a], tgt[b]) for a, b in oracle.first_matching()],
-                    eps), None
+    return Matching._trusted(
+        bm, bn, [(src[a], tgt[b]) for a, b in oracle.first_matching()], eps), None

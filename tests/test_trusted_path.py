@@ -1,17 +1,20 @@
 """The trusted construction paths and the shared shoelace carrier.
 
-Proset, Translation, Representation, NatTrans, Interleaving and
-InterleavingMorphism are valid by construction: each public constructor
-raises on the report of its one check, and builders whose output is valid
-by construction skip it through Proset._trusted, Translation._trusted,
-Representation._trusted, NatTrans._trusted, interleave._assemble and
-InterleavingMorphism._trusted.  Each builder is compared here with a
-reference built through the public constructors, which must accept it,
-over selftest's random prosets and translations and over window chains
-with their shoelace_window carriers.  shoelace(p, lam) builds its carrier
-once per translation, through laced, and stores it there.
+Proset, Translation, Representation, NatTrans, Interleaving,
+InterleavingMorphism, Matching and DecomposedShoelaceRep are valid by
+construction: each public constructor raises on the report of its one
+check, and builders whose output is valid by construction skip it through
+Proset._trusted, Translation._trusted, Representation._trusted,
+NatTrans._trusted, interleave._assemble, InterleavingMorphism._trusted,
+Matching._trusted and DecomposedShoelaceRep._trusted.  Each builder is
+compared here with a reference built through the public constructors,
+which must accept it, over selftest's random prosets and translations,
+over window chains with their shoelace_window carriers and over random
+barcode pairs.  shoelace(p, lam) builds its carrier once per translation,
+through laced, and stores it there.
 """
 
+import itertools
 import random
 import re
 
@@ -68,6 +71,7 @@ from shoelace.rep import (
 from shoelace.selftest import (
     _conjugate,
     _rand_essential_matching,
+    _rand_interval,
     _rand_invertible,
     _rand_proset,
     _rand_rep,
@@ -76,19 +80,34 @@ from shoelace.selftest import (
 from shoelace.zed import (
     NEG_INF,
     POS_INF,
+    Barcode,
+    DecomposedShoelaceRep,
     Interval,
+    Matching,
     Window,
+    _summand_key,
     canonical_pair,
+    find_matching,
     interval_to_module,
+    is_essential,
+    iter_matchings,
     lambda_eps,
+    match_or_witness,
     matching_interleaving,
+    matching_to_rep,
+    rep_to_matching,
     shoelace_window,
+    short_pair_fails_star,
+    validate_decomposed,
+    validate_matching,
     window_chain,
 )
 
 from test_rep import _validate_all_triples
 
 from test_proset import table
+
+from test_zed import _outcome
 
 FAMILIES = ["selftest", "window"]
 
@@ -409,6 +428,7 @@ def test_trusted_builders_skip_the_public_constructor(monkeypatch):
     v = pack(x)
     _, t = _conjugate(v, [_rand_invertible(rng, field, d) for d in v.dims])
     sigma, w = _rand_essential_matching(random.Random(5), need_pair=True)
+    cert = matching_to_rep(sigma, w)
     step = Matrix(field, 1, 1, [[2]])
     # a translation whose carrier is not stored yet, so shoelace builds one
     fresh = Translation(p, lam.mapping)
@@ -419,12 +439,13 @@ def test_trusted_builders_skip_the_public_constructor(monkeypatch):
         return refused
 
     for cls in (Proset, ShoelaceProset, Translation, Representation, NatTrans,
-                Interleaving, InterleavingMorphism):
+                Interleaving, InterleavingMorphism, Matching, DecomposedShoelaceRep):
         monkeypatch.setattr(cls, "__init__", refuse(f"public {cls.__name__}"))
     for module in (proset_module, rep_module, interleave_module, zed_module):
         for name in ("validate_proset", "validate_translation",
                      "validate_representation", "validate_nat_trans",
-                     "validate_interleaving", "validate_interleaving_morphism"):
+                     "validate_interleaving", "validate_interleaving_morphism",
+                     "validate_matching", "validate_decomposed"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse(name))
     chain(4, "abcd")
@@ -453,6 +474,12 @@ def test_trusted_builders_skip_the_public_constructor(monkeypatch):
     upgrade_interleaving(x, compose_translations(lam, lam))
     scale_interleaving(x, 2)
     matching_interleaving(sigma, w, field)
+    found = find_matching(sigma.source, sigma.target, sigma.epsilon, True)
+    assert match_or_witness(sigma.source, sigma.target, sigma.epsilon)[0] is not None
+    assert found in iter_matchings(sigma.source, sigma.target, sigma.epsilon)
+    for variant in ("essential_F", "nonessential_Fprime"):
+        assert rep_to_matching(matching_to_rep(found, w, variant, field)) is not None
+    assert cert.canonical() == cert
 
 
 def test_cli_unpack_builds_only_the_loaded_representation(tmp_path, monkeypatch):
@@ -700,3 +727,111 @@ def test_pack_morphism_refuses_a_morphism_that_does_not_commute():
         x.n, x.n, [Matrix.identity(x.n.field, d) for d in x.n.dims]))
     assert pack_morphism(whole) == NatTrans(pack(x), pack(x), [
         Matrix.identity(x.m.field, d) for d in pack(x).dims])
+
+
+def _rand_bars(rng, k):
+    return Barcode(_rand_interval(rng, 6) for _ in range(k))
+
+
+def _rand_pair(rng):
+    """Two barcodes and an eps: random ones, the sides of a random essential
+    matching, or, one draw in five, k copies of (-inf,+inf) on each side,
+    whose certificates need a window of more than eps points."""
+    r = rng.random()
+    if r < 0.2:
+        whole = Barcode([Interval(NEG_INF, POS_INF)] * rng.randint(1, 3))
+        return whole, whole, rng.randint(1, 3)
+    if r < 0.6:
+        s, _ = _rand_essential_matching(rng)
+        return s.source, s.target, s.epsilon
+    return _rand_bars(rng, rng.randint(0, 4)), _rand_bars(rng, rng.randint(0, 4)), rng.randint(0, 3)
+
+
+def _rand_window(rng, s: Matching):
+    """A window padded by about 2*eps around the matching's finite ends,
+    often a point short on a side, and at most eps + 2 points when every
+    end is infinite."""
+    ends = [e for bar in s.source.intervals + s.target.intervals
+            for e in bar.finite_endpoints()]
+    eps = s.epsilon
+    if not ends:
+        lo = rng.randint(-3, 3)
+        return Window(lo, lo + rng.randint(0, eps + 1))
+    lo = min(ends) - 2 * eps + rng.choice((-1, 0, 0, 1))
+    hi = max(ends) + 2 * eps + rng.choice((-1, 0, 0, 1))
+    return Window(lo, max(lo, hi))
+
+
+def _check_matching(got):
+    """got, from a trusted path, equals the public construction on its
+    fields and passes validate_matching."""
+    assert type(got) is Matching and type(got.pairs) is tuple
+    assert got == Matching(got.source, got.target, got.pairs, got.epsilon)
+    assert validate_matching(got) is None
+
+
+def _check_certificate(got):
+    assert type(got) is DecomposedShoelaceRep and type(got.summands) is tuple
+    assert got == DecomposedShoelaceRep(got.window, got.epsilon, got.field, got.summands)
+    assert validate_decomposed(got) is None
+
+
+def _public_certificate(s: Matching, w, variant, field):
+    """matching_to_rep as it was written on the public constructor."""
+    summands = []
+    for (a, b) in s.pairs:
+        if variant == "nonessential_Fprime" and short_pair_fails_star(a, b, s.epsilon):
+            summands += [(a, None), (None, b)]
+        else:
+            summands.append((a, b))
+    summands += [(bar, None) for bar in s.unmatched_source().elements()]
+    summands += [(None, bar) for bar in s.unmatched_target().elements()]
+    return DecomposedShoelaceRep(w, s.epsilon, field, sorted(summands, key=_summand_key))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_trusted_matchings_and_certificates_equal_the_public_construction(seed):
+    """find_matching, match_or_witness, iter_matchings and rep_to_matching
+    build Matchings, and matching_to_rep and canonical() certificates,
+    through the trusted paths: each equals the public construction and
+    passes its validator, and matching_to_rep refuses exactly when the
+    public constructor does, with the same message, on windows that are
+    often too small."""
+    rng = random.Random(seed)
+    bm, bn, eps = _rand_pair(rng)
+    essential = rng.random() < 0.5
+    found, witness = match_or_witness(bm, bn, eps, essential)
+    assert find_matching(bm, bn, eps, essential) == found
+    every = list(itertools.islice(iter_matchings(bm, bn, eps, essential), 12))
+    assert (found is None) == (not every) == (witness is not None)
+    if found is not None:
+        assert found == every[0]
+    for s in every:
+        _check_matching(s)
+        assert not (essential and is_essential(s))
+        field = FieldSpec(rng.choice((2, 5)))
+        w = _rand_window(rng, s) if rng.random() < 0.95 else "x"
+        for variant in ("essential_F", "nonessential_Fprime"):
+            if variant == "essential_F" and is_essential(s):
+                continue
+            got = _outcome(matching_to_rep, s, w, variant, field)
+            ref = _outcome(_public_certificate, s, w, variant, field)
+            assert got[0] == ref[0] and (got[0] == "ok" or got[1] == ref[1]), (got, ref)
+            if got[0] == "refused":
+                continue
+            cert = got[1]
+            _check_certificate(cert)
+            assert cert == ref[1]
+            back = rep_to_matching(cert)
+            _check_matching(back)
+            if variant == "essential_F":
+                assert back == s
+            shuffled = list(cert.summands)
+            rng.shuffle(shuffled)
+            scrambled = DecomposedShoelaceRep(w, s.epsilon, field, shuffled)
+            _check_matching(rep_to_matching(scrambled))
+            assert rep_to_matching(scrambled) == back
+            canon = scrambled.canonical()
+            _check_certificate(canon)
+            assert canon == cert

@@ -173,6 +173,47 @@ def test_plain_endpoints_agree_with_the_ext_reference(raw, eps, v):
                 assert hash(a) == hash(b)
 
 
+def _ref_ext_of(x):
+    """Ext.of as it was written before endpoints were parsed plainly."""
+    if isinstance(x, Ext):
+        return x
+    if x in ("-inf", "+inf"):
+        return NEG_INF if x == "-inf" else POS_INF
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Ext(x)
+    raise ValueError(f"not an extended integer: {x!r} ({type(x).__name__})")
+
+
+def _outcome(f, *args):
+    """("ok", f(*args)), or ("refused", message) on a ValueError."""
+    try:
+        return "ok", f(*args)
+    except ValueError as e:
+        return "refused", str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2 ** 70, 2 ** 70) | st.booleans() | st.floats() | st.text(max_size=5)
+       | st.none() | st.sampled_from(["-inf", "+inf", "inf", "-Infinity", NEG_INF,
+                                      POS_INF, Ext(3), Ext(-2 ** 61), [1], (0,), b"1"]))
+def test_endpoints_parse_exactly_as_ext_of_did(x):
+    """zed._endpoint accepts what Ext.of accepted, with the same value, and
+    refuses the rest with the same message; Ext.of now goes through it."""
+    from shoelace.zed import _endpoint
+
+    def plain(e):
+        return e.kind * math.inf if e.kind else e.value
+
+    ref = _outcome(_ref_ext_of, x)
+    got = _outcome(_endpoint, x)
+    assert got[0] == ref[0]
+    if ref[0] == "ok":
+        assert got[1] == plain(ref[1]) and type(got[1]) is type(plain(ref[1]))
+        assert Ext.of(x) == ref[1]
+    else:
+        assert got == ref == _outcome(Ext.of, x)
+
+
 def test_interval_refuses_floats_bools_and_nan():
     """The parse boundary admits ints and the two strings only: a float
     infinity would be a valid plain end, so it must not slip in."""
@@ -613,10 +654,22 @@ def test_validate_decomposed_violations():
     (lambda: Matching([Interval(0, 1)], Barcode([]), [], 1), "must be barcodes"),
     (lambda: Matching(Barcode([Interval(0, 2)]), Barcode([Interval(0, 2)]), [(1, 2)], 1),
      "must be two Intervals"),
-], ids=["window", "field", "three_sides", "matching_sides", "matching_pairs"])
+    (lambda: find_matching([Interval(0, 2)], Barcode([Interval(0, 2)]), 1), "must be barcodes"),
+    (lambda: find_matching(Barcode([Interval(0, 2)]), "x", 1), "must be barcodes"),
+    (lambda: match_or_witness(None, Barcode([]), 1), "must be barcodes"),
+    (lambda: list(iter_matchings(Barcode([]), [Interval(0, 2)], 1)), "must be barcodes"),
+    (lambda: rep_to_matching("x"), "not a decomposed representation: 'x'"),
+    (lambda: rep_to_matching(Matching(Barcode([]), Barcode([]), [], 1)),
+     "not a decomposed representation"),
+    (lambda: matching_to_rep("x", Window(-2, 4)), "not a matching: 'x'"),
+], ids=["window", "field", "three_sides", "matching_sides", "matching_pairs",
+        "find_matching_list", "find_matching_str", "match_or_witness", "iter_matchings",
+        "rep_to_matching_str", "rep_to_matching_matching", "matching_to_rep"])
 def test_constructors_refuse_frames_of_the_wrong_type(build, message):
     """Checked before validate_decomposed and validate_matching, which
-    read the window, field, pairs and barcodes as those types."""
+    read the window, field, pairs and barcodes as those types, and by the
+    builders that skip those constructors before they read their
+    arguments: a ValueError, never an AttributeError from deep inside."""
     with pytest.raises(ValueError, match=message):
         build()
 
@@ -865,6 +918,8 @@ def test_pack_decomposed_packs_once(monkeypatch):
 
 
 def test_certificate_is_validated_once_and_expanded_without_pack(monkeypatch):
+    """The loader is the one public build and the one check of a
+    certificate: matching_to_rep builds it through the trusted path."""
     import shoelace.rep as rep_mod
     import shoelace.zed as zed_mod
 
@@ -885,11 +940,12 @@ def test_certificate_is_validated_once_and_expanded_without_pack(monkeypatch):
     assert rep_to_matching(loaded) == s
     # the interleaving of the matching is built from index ranges alone
     matching_interleaving(s, w)
-    assert calls == {"built": 2, "validate_decomposed": 2}
+    assert calls == {"built": 1, "validate_decomposed": 1}
 
 
 def test_a_matching_is_validated_once_and_its_interleaving_built_once(monkeypatch):
-    """Each Matching is validated once, at construction: is_essential,
+    """A Matching is validated once, by the loader: find_matching and
+    rep_to_matching build theirs through the trusted path, and is_essential,
     matching_to_rep and matching_interleaving check nothing again.
     matching_interleaving builds each shifted target once and does not go
     through the public Interleaving constructor."""
@@ -910,17 +966,17 @@ def test_a_matching_is_validated_once_and_its_interleaving_built_once(monkeypatc
     found = find_matching(Barcode([i02, i55]), Barcode([i13, i55]), 1,
                           require_essential=True)
     _, s = load_document(save_document("matching", found))
-    assert s == found and calls == {"built": 2, "validated": 2}
+    assert s == found and calls == {"built": 1, "validated": 1}
     assert is_essential(s) == []
     w = Window(-2, 7)
     cert = matching_to_rep(s, w)
-    assert calls == {"built": 2, "validated": 2}
+    assert calls == {"built": 1, "validated": 1}
     _, loaded = load_document(save_document("decomposed_rep", cert))
     expand_decomposed(loaded)
     back = rep_to_matching(loaded)
-    assert back == s and calls == {"built": 3, "validated": 3}
+    assert back == s and calls == {"built": 1, "validated": 1}
     x = matching_interleaving(back, w)
-    assert calls == {"built": 3, "validated": 3, "precompose": 2}
+    assert calls == {"built": 1, "validated": 1, "precompose": 2}
     assert validate_interleaving(x) is None
 
 
