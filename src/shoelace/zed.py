@@ -18,6 +18,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import lru_cache, reduce
+from itertools import compress
 from typing import Iterable, Optional, Union
 
 from .exactlin import FieldSpec, Value, _fill, _units, check_ints, homogeneous_dimension
@@ -459,16 +460,18 @@ def barcode(m: Representation, w: Window, boundary: str = "finite") -> Barcode:
     born at or before a span the image of V_a.  The images of the basis
     under the step are reduced in that order.  A vector whose image lies in
     the span of the images before it ends the bar [birth, k].  The others go
-    on as -e/x, e the reduced image and x its first nonzero entry, the
-    pivot: basis vector and reducer at once.  Unit vectors born at k + 1,
-    one per coordinate c that is no pivot, complete them to a basis of
-    V_(k+1); each is kept as c, its image being column c of the next step.
-    The vectors alive after the last point end their bars there.  So
-    r(a, b) - r(a-1, b) - r(a, b+1) + r(a-1, b+1) bars run from a to b, r
-    being the rank of V_a -> V_b: the multiplicities of the rank
-    inclusion-exclusion formula, at a cost of O(n d^3) for n points of
-    dimension at most d.  Images are packed into one int each, so the inner
-    loops are big-int arithmetic.
+    on as their reduced image e, unscaled, whose first nonzero entry is the
+    pivot: basis vector and reducer at once, as scaling by a unit changes
+    no span.  Unit vectors born at k + 1, one per coordinate c that is no
+    pivot, complete them to a basis of V_(k+1); each is kept as c, its image
+    being column c of the next step.  The vectors alive after the last point
+    end their bars there.  So r(a, b) - r(a-1, b) - r(a, b+1) + r(a-1, b+1)
+    bars run from a to b, r being the rank of V_a -> V_b: the multiplicities
+    of the rank inclusion-exclusion formula, at a cost of O(n d^3) for n
+    points of dimension at most d.  Images are one int each, so the inner
+    loops are big-int arithmetic: over F_2 bit c is coordinate c and a
+    reduction is one XOR; over other fields entry c is packed in a slot
+    wide enough for a reduction's sums.
 
     Only the steps, m.edges on the chain, are read, so the module must be
     functorial, as every Representation is by construction.  boundary="infinite"
@@ -483,42 +486,9 @@ def barcode(m: Representation, w: Window, boundary: str = "finite") -> Barcode:
     if m.proset.up != window_chain(w).up:
         raise ValueError("module does not live on the chain of the window")
     p, dims = m.field.p, m.dims
-    mul, lshift = operator.mul, operator.lshift
-    # A vector of V_(k+1) is packed into one int, entry i in the bits from
-    # i * width on.  An image adds up at most dims[k] products below p**2
-    # and its reduction at most dims[k+1] more, so an entry read mod p has
-    # not carried into the next.
-    width = ((2 * max(dims) + 1) * p * p).bit_length()
-    mask = (1 << width) - 1
-    ends: Counter = Counter()
-    # (birth, r) per survivor into V_k, oldest first; taken has their pivots' bits
-    alive, taken = [], 0
-    for k, step in enumerate(m.edges):
-        shifts = range(0, dims[k + 1] * width, width)
-        # a step into a zero-dimensional point has no rows to transpose
-        cols = [sum(map(lshift, col, shifts)) for col in zip(*step.entries)] or [0] * dims[k]
-        images = [(birth, sum(map(mul, r, cols))) for birth, r in alive]
-        images += [(k, cols[c]) for c in range(dims[k]) if not taken >> c & 1]
-        # (pivot shift, packed r) for each survivor: r is -1 at its pivot
-        # and 0 at the pivots before it
-        alive, reducers, taken = [], [], 0
-        for birth, u in images:
-            for s, r in reducers:
-                f = (u >> s & mask) % p
-                if f:
-                    u += f * r
-            e = [(u >> s & mask) % p for s in shifts]
-            c = next((c for c, x in enumerate(e) if x), -1)
-            if c < 0:
-                ends[(birth, k)] += 1
-                continue
-            inv = pow(p - e[c], -1, p)
-            r = [x * inv % p for x in e]
-            alive.append((birth, r))
-            reducers.append((shifts[c], sum(map(lshift, r, shifts))))
-            taken |= 1 << c
-    ends.update((birth, n - 1) for birth, _ in alive)
-    ends[(n - 1, n - 1)] += dims[n - 1] - len(alive)
+    ends, survivors = _sweep_bits(dims, m.edges) if p == 2 else _sweep_packed(p, dims, m.edges)
+    ends.update((birth, n - 1) for birth in survivors)
+    ends[(n - 1, n - 1)] += dims[n - 1] - len(survivors)
     infinite = boundary == "infinite"
     bars = []
     for (a, b), mult in ends.items():
@@ -526,6 +496,76 @@ def barcode(m: Representation, w: Window, boundary: str = "finite") -> Barcode:
         hi = math.inf if infinite and b == n - 1 else w.value(b)
         bars.extend([Interval._trusted(lo, hi)] * mult)
     return Barcode(bars)
+
+
+def _sweep_bits(dims: tuple[int, ...], edges: Iterable) -> tuple[Counter, list[int]]:
+    """barcode's sweep over F_2: the bars ended before the last point, and
+    the births of the vectors alive at it.  A vector is one int whose bit c
+    is coordinate c; its pivot is its lowest set bit."""
+    ends: Counter = Counter()
+    # (birth, v) per survivor into V_k, oldest first; taken has their pivots
+    alive, taken = [], 0
+    for k, step in enumerate(edges):
+        bits = range(dims[k + 1])
+        # a step into a zero-dimensional point has no rows to transpose
+        cols = [sum(map(operator.lshift, col, bits)) for col in zip(*step.entries)] or [0] * dims[k]
+        # the XOR of the columns at the set bits of v, read off bin(v) backwards
+        images = [(birth, reduce(operator.xor, compress(cols, map(int, bin(v)[:1:-1])), 0))
+                  for birth, v in alive]
+        images += [(k, cols[c]) for c in range(dims[k]) if not taken >> c & 1]
+        # (pivot bit, v) per survivor: v is 0 at the pivots before it
+        alive, reducers, taken = [], [], 0
+        for birth, u in images:
+            for b, r in reducers:
+                if u & b:
+                    u ^= r
+            if not u:
+                ends[(birth, k)] += 1
+                continue
+            b = u & -u
+            alive.append((birth, u))
+            reducers.append((b, u))
+            taken |= b
+    return ends, [birth for birth, _ in alive]
+
+
+def _sweep_packed(p: int, dims: tuple[int, ...], edges: Iterable) -> tuple[Counter, list[int]]:
+    """barcode's sweep over F_p, p odd: the bars ended before the last
+    point, and the births of the vectors alive at it.  A survivor is the
+    list of its entries mod p, and is packed into one int, entry i in the
+    bits from i * width on, to be reduced against."""
+    mul, lshift = operator.mul, operator.lshift
+    # An image adds up at most dims[k] products below p**2 and its reduction
+    # at most dims[k+1] more, so an entry read mod p has not carried into
+    # the next.
+    width = ((2 * max(dims) + 1) * p * p).bit_length()
+    mask = (1 << width) - 1
+    ends: Counter = Counter()
+    # (birth, e) per survivor into V_k, oldest first; taken has their pivots' bits
+    alive, taken = [], 0
+    for k, step in enumerate(edges):
+        shifts = range(0, dims[k + 1] * width, width)
+        # a step into a zero-dimensional point has no rows to transpose
+        cols = [sum(map(lshift, col, shifts)) for col in zip(*step.entries)] or [0] * dims[k]
+        images = [(birth, sum(map(mul, e, cols))) for birth, e in alive]
+        images += [(k, cols[c]) for c in range(dims[k]) if not taken >> c & 1]
+        # (pivot shift, g, packed e) per survivor: e is 0 at the pivots
+        # before it, and g * e is -1 at its own
+        alive, reducers, taken = [], [], 0
+        for birth, u in images:
+            for s, g, r in reducers:
+                f = (u >> s & mask) * g % p
+                if f:
+                    u += f * r
+            e = [(u >> s & mask) % p for s in shifts]
+            c = next((c for c, x in enumerate(e) if x), -1)
+            if c < 0:
+                ends[(birth, k)] += 1
+                continue
+            alive.append((birth, e))
+            reducers.append((shifts[c], pow(p - e[c], -1, p), sum(map(lshift, e, shifts))))
+            taken |= 1 << c
+    return ends, [birth for birth, _ in alive]
 
 
 def condition_star(i: Interval, j: Interval, eps: int) -> bool:
@@ -703,8 +743,8 @@ def matching_to_rep(s: Matching, w: Window, variant: str = "essential_F",
     if variant not in ("essential_F", "nonessential_Fprime"):
         raise ValueError(f"unknown variant {variant!r}")
     eps = s.epsilon
-    bad = is_essential(s)
-    if variant == "essential_F" and bad:
+    bad = variant == "essential_F" and is_essential(s)
+    if bad:
         raise ValueError(
             f"matching is not essential: pair ({bad[0][0]}, {bad[0][1]}) "
             f"violates the overlap condition")

@@ -216,9 +216,28 @@ def _planted_module(rng: random.Random, field: FieldSpec, n: int,
     return w, m, Barcode(Interval(a, b) for a, b in bars)
 
 
-@pytest.mark.parametrize("field", [FieldSpec(5), FieldSpec(2 ** 31 - 1)], ids=lambda f: str(f.p))
+def test_wide_f2_vectors_match_the_rank_formula():
+    """Over F_2 a vector is one int of a bit per coordinate; the differential
+    cases above fit one machine word, these take two or more."""
+    f2 = FieldSpec(2)
+    w, m, planted = _planted_module(random.Random(4), f2, 6, 200)
+    assert max(m.dims) > 64
+    assert barcode(m, w) == _rank_barcode(m, w) == planted
+    assert barcode(m, w, "infinite") == _rank_barcode(m, w, "infinite")
+    rng = random.Random(6)
+    w = Window(-3, 3)
+    # zero in the middle, every other point wider than a word
+    dims = (70, 128, 101, 0, 130, 85, 77)
+    steps = [_rand_matrix(rng, f2, dims[k + 1], dims[k]) for k in range(w.size - 1)]
+    m = chain_representation(window_chain(w), f2, dims, steps)
+    for boundary in ("finite", "infinite"):
+        assert barcode(m, w, boundary) == _rank_barcode(m, w, boundary)
+
+
+@pytest.mark.parametrize("field", [FieldSpec(2), FieldSpec(5), FieldSpec(2 ** 31 - 1)],
+                         ids=lambda f: str(f.p))
 def test_a_100_point_dimension_64_module_barcodes_in_under_two_seconds(field):
-    """F_(2^31-1) packs the widest slots."""
+    """F_2 sweeps bit vectors, and F_(2^31-1) packs the widest slots."""
     w, m, planted = _planted_module(random.Random(1), field, 100, 120)
     assert 60 <= max(m.dims) <= 66
     t0 = time.perf_counter()

@@ -612,6 +612,28 @@ def test_matching_to_rep_fprime_splits_star_violations():
         Matching(Barcode([Interval(0, 9)]), Barcode([]), [], 1)
 
 
+def test_matching_to_rep_tests_each_pair_once(monkeypatch):
+    """nonessential_Fprime decides each split with one Condition (*) test
+    per pair; only essential_F asks is_essential, with the same count."""
+    import shoelace.zed as zed_mod
+
+    i00, i11, i02, i13 = Interval(0, 0), Interval(1, 1), Interval(0, 2), Interval(1, 3)
+    s = Matching(Barcode([i00, i02]), Barcode([i11, i13]), [(i00, i11), (i02, i13)], 2)
+    w = Window(-4, 7)
+    calls = Counter()
+    monkeypatch.setattr(zed_mod, "short_pair_fails_star",
+                        _counted(calls, "star", zed_mod.short_pair_fails_star))
+    l = matching_to_rep(s, w, "nonessential_Fprime")
+    assert calls == {"star": 2}
+    assert l.summands == ((i00, None), (i02, i13), (None, i11))
+    assert l == DecomposedShoelaceRep(w, 2, F2, l.summands)
+    calls.clear()
+    with pytest.raises(ValueError, match=re.escape(
+            "matching is not essential: pair ([0,0], [1,1]) violates the overlap condition")):
+        matching_to_rep(s, w, "essential_F")
+    assert calls == {"star": 2}
+
+
 def test_rep_to_matching_round_trips():
     i02, i13, i55 = Interval(0, 2), Interval(1, 3), Interval(5, 5)
     s = Matching(Barcode([i02, i55]), Barcode([i13]), [(i02, i13)], 1)
