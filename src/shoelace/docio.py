@@ -221,7 +221,7 @@ def _load_nattrans(payload: dict) -> NatTrans:
     field = _load_field(payload, "nattrans")
     source = _load_rep(_need(payload, "source", "nattrans"))
     target = _load_rep(_need(payload, "target", "nattrans"))
-    if source.field != field or target.field != field:
+    if source.field is not field or target.field is not field:
         raise DocumentValidationError("nattrans prime differs from its endpoints")
     raw = _as_list(_need(payload, "components", "nattrans"), "components")
     if len(raw) != source.proset.n:
@@ -252,7 +252,7 @@ def _load_interleaving(payload: dict) -> Interleaving:
     lam = _load_translation(_need(payload, "translation", "interleaving"))
     m = _load_rep(_need(payload, "m", "interleaving"))
     n = _load_rep(_need(payload, "n", "interleaving"))
-    if m.field != field or n.field != field:
+    if m.field is not field or n.field is not field:
         raise DocumentValidationError("interleaving prime differs from its modules")
     if m.proset != lam.base or n.proset != lam.base:
         raise DocumentValidationError(

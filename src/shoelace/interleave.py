@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .exactlin import Matrix, Value, _fill, mat_mul, mat_inverse, mat_scale
+from .exactlin import Matrix, Value, _fill, _units, mat_mul, mat_inverse, mat_scale
 from .proset import (
     ShoelaceProset,
     Translation,
@@ -42,7 +42,7 @@ class Interleaving(Value):
             raise ValueError("translation is not defined on M's proset")
         if m.proset != n.proset:
             raise ValueError("M and N live on different prosets")
-        if m.field != n.field:
+        if m.field is not n.field:
             raise ValueError("M and N are over different fields")
         if phi.source != m or phi.target != precompose(n, lam):
             raise ValueError("phi must map M to N after the translation")
@@ -97,23 +97,28 @@ class InterleavingMorphism(Value):
 
 def _triangles(x: Interleaving) -> Optional[str]:
     """None if psi(lam(i)) phi(i) = M(i <= lam(lam(i))) and symmetrically
-    for N at every i, else a report on the first failing triangle."""
+    for N at every i, else a report on the first failing triangle.  A
+    triangle with a zero-dimensional end is vacuous and never fails."""
     p = x.m.proset
     lam = x.lam.mapping
-    lamlam = compose_translations(x.lam, x.lam).mapping
+    mdims, ndims = x.m.dims, x.n.dims
+    phi, psi = x.phi.components, x.psi.components
     for i in range(p.n):
-        lhs = mat_mul(x.psi.components[lam[i]], x.phi.components[i])
-        if lhs != x.m.map(i, lamlam[i]):
+        j = lam[i]
+        k = lam[j]
+        # equations with a zero-dimensional end are vacuous: both sides are
+        # the unique empty-shaped matrix
+        if mdims[i] and mdims[k] and mat_mul(psi[j], phi[i]) != x.m.map(i, k):
             return (f"triangle for M fails at {p.label(i)}")
-        lhs = mat_mul(x.phi.components[lam[i]], x.psi.components[i])
-        if lhs != x.n.map(i, lamlam[i]):
+        if ndims[i] and ndims[k] and mat_mul(phi[j], psi[i]) != x.n.map(i, k):
             return (f"triangle for N fails at {p.label(i)}")
     return None
 
 
 def validate_interleaving(x: Interleaving) -> Optional[str]:
-    """None if phi and psi are natural and both triangle equations hold.
-    Every Interleaving passes; this is the one full check, for selftest and
+    """None if phi and psi are natural and both triangle equations hold,
+    equations with a zero-dimensional end being vacuous.  Every
+    Interleaving passes; this is the one full check, for selftest and
     outside callers."""
     err = validate_nat_trans(x.phi)
     if err is not None:
@@ -125,18 +130,25 @@ def validate_interleaving(x: Interleaving) -> Optional[str]:
 
 
 def validate_interleaving_morphism(g: InterleavingMorphism) -> Optional[str]:
-    """None if gm and gn (natural by construction) commute with phi, psi."""
+    """None if gm and gn (natural by construction) commute with phi, psi.
+    A square with a zero-dimensional end is vacuous and never fails."""
     lam = g.source.lam.mapping
     p = g.source.m.proset
+    sm, sn = g.source.m.dims, g.source.n.dims
+    tm, tn = g.target.m.dims, g.target.n.dims
     for i in range(p.n):
-        lhs = mat_mul(g.target.phi.components[i], g.gm.components[i])
-        rhs = mat_mul(g.gn.components[lam[i]], g.source.phi.components[i])
-        if lhs != rhs:
-            return f"phi square fails at {p.label(i)}"
-        lhs = mat_mul(g.target.psi.components[i], g.gn.components[i])
-        rhs = mat_mul(g.gm.components[lam[i]], g.source.psi.components[i])
-        if lhs != rhs:
-            return f"psi square fails at {p.label(i)}"
+        # equations with a zero-dimensional end are vacuous: the phi square
+        # is tn[lam(i)] x sm[i], the psi square tm[lam(i)] x sn[i]
+        if sm[i] and tn[lam[i]]:
+            lhs = mat_mul(g.target.phi.components[i], g.gm.components[i])
+            rhs = mat_mul(g.gn.components[lam[i]], g.source.phi.components[i])
+            if lhs != rhs:
+                return f"phi square fails at {p.label(i)}"
+        if sn[i] and tm[lam[i]]:
+            lhs = mat_mul(g.target.psi.components[i], g.gn.components[i])
+            rhs = mat_mul(g.gm.components[lam[i]], g.source.psi.components[i])
+            if lhs != rhs:
+                return f"psi square fails at {p.label(i)}"
     return None
 
 
@@ -149,16 +161,22 @@ def pack(x: Interleaving) -> Representation:
         V(i <= j') = N(lam(i) <= j) . phi(i)
         V(i' <= j) = M(lam(i) <= j) . psi(i)
 
-    An interleaving is valid by construction, so these maps are functorial
-    (the paper's central result) and nothing is checked again.  The carrier
-    is the one shoelace(M's proset, lam) stores on lam, and the result is
-    built through Representation._trusted.
+    An edge with a zero-dimensional end is vacuous: it takes the one
+    matrix of its shape, the shared zero of exactlin._units, with no
+    lookup and no product.  An interleaving is valid by construction, so
+    these maps are functorial (the paper's central result) and nothing is
+    checked again.  The carrier is the one shoelace(M's proset, lam) stores
+    on lam, and the result is built through Representation._trusted.
     """
     sh = shoelace(x.m.proset, x.lam)
     lam = x.lam.mapping
+    field = x.m.field
     dims = tuple(x.m.dims) + tuple(x.n.dims)
     edges = []
     for (a, b) in sh.generating_edges:
+        if not (dims[a] and dims[b]):
+            edges.append(_units(field, dims[a], (-1,) * dims[b]))
+            continue
         (i, ip) = sh.origin(a)
         (j, jp) = sh.origin(b)
         if not ip and not jp:
@@ -169,7 +187,7 @@ def pack(x: Interleaving) -> Representation:
             edges.append(mat_mul(x.n.map(lam[i], j), x.phi.components[i]))
         else:
             edges.append(mat_mul(x.m.map(lam[i], j), x.psi.components[i]))
-    return Representation._trusted(sh, x.m.field, dims, tuple(edges))
+    return Representation._trusted(sh, field, dims, tuple(edges))
 
 
 def unpack(v: Representation) -> Interleaving:

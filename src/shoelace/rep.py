@@ -134,7 +134,7 @@ def _check_frame(m: Matrix, field: FieldSpec, rows: int, cols: int,
                  where: str) -> None:
     """The map-frame rule: a given map is over field and rows x cols; else
     ValueError, its report led by where."""
-    if m.field != field:
+    if m.field is not field:
         raise ValueError(f"{where} is over F_{m.field.p}, not F_{field.p}")
     if (m.rows, m.cols) != (rows, cols):
         raise ValueError(
@@ -262,7 +262,7 @@ class NatTrans(Value):
                  components: Sequence[Matrix]):
         if source.proset != target.proset:
             raise ValueError("source and target live on different prosets")
-        if source.field != target.field:
+        if source.field is not target.field:
             raise ValueError("source and target are over different fields")
         comp = tuple(components)
         if len(comp) != source.proset.n:
@@ -309,7 +309,7 @@ def validate_nat_trans(t: NatTrans) -> Optional[str]:
 
 
 def zero_nat(source: Representation, target: Representation) -> NatTrans:
-    if source.proset != target.proset or source.field != target.field:
+    if source.proset != target.proset or source.field is not target.field:
         raise ValueError("source and target differ in proset or field")
     return NatTrans._trusted(source, target,
                              tuple(Matrix.zeros(source.field, target.dims[i], source.dims[i])
@@ -349,7 +349,7 @@ def direct_sum(parts: Sequence[Representation],
     for k, m in enumerate(parts):
         if m.proset != proset:
             raise ValueError(f"part {k} lives on a different proset")
-        if m.field != field:
+        if m.field is not field:
             raise ValueError(f"part {k} is over a different field")
     dims = tuple(sum(m.dims[i] for m in parts) for i in range(proset.n))
     slices: list[list[tuple[int, int]]] = []

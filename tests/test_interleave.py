@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import shoelace.interleave as interleave_module
+
 from shoelace.docio import load_document, save_document
-from shoelace.exactlin import FieldSpec, Matrix, mat_scale
+from shoelace.exactlin import FieldSpec, Matrix, _fill, mat_mul, mat_scale
 from shoelace.interleave import (
     Interleaving,
     InterleavingMorphism,
+    _triangles,
     pack,
     pack_morphism,
     scale_interleaving,
@@ -33,6 +36,7 @@ from shoelace.proset import (
 )
 from shoelace.rep import (
     NatTrans,
+    Representation,
     precompose,
     restrict,
     validate_nat_trans,
@@ -48,7 +52,9 @@ from shoelace.selftest import (
     _rand_translation,
 )
 from shoelace.zed import (
+    Barcode,
     Interval,
+    Matching,
     Window,
     canonical_pair,
     interval_to_module,
@@ -386,3 +392,186 @@ def test_assembled_interleavings_pass_the_public_frame_check(seed):
     built += [load_document(save_document("interleaving", y))[1] for y in (x, a)]
     for y in built:
         assert Interleaving(y.m, y.n, y.lam, y.phi, y.psi) == y
+
+
+# Dense references for the differential tests below: the triangles, the
+# packed edges and the morphism squares at every point and edge, with no
+# zero-dimensional end skipped.
+
+def _dense_triangles(x):
+    p = x.m.proset
+    lam = x.lam.mapping
+    lamlam = compose_translations(x.lam, x.lam).mapping
+    for i in range(p.n):
+        lhs = mat_mul(x.psi.components[lam[i]], x.phi.components[i])
+        if lhs != x.m.map(i, lamlam[i]):
+            return f"triangle for M fails at {p.label(i)}"
+        lhs = mat_mul(x.phi.components[lam[i]], x.psi.components[i])
+        if lhs != x.n.map(i, lamlam[i]):
+            return f"triangle for N fails at {p.label(i)}"
+    return None
+
+
+def _dense_pack(x):
+    sh = shoelace(x.m.proset, x.lam)
+    lam = x.lam.mapping
+    dims = tuple(x.m.dims) + tuple(x.n.dims)
+    edges = []
+    for (a, b) in sh.generating_edges:
+        (i, ip) = sh.origin(a)
+        (j, jp) = sh.origin(b)
+        if not ip and not jp:
+            edges.append(x.m.map(i, j))
+        elif ip and jp:
+            edges.append(x.n.map(i, j))
+        elif not ip:
+            edges.append(mat_mul(x.n.map(lam[i], j), x.phi.components[i]))
+        else:
+            edges.append(mat_mul(x.m.map(lam[i], j), x.psi.components[i]))
+    return Representation._trusted(sh, x.m.field, dims, tuple(edges))
+
+
+def _dense_morphism_squares(g):
+    lam = g.source.lam.mapping
+    p = g.source.m.proset
+    for i in range(p.n):
+        lhs = mat_mul(g.target.phi.components[i], g.gm.components[i])
+        rhs = mat_mul(g.gn.components[lam[i]], g.source.phi.components[i])
+        if lhs != rhs:
+            return f"phi square fails at {p.label(i)}"
+        lhs = mat_mul(g.target.psi.components[i], g.gn.components[i])
+        rhs = mat_mul(g.gm.components[lam[i]], g.source.psi.components[i])
+        if lhs != rhs:
+            return f"psi square fails at {p.label(i)}"
+    return None
+
+
+GAPPED = Window(0, 16)
+
+
+def _gapped_interleaving(rng, field):
+    """matching_interleaving of a random matching on GAPPED whose bars lie
+    in [2, 6] or [10, 14], at eps 0 or 1: M and N vanish at the window's
+    edges 0, 1, 15 and 16 and at 7, 8 and 9 in its middle, and inside each
+    block wherever no bar lies."""
+    while True:
+        eps = rng.randint(0, 1)
+        pairs = []
+        try:
+            for _ in range(rng.randint(1, 4)):
+                base = rng.choice((3, 11))
+                lo = base + rng.randint(0, 2)
+                hi = rng.randint(lo, base + 2)
+                pairs.append((Interval(lo, hi), Interval(lo + rng.randint(-eps, eps),
+                                                         hi + rng.randint(-eps, eps))))
+            s = Matching(Barcode([a for a, _ in pairs]), Barcode([b for _, b in pairs]),
+                         pairs, eps)
+        except ValueError:
+            continue
+        return matching_interleaving(s, GAPPED, field)
+
+
+def _random_matrix(rng, field, rows, cols):
+    return Matrix(field, rows, cols,
+                  [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)])
+
+
+def _tampered(rng, x):
+    """x with one component of phi or psi replaced, at a point i where
+    that map and the triangle of its side at i are not vacuous, by another
+    matrix of its shape, assembled with no check."""
+    lam = x.lam.mapping
+    sides = []
+    for i in range(x.m.proset.n):
+        k = lam[lam[i]]
+        if x.m.dims[i] and x.m.dims[k] and x.n.dims[lam[i]]:
+            sides.append(("phi", i))
+        if x.n.dims[i] and x.n.dims[k] and x.m.dims[lam[i]]:
+            sides.append(("psi", i))
+    if not sides:
+        return None
+    which, i = rng.choice(sides)
+    t = getattr(x, which)
+    old = t.components[i]
+    new = _random_matrix(rng, x.m.field, old.rows, old.cols)
+    if new == old:
+        new = mat_scale(0, old)
+    comps = t.components[:i] + (new,) + t.components[i + 1:]
+    t = NatTrans._trusted(t.source, t.target, comps)
+    phi, psi = (t, x.psi) if which == "phi" else (x.phi, t)
+    return _fill(object.__new__(Interleaving), x.m, x.n, x.lam, phi, psi)
+
+
+FIELDS = (F2, F5, FieldSpec(2 ** 31 - 1))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"F{f.p}")
+def test_sparse_triangles_and_pack_agree_with_the_dense_loops(field):
+    """_triangles, pack and validate_interleaving_morphism skip the
+    equations and edges with a zero-dimensional end.  They give the dense
+    loops' reports and modules, on interleavings that vanish at the window
+    edges and in its middle, on random shoelace modules unpacked, and on
+    copies of both tampered at a point that is not vacuous."""
+    rng = random.Random(field.p)
+    failed = {"triangles": 0, "squares": 0}
+    for _ in range(30):
+        base = _rand_proset(rng, max_n=5)
+        xs = [_gapped_interleaving(rng, field),
+              unpack(_rand_rep(rng, shoelace(base, _rand_translation(rng, base)), field))]
+        for x in xs:
+            assert _triangles(x) is None and _dense_triangles(x) is None
+            v = pack(x)
+            assert v == _dense_pack(x)
+            assert unpack(v) == unpack(_dense_pack(x)) == x
+            y = _tampered(rng, x)
+            if y is not None:
+                report = _triangles(y)
+                assert report == _dense_triangles(y)
+                failed["triangles"] += report is not None
+            # squares of random components, with a wrong one where phi's
+            # square is not vacuous
+            gm = NatTrans._trusted(x.m, x.m, tuple(
+                _random_matrix(rng, field, d, d) for d in x.m.dims))
+            gn = NatTrans._trusted(x.n, x.n, tuple(
+                _random_matrix(rng, field, d, d) for d in x.n.dims))
+            g = InterleavingMorphism._trusted(x, x, gm, gn)
+            report = validate_interleaving_morphism(g)
+            assert report == _dense_morphism_squares(g)
+            failed["squares"] += report is not None
+            ident = InterleavingMorphism(x, x, _identity(x.m), _identity(x.n))
+            assert validate_interleaving_morphism(ident) is None
+    assert failed["triangles"] > 10 and failed["squares"] > 10, failed
+
+
+def test_interleaving_checks_and_pack_take_products_only_where_both_ends_are_nonzero(monkeypatch):
+    """On a 1024-point window, I[10,12] against I[11,13] at eps 1 over F_5
+    has two triangles with both ends nonzero, one for M at 10 and one for
+    N at 11, and a handful of cross edges with both ends nonzero.  The
+    dense references take 2 products per point and 1 per cross edge."""
+    w = Window(0, 1023)
+    i, j = Interval(10, 12), Interval(11, 13)
+    x = Interleaving(interval_to_module(i, w, F5), interval_to_module(j, w, F5),
+                     lambda_eps(w, 1), *canonical_pair(i, j, 1, w, F5))
+    lam = x.lam.mapping
+    live = sum(bool(d[a] and d[lam[lam[a]]]) for d in (x.m.dims, x.n.dims)
+               for a in range(w.size))
+    assert live == 2
+    sh = shoelace(x.m.proset, x.lam)
+    dims = x.m.dims + x.n.dims
+    cross = [(a, b) for (a, b) in sh.generating_edges
+             if sh.origin(a)[1] != sh.origin(b)[1]]
+    live_cross = sum(bool(dims[a] and dims[b]) for (a, b) in cross)
+    calls = [0]
+
+    def counting(a, b):
+        calls[0] += 1
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(interleave_module, "mat_mul", counting)
+    assert validate_interleaving(x) is None
+    assert calls[0] <= live
+    calls[0] = 0
+    v = pack(x)
+    assert calls[0] <= live_cross < len(cross) // 100
+    monkeypatch.undo()
+    assert v == _dense_pack(x)
