@@ -232,6 +232,10 @@ def _cmd_selftest(args) -> int:
     results = selftest_mod.run_suites(seed, cases=args.cases, only=args.suite)
     rep = selftest_mod.report(results, seed)
     _emit(_dumps(rep) + "\n", args.out)
+    if args.timings:
+        # wall-clock times vary from run to run, so they stay out of the report
+        _emit(_dumps([{"name": r.name, "cases": r.cases, "elapsed_s": r.elapsed}
+                      for r in results]) + "\n", args.timings)
     for r in results:
         if not r.passed:
             print(f"suite {r.name} failed: {r.first_counterexample}",
@@ -343,6 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cap per-suite case counts")
     p.add_argument("--suite", type=_suite_name, help="default: every suite")
     p.add_argument("--out")
+    p.add_argument("--timings", metavar="FILE",
+                   help="write each suite's name, cases and elapsed_s as JSON")
 
     return parser
 

@@ -31,7 +31,11 @@ class Interleaving(Value):
     phi: M -> N(lam) and psi: N -> M(lam).  Valid by construction: after
     the frame checks (shared proset and field, nat trans endpoints) the
     constructor raises ValueError on the report of _triangles, its one
-    check, as phi and psi are natural by construction.
+    check, as phi and psi are natural by construction.  A target that
+    precompose built records its origin, so phi.target passes when its
+    record equals (n, lam), and psi.target when its record equals (m, lam),
+    with no module built; any other target is compared with a fresh
+    precompose(n, lam) or precompose(m, lam).
     """
 
     __slots__ = ("m", "n", "lam", "phi", "psi")
@@ -44,9 +48,9 @@ class Interleaving(Value):
             raise ValueError("M and N live on different prosets")
         if m.field is not n.field:
             raise ValueError("M and N are over different fields")
-        if phi.source != m or phi.target != precompose(n, lam):
+        if phi.source != m or not _is_after(phi.target, n, lam):
             raise ValueError("phi must map M to N after the translation")
-        if psi.source != n or psi.target != precompose(m, lam):
+        if psi.source != n or not _is_after(psi.target, m, lam):
             raise ValueError("psi must map N to M after the translation")
         _fill(self, m, n, lam, phi, psi)
         err = _triangles(self)
@@ -55,6 +59,14 @@ class Interleaving(Value):
 
     def __repr__(self) -> str:
         return f"Interleaving(lam={self.lam.mapping})"
+
+
+def _is_after(target: Representation, m: Representation,
+              lam: Translation) -> bool:
+    """Whether target equals precompose(m, lam): at once when precompose
+    recorded (m, lam) on it, compared by equality so that a record whose
+    parts are equal copies still counts, else by building it."""
+    return target._origin == (m, lam) or target == precompose(m, lam)
 
 
 def _assemble(m: Representation, n: Representation, lam: Translation,

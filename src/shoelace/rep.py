@@ -37,10 +37,13 @@ class Representation(Value):
     (_check_frame), and keeps the edges.  Valid by construction: after
     those frame checks the constructor raises ValueError on the report of
     validate_representation, its one check of the edges, and on a given
-    map off the edges that map(i, k) contradicts.
+    map off the edges that map(i, k) contradicts.  The private slots take
+    no part in equality or hash: _known memoises map, _pos holds an
+    indicator sum's positions, and _origin is precompose's record (m, lam)
+    on the module it builds.
     """
 
-    __slots__ = ("proset", "field", "dims", "edges", "_known", "_pos")
+    __slots__ = ("proset", "field", "dims", "edges", "_known", "_pos", "_origin")
 
     def __init__(self, proset: Proset, field: FieldSpec,
                  dims: Sequence[int], maps: Mapping[tuple[int, int], Matrix]):
@@ -319,14 +322,20 @@ def zero_nat(source: Representation, target: Representation) -> NatTrans:
 def precompose(m: Representation, lam: Translation) -> Representation:
     """The representation M after lam: point i carries M(lam(i)).  Edge
     (i, j) takes M's map at (lam(i), lam(j)), of the shape the new dims ask
-    for, so the result is built through Representation._trusted."""
+    for, so the result is built through Representation._trusted.  It
+    records (m, lam) in its _origin slot, which equality ignores: values
+    are immutable and this build is deterministic, so a module whose record
+    equals (m, lam) equals precompose(m, lam), and the frame check of
+    interleave.Interleaving accepts it without building it again."""
     if lam.base != m.proset:
         raise ValueError("translation is not defined on this representation's proset")
     p = m.proset
     dims = tuple(m.dims[lam.mapping[i]] for i in range(p.n))
     lm = lam.mapping
     edges = tuple(m.map(lm[i], lm[j]) for (i, j) in p.generating_edges)
-    return Representation._trusted(p, m.field, dims, edges)
+    out = Representation._trusted(p, m.field, dims, edges)
+    object.__setattr__(out, "_origin", (m, lam))
+    return out
 
 
 def direct_sum(parts: Sequence[Representation],

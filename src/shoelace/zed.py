@@ -451,6 +451,19 @@ def interval_to_module(i: Interval, w: Window,
     return indicator_module(p, w.indices(*i.ends), field)
 
 
+# typed, as lambda_eps is, so True never shares the entry of 1; 1024 entries,
+# as each holds a module of w.size points: an intervals run of the benchmark
+# asks for about 450 and selftest for 256
+@lru_cache(maxsize=1024, typed=True)
+def _interval_after(i: Interval, w: Window, eps: int,
+                    field: FieldSpec) -> Representation:
+    """precompose(interval_to_module(i, w, field), lambda_eps(w, eps)): the
+    interval module shifted by eps, a target of canonical_pair.  Memoised,
+    so the module is shared, and it carries precompose's record of its
+    origin, which lets interleave.Interleaving accept it at once."""
+    return precompose(interval_to_module(i, w, field), lambda_eps(w, eps))
+
+
 def barcode(m: Representation, w: Window, boundary: str = "finite") -> Barcode:
     """Interval decomposition multiset of a module on the window chain.
 
@@ -688,7 +701,10 @@ def canonical_pair(i: Interval, j: Interval, eps: int, w: Window,
     shifted, each the identity on its _canonical_ranges range and zero
     elsewhere.  When the corresponding hom space is nonzero this is its
     canonical generator, and the support formula is exactly the matched-pair
-    recipe.  Both are natural, so built through NatTrans._trusted.
+    recipe.  Both are natural, so built through NatTrans._trusted.  Their
+    targets, M(j) and M(i) shifted, come from _interval_after's bounded
+    cache, after the checks below, so an interleaving of the pair accepts
+    them without building them again.
 
     eps must keep the eps rule (lambda_eps) and both intervals be realizable
     on w (interval_to_module).  Beyond that it needs top headroom: a finite
@@ -696,7 +712,7 @@ def canonical_pair(i: Interval, j: Interval, eps: int, w: Window,
     the clamp of the shift distorts naturality and the construction is
     refused.
     """
-    lam = lambda_eps(w, eps)
+    lambda_eps(w, eps)  # the eps rule, checked first
     m = interval_to_module(i, w, field)
     n = interval_to_module(j, w, field)
     for iv in (i, j):
@@ -712,7 +728,8 @@ def canonical_pair(i: Interval, j: Interval, eps: int, w: Window,
             _units(field, src.dims[a], (0,) if a in on else (-1,) * tgt.dims[a])
             for a in range(w.size)))
 
-    return (build(m, precompose(n, lam), f_on), build(n, precompose(m, lam), g_on))
+    return (build(m, _interval_after(j, w, eps, field), f_on),
+            build(n, _interval_after(i, w, eps, field), g_on))
 
 
 def _padding_error(bars: Iterable[Interval], w: Window, eps: int) -> Optional[str]:

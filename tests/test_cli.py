@@ -710,6 +710,30 @@ def test_selftest_is_deterministic(tmp_path):
     assert rep == selftest.report(selftest.run_suites(7, cases=2), 7)
 
 
+def test_selftest_timings_leave_stdout_and_the_report_unchanged(tmp_path, capsys):
+    argv = ["selftest", "--seed", "7", "--cases", "2"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    timings = tmp_path / "t.json"
+    assert main(argv + ["--timings", str(timings)]) == 0
+    assert capsys.readouterr().out == plain
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(argv + ["--out", str(first)]) == 0
+    assert main(argv + ["--out", str(second), "--timings", str(timings)]) == 0
+    assert capsys.readouterr().out == ""
+    assert first.read_bytes() == second.read_bytes() == plain.encode()
+    rows = json.loads(timings.read_text(encoding="utf-8"))
+    report = json.loads(plain)
+    assert [(r["name"], r["cases"]) for r in rows] == [
+        (s["name"], s["cases"]) for s in report["suites"]]
+    assert all(list(r) == ["name", "cases", "elapsed_s"] for r in rows)
+    assert all(type(r["elapsed_s"]) is float and r["elapsed_s"] >= 0 for r in rows)
+    assert main(["selftest", "--suite", "worked_example", "--timings", str(timings)]) == 0
+    capsys.readouterr()
+    assert [r["name"] for r in json.loads(timings.read_text(encoding="utf-8"))] == [
+        "worked_example"]
+
+
 def test_selftest_single_suite(capsys):
     assert main(["selftest", "--suite", "worked_example"]) == 0
     rep = json.loads(capsys.readouterr().out)

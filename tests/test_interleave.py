@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -120,6 +121,122 @@ def test_interleaving_constructor_rejects_mismatches():
     x = _overlap_example()
     with pytest.raises(AttributeError):
         x.lam = lam
+
+
+def _edge_changed(rep, e):
+    """rep with the one entry of its 1x1 edge map e flipped, built past the
+    checks: a target that differs from rep in a single edge entry."""
+    edges = list(rep.edges)
+    (j, k) = rep.proset.generating_edges[e]
+    assert rep.dims[j] == rep.dims[k] == 1
+    edges[e] = Matrix(rep.field, 1, 1, [[1 - edges[e].entries[0][0]]])
+    return Representation._trusted(rep.proset, rep.field, rep.dims, tuple(edges))
+
+
+def test_frame_check_compares_targets_that_precompose_did_not_record():
+    """A target built outside precompose is compared with N(lam) or M(lam)
+    by value: equal is accepted, one edge entry off is refused."""
+    i, j = Interval(0, 2), Interval(1, 3)
+    m, n = interval_to_module(i, W), interval_to_module(j, W)
+    lam = lambda_eps(W, 1)
+    f, g = canonical_pair(i, j, 1, W)
+    x = Interleaving(m, n, lam, f, g)
+    # on W = [-1, 4] at eps 1 the top clamp reads 0 from both, so the shifted
+    # interval module is the module after the translation
+    n_after, m_after = interval_to_module(j.shifted(1), W), interval_to_module(i.shifted(1), W)
+    assert n_after._origin is None and n_after == f.target
+    assert m_after._origin is None and m_after == g.target
+    phi = NatTrans(m, n_after, f.components)
+    psi = NatTrans(n, m_after, g.components)
+    assert Interleaving(m, n, lam, phi, psi) == x
+    assert Interleaving(m, n, lam, phi, g) == x
+    assert Interleaving(m, n, lam, f, psi) == x
+    # a record that names another module whose translate is equal: [-1, 3]
+    # and [0, 3] agree at every image point of the shift
+    other = precompose(interval_to_module(Interval(-1, 3), W), lam)
+    same = precompose(interval_to_module(Interval(0, 3), W), lam)
+    assert other == same and other._origin != same._origin
+    n03 = interval_to_module(Interval(0, 3), W)
+    # past the frame check, the zero maps fail the first triangle
+    with pytest.raises(ValueError, match="^invalid interleaving: triangle for M"):
+        Interleaving(m, n03, lam, zero_nat(m, other), zero_nat(n03, precompose(m, lam)))
+    e = f.target.proset.generating_edges.index((1, 2))
+    bad_n, bad_m = _edge_changed(f.target, e), _edge_changed(g.target, e)
+    with pytest.raises(ValueError, match="^phi must map M to N after the translation$"):
+        Interleaving(m, n, lam, NatTrans._trusted(m, bad_n, f.components), g)
+    with pytest.raises(ValueError, match="^psi must map N to M after the translation$"):
+        Interleaving(m, n, lam, f, NatTrans._trusted(n, bad_m, g.components))
+    # a record that names another module, and a translate that differs
+    with pytest.raises(ValueError, match="^phi must map M to N after the translation$"):
+        Interleaving(m, n, lam, zero_nat(m, precompose(m, lam)), g)
+
+
+def test_precompose_records_its_origin_outside_equality_and_hash():
+    m = interval_to_module(Interval(1, 3), W)
+    lam = lambda_eps(W, 1)
+    after = precompose(m, lam)
+    assert after._origin == (m, lam)
+    assert after._origin[0] is m and after._origin[1] is lam
+    plain = interval_to_module(Interval(0, 2), W)
+    assert plain._origin is None
+    assert after == plain and plain == after
+    assert hash(after) == hash(plain)
+    assert len({after, plain}) == 1
+    with pytest.raises(AttributeError):
+        after._origin = None
+
+
+def _count_precompose(monkeypatch):
+    """Rebind precompose in every module that calls it; returns the list of
+    the callers' function names, one per call."""
+    import shoelace.docio as docio_module
+    import shoelace.rep as rep_module
+    import shoelace.zed as zed_module
+
+    callers = []
+
+    def counting(m, lam):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return precompose(m, lam)
+
+    for module in (rep_module, zed_module, interleave_module, docio_module):
+        monkeypatch.setattr(module, "precompose", counting)
+    return callers
+
+
+def test_frame_check_accepts_a_recorded_target_after_the_caches_are_cleared(monkeypatch):
+    """The record is compared by equality, so modules rebuilt after the
+    interval and translation caches are cleared still match it."""
+    i, j = Interval(0, 2), Interval(1, 3)
+    f, g = canonical_pair(i, j, 1, W, F5)
+    interval_to_module.cache_clear()
+    lambda_eps.cache_clear()
+    m, n, lam = interval_to_module(i, W, F5), interval_to_module(j, W, F5), lambda_eps(W, 1)
+    assert f.target._origin[0] is not n and f.target._origin == (n, lam)
+    callers = _count_precompose(monkeypatch)
+    x = Interleaving(m, n, lam, f, g)
+    assert callers == []
+    assert validate_interleaving(x) is None
+
+
+def test_an_interleaved_op_builds_each_shifted_module_once_per_build(monkeypatch):
+    """A warm canonical_pair, the public Interleaving, validate_interleaving,
+    pack and unpack make two precompose calls, unpack's; loading an
+    interleaving document makes two, its nat transes' targets."""
+    w = Window(0, 12)
+    i, j = Interval(2, 6), Interval(3, 7)
+    canonical_pair(i, j, 1, w, F5)
+    callers = _count_precompose(monkeypatch)
+    f, g = canonical_pair(i, j, 1, w, F5)
+    x = Interleaving(interval_to_module(i, w, F5), interval_to_module(j, w, F5),
+                     lambda_eps(w, 1), f, g)
+    assert validate_interleaving(x) is None
+    assert unpack(pack(x)) == x
+    assert callers == ["_assemble", "_assemble"]
+    text = save_document("interleaving", x)
+    callers.clear()
+    assert load_document(text)[1] == x
+    assert callers == ["_load_interleaving", "_load_interleaving"]
 
 
 def test_morphism_validation():

@@ -564,6 +564,50 @@ def test_canonical_pair_refusals():
         canonical_pair(Interval(0, 9), Interval(0, 1), 1, Window(0, 4))
 
 
+def test_interval_after_equals_precompose_of_the_interval_module():
+    """Differential: the cached shifted module equals the one precompose
+    builds, map for map, over selftest's sweep pool, carries the record of
+    its origin, and is shared between calls and with canonical_pair."""
+    from shoelace.selftest import _sweep_pool
+    from shoelace.zed import _interval_after
+
+    assert _interval_after.cache_parameters() == {"maxsize": 1024, "typed": True}
+    w = Window(-4, 9)
+    for field in (F2, F5):
+        for eps in range(4):
+            lam = lambda_eps(w, eps)
+            for i in _sweep_pool():
+                m = interval_to_module(i, w, field)
+                got = _interval_after(i, w, eps, field)
+                want = precompose(m, lam)
+                assert got == want
+                assert got.dims == want.dims and got.field is field
+                for e, (a, b) in enumerate(got.proset.generating_edges):
+                    assert got.edges[e] == want.edges[e] == m.map(lam.mapping[a], lam.mapping[b])
+                assert got._origin == (m, lam)
+                assert _interval_after(i, w, eps, field) is got
+    f, g = canonical_pair(Interval(0, 2), Interval(1, 3), 1, w, F5)
+    assert f.target is _interval_after(Interval(1, 3), w, 1, F5)
+    assert g.target is _interval_after(Interval(0, 2), w, 1, F5)
+
+
+def test_canonical_pair_checks_before_it_reads_the_shifted_cache():
+    """The refusals keep their order (eps, realizability, headroom), and a
+    refused pair never reads the cache of shifted modules."""
+    from shoelace.zed import _interval_after
+
+    before = _interval_after.cache_info()
+    with pytest.raises(ValueError, match="epsilon must be a nonnegative integer"):
+        canonical_pair(Interval(0, 9), Interval(0, 4), -1, Window(0, 4))
+    with pytest.raises(ValueError, match="epsilon must be a nonnegative integer"):
+        canonical_pair(Interval(0, 1), Interval(0, 1), True, Window(0, 4))
+    with pytest.raises(ValueError, match="not realizable"):
+        canonical_pair(Interval(0, 1), Interval(0, 9), 2, Window(0, 4))
+    with pytest.raises(ValueError, match="no headroom"):
+        canonical_pair(Interval(0, 1), Interval(0, 4), 2, Window(0, 4))
+    assert _interval_after.cache_info() == before
+
+
 def test_star_hom_canonical_equivalence_small_sweep():
     w = Window(-3, 5)
     pool = [Interval(a, b) for a in range(4) for b in range(a, 4)]
