@@ -16,7 +16,7 @@ from typing import Any
 
 from .exactlin import _INT, FieldSpec, Matrix
 from .proset import HeightFunction, Proset, Translation
-from .rep import NatTrans, Representation, chain_representation, precompose
+from .rep import NatTrans, Representation, _maps, chain_representation, precompose
 from .interleave import Interleaving
 from .zed import (
     MAX_BARCODE_BARS,
@@ -166,8 +166,8 @@ def _rep_payload(m: Representation) -> dict:
         "proset": _proset_payload(m.proset),
         "dims": m.dims,
         "maps": [
-            {"src": i, "dst": j, "entries": m.map(i, j).entries}
-            for (i, j) in m.proset.related_pairs
+            {"src": i, "dst": j, "entries": f.entries}
+            for (i, j), f in zip(m.proset.related_pairs, _maps(m, m.proset.related_pairs))
         ],
     }
 

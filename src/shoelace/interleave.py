@@ -19,6 +19,7 @@ from .proset import (
 from .rep import (
     NatTrans,
     Representation,
+    _maps,
     precompose,
     restrict,
     validate_nat_trans,
@@ -175,10 +176,11 @@ def pack(x: Interleaving) -> Representation:
 
     An edge with a zero-dimensional end is vacuous: it takes the one
     matrix of its shape, the shared zero of exactlin._units, with no
-    lookup and no product.  An interleaving is valid by construction, so
-    these maps are functorial (the paper's central result) and nothing is
-    checked again.  The carrier is the one shoelace(M's proset, lam) stores
-    on lam, and the result is built through Representation._trusted.
+    lookup and no product, and one with lam(i) = j the component itself.
+    An interleaving is valid by construction, so these maps are functorial
+    (the paper's central result) and nothing is checked again.  The
+    carrier is the one shoelace(M's proset, lam) stores on lam, and the
+    result is built through Representation._trusted.
     """
     sh = shoelace(x.m.proset, x.lam)
     lam = x.lam.mapping
@@ -195,10 +197,9 @@ def pack(x: Interleaving) -> Representation:
             edges.append(x.m.map(i, j))
         elif ip and jp:
             edges.append(x.n.map(i, j))
-        elif not ip:
-            edges.append(mat_mul(x.n.map(lam[i], j), x.phi.components[i]))
         else:
-            edges.append(mat_mul(x.m.map(lam[i], j), x.psi.components[i]))
+            tgt, c = (x.m, x.psi.components[i]) if ip else (x.n, x.phi.components[i])
+            edges.append(c if lam[i] == j else mat_mul(tgt.map(lam[i], j), c))
     return Representation._trusted(sh, field, dims, tuple(edges))
 
 
@@ -220,8 +221,8 @@ def unpack(v: Representation) -> Interleaving:
                 f"carrier does not relate {sh.label(i)} across the lacing; "
                 f"transfer to the full shoelace relation before unpacking")
     return _assemble(restrict(v, "left"), restrict(v, "right"), sh.lam,
-                     [v.map(i, n0 + lam_map[i]) for i in range(n0)],
-                     [v.map(n0 + i, lam_map[i]) for i in range(n0)])
+                     list(_maps(v, [(i, n0 + lam_map[i]) for i in range(n0)])),
+                     list(_maps(v, [(n0 + i, lam_map[i]) for i in range(n0)])))
 
 
 def pack_morphism(g: InterleavingMorphism) -> NatTrans:

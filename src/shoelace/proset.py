@@ -8,9 +8,10 @@ the integers 0..n-1 with optional display labels.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from operator import or_
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .exactlin import Value, _fill, check_ints
 
@@ -43,7 +44,7 @@ class Proset(Value):
     interchangeable.  Valid by construction: the constructor raises on
     validate_proset's report."""
 
-    __slots__ = ("n", "up", "labels", "_down", "_pairs", "_edges", "_covers")
+    __slots__ = ("n", "up", "labels", "_down", "_pairs", "_edges", "_index", "_covers")
 
     def __init__(self, n: int, rel: Sequence[Sequence[bool]],
                  labels: Optional[Sequence[str]] = None):
@@ -107,6 +108,13 @@ class Proset(Value):
                 edges.extend(zip(repeat(j), _members(gen, n)))
             object.__setattr__(self, "_edges", tuple(edges))
         return self._edges
+
+    def _edge_index(self) -> Mapping[tuple[int, int], int]:
+        """Each generating edge's position in generating_edges, read-only."""
+        if self._index is None:
+            edges = self.generating_edges
+            object.__setattr__(self, "_index", MappingProxyType(dict(zip(edges, count()))))
+        return self._index
 
     def path_step(self, i: int, k: int) -> int:
         """The element before k on the fixed path of generating edges from i

@@ -4,7 +4,7 @@ A representation is fixed by its maps on the generating edges of its proset
 (Proset.generating_edges), so it stores those alone, as a tuple aligned with
 the edges.  Of the other related pairs, a diagonal is the identity and any
 other pair is the product along one fixed path of generating edges
-(Proset.path_step), built on first use and memoised.
+(Proset.path_step), taken when it is asked for and kept by no object.
 validate_representation checks that the edge maps do not depend on the path.
 
 Every module that zed builds for a certificate or a matching is a sum of
@@ -18,7 +18,7 @@ blocks.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from itertools import compress
 from typing import Optional, Sequence
 
@@ -37,13 +37,13 @@ class Representation(Value):
     (_check_frame), and keeps the edges.  Valid by construction: after
     those frame checks the constructor raises ValueError on the report of
     validate_representation, its one check of the edges, and on a given
-    map off the edges that map(i, k) contradicts.  The private slots take
-    no part in equality or hash: _known memoises map, _pos holds an
+    map off the edges that map(i, k) contradicts.  The two private slots
+    are records that take no part in equality or hash: _pos holds an
     indicator sum's positions, and _origin is precompose's record (m, lam)
-    on the module it builds.
+    on the module it builds.  map writes to neither, nor to anything else.
     """
 
-    __slots__ = ("proset", "field", "dims", "edges", "_known", "_pos", "_origin")
+    __slots__ = ("proset", "field", "dims", "edges", "_pos", "_origin")
 
     def __init__(self, proset: Proset, field: FieldSpec,
                  dims: Sequence[int], maps: Mapping[tuple[int, int], Matrix]):
@@ -60,17 +60,7 @@ class Representation(Value):
             _check_frame(m, field, d[j], d[i], f"map at ({i}, {j})")
         _fill(self, proset, field, d,
               tuple(map(maps.__getitem__, proset.generating_edges)))
-        err = validate_representation(self)
-        if err is None:
-            # a map with a zero-dimensional end is the one its shape allows
-            lab = proset.label
-            for (i, k), m in maps.items():
-                if d[i] and d[k] and m != self.map(i, k):
-                    err = (f"map at ({lab(i)}, {lab(i)}) is not the identity"
-                           if i == k else
-                           f"composition fails over {lab(i)} <= "
-                           f"{lab(proset.path_step(i, k))} <= {lab(k)}")
-                    break
+        err = _report(self, maps)
         if err is not None:
             raise ValueError(f"invalid representation: {err}")
 
@@ -85,43 +75,51 @@ class Representation(Value):
         return _fill(object.__new__(cls), proset, field, dims, edges)
 
     def map(self, i: int, k: int) -> Matrix:
-        """The dims[k] x dims[i] matrix of the structure map i <= k: its
-        edge map, the identity on the diagonal, and otherwise, for a sum
-        written by indicator_sum, the 0/1 matrix read off its supports
-        (_support_map), and for any other module the product along the
-        fixed path of generating edges (Proset.path_step).  Memoised.
-        KeyError when i <= k does not hold."""
-        known = self._known
-        if known is None:
-            known = dict(zip(self.proset.generating_edges, self.edges))
-            object.__setattr__(self, "_known", known)
-        got = known.get((i, k))
-        if got is not None:
-            return got
+        """The dims[k] x dims[i] matrix of the structure map i <= k: the
+        identity, an edge map or _map's.  KeyError unless i <= k."""
+        p = self.proset
+        if i == k and 0 <= i < p.n:
+            return _units(self.field, self.dims[i], tuple(range(self.dims[i])))
+        e = p._edge_index().get((i, k))
+        return self._map(i, k, {}) if e is None else self.edges[e]
+
+    def _map(self, i: int, k: int, walked: dict[int, Matrix]) -> Matrix:
+        """map(i, k): read off the supports of a sum from indicator_sum, else
+        the product along the fixed path of edges from i (Proset.path_step),
+        whose walk starts from and adds to walked, maps out of i by target."""
         p = self.proset
         # a bit row has no bit at or above n
         if not (0 <= i < p.n and 0 <= k and p.leq(i, k)):
             raise KeyError((i, k))
         if i == k:
-            got = known[(i, k)] = Matrix.identity(self.field, self.dims[i])
-            return got
+            return Matrix.identity(self.field, self.dims[i])
         if self._pos is not None:
-            got = known[(i, k)] = _support_map(self.field, self.dims, self._pos, i, k)
-            return got
-        # a loop, as paths can be as long as the proset; edges are always
-        # known, so the walk back stops before it reaches i
+            return _support_map(self.field, self.dims, self._pos, i, k)
+        # a loop, as paths can be as long as the proset; the walk back stops
+        # at an edge out of i at the latest, so it never reaches i
+        index, edges = p._edge_index(), self.edges
         path, x = [], k
-        while (i, x) not in known:
+        while x not in walked and (i, x) not in index:
             path.append(x)
             x = p.path_step(i, x)
-        got = known[(i, x)]
+        got = walked[x] if x in walked else edges[index[i, x]]
         for y in reversed(path):
-            got = known[(i, y)] = mat_mul(known[(x, y)], got)
+            got = walked[y] = mat_mul(edges[index[x, y]], got)
             x = y
         return got
 
     def __repr__(self) -> str:
         return f"Representation(p={self.field.p}, dims={self.dims})"
+
+
+def _maps(m: Representation, pairs: Iterable[tuple[int, int]]) -> Iterator[Matrix]:
+    """m.map of each related pair in pairs; walks out of one source share a dict."""
+    index, edges, src, walked = m.proset._edge_index(), m.edges, None, {}
+    for i, k in pairs:
+        e = index.get((i, k))
+        if e is None and i != src:
+            src, walked = i, {}
+        yield edges[e] if e is not None else m._map(i, k, walked)
 
 
 def _checked_dims(proset: Proset, dims: Sequence[int]) -> tuple[int, ...]:
@@ -158,9 +156,16 @@ def validate_representation(m: Representation) -> Optional[str]:
     them, and so F(j,k) F(i,j) = F(m,k) F(j,m) F(i,j) = F(m,k) F(i,m)
     = F(i,k).
     """
+    return _report(m, {})
+
+
+def _report(m: Representation, given: Mapping[tuple[int, int], Matrix]) -> Optional[str]:
+    """validate_representation's report, else one on the first map of given,
+    in its order, that m.map contradicts (a map with a zero-dimensional end
+    is the one its shape allows), each map out of a source taken once."""
     p = m.proset
     dims = m.dims
-    edge = set(p.generating_edges)
+    edge, src, walked, bad = p._edge_index(), None, {}, set()
     # equations with a zero-dimensional end are vacuous: both sides are the
     # unique empty-shaped matrix
     edges_from: list[list[tuple[int, Matrix]]] = [[] for _ in range(p.n)]
@@ -168,15 +173,25 @@ def validate_representation(m: Representation) -> Optional[str]:
         if dims[k] != 0:
             edges_from[j].append((k, f))
     for (i, j) in p.related_pairs:
-        if i == j or dims[i] == 0:
+        if dims[i] == 0:
             continue
-        for k, f in edges_from[j]:
+        if i != src:
+            src, walked = i, {}
+        g = given.get((i, j))
+        if g is not None and dims[j] and g != m._map(i, j, walked):
+            bad.add((i, j))
+        for k, f in edges_from[j] if i != j else ():
             if k != i and (i, k) not in edge and p.path_step(i, k) == j:
                 continue
-            if mat_mul(f, m.map(i, j)) != m.map(i, k):
+            if mat_mul(f, m._map(i, j, walked)) != m._map(i, k, walked):
                 return (f"composition fails over {p.label(i)} <= {p.label(j)}"
                         f" <= {p.label(k)}")
-    return None
+    if not bad:
+        return None
+    i, k = next(pair for pair in given if pair in bad)
+    return (f"map at ({p.label(i)}, {p.label(i)}) is not the identity" if i == k else
+            f"composition fails over {p.label(i)} <= {p.label(p.path_step(i, k))}"
+            f" <= {p.label(k)}")
 
 
 def zero_representation(proset: Proset, field: FieldSpec) -> Representation:
@@ -216,7 +231,8 @@ def indicator_sum(proset: Proset, supports: Sequence[Collection[int]],
                 positions[x][k] = len(alive[x])
                 alive[x].append(k)
     dims = tuple(map(len, alive))
-    pos = tuple(map(tuple, positions))
+    rows: dict = {}  # equal rows share one tuple, which _support_map tests by identity
+    pos = tuple(rows.setdefault(r, r) for r in map(tuple, positions))
     edges = tuple(_support_map(field, dims, pos, a, b) for (a, b) in proset.generating_edges)
     total = Representation._trusted(proset, field, dims, edges)
     object.__setattr__(total, "_pos", pos)
@@ -227,10 +243,11 @@ def _support_map(field: FieldSpec, dims: tuple[int, ...],
                  pos: tuple[tuple[int, ...], ...], i: int, k: int) -> Matrix:
     """The map i <= k of an indicator sum with positions pos (indicator_sum):
     the row at k of each summand alive there, in summand order, is the unit
-    row at its position at i, or the zero row where it is not alive at i.
-    Within a convex support every map is the identity, so this is the
-    product along any path."""
-    return _units(field, dims[i], tuple(compress(pos[i], map((-1).__lt__, pos[k]))))
+    row at its position at i, or the zero row where it is not alive at i,
+    so the identity where i and k share a row (indicator_sum interns them).
+    Maps inside convex supports are identities: this is any path's product."""
+    cols = range(dims[i]) if pos[i] is pos[k] else compress(pos[i], map((-1).__lt__, pos[k]))
+    return _units(field, dims[i], tuple(cols))
 
 
 def chain_representation(proset: Proset, field: FieldSpec,
@@ -332,7 +349,7 @@ def precompose(m: Representation, lam: Translation) -> Representation:
     p = m.proset
     dims = tuple(m.dims[lam.mapping[i]] for i in range(p.n))
     lm = lam.mapping
-    edges = tuple(m.map(lm[i], lm[j]) for (i, j) in p.generating_edges)
+    edges = tuple(_maps(m, [(lm[i], lm[j]) for (i, j) in p.generating_edges]))
     out = Representation._trusted(p, m.field, dims, edges)
     object.__setattr__(out, "_origin", (m, lam))
     return out
@@ -415,7 +432,7 @@ def restrict(m: Representation, side: str) -> Representation:
     base = sh.base
     off = 0 if side == "left" else base.n
     dims = tuple(m.dims[off + i] for i in range(base.n))
-    edges = tuple(m.map(off + i, off + j) for (i, j) in base.generating_edges)
+    edges = tuple(_maps(m, [(off + i, off + j) for (i, j) in base.generating_edges]))
     return Representation._trusted(base, m.field, dims, edges)
 
 
@@ -432,5 +449,5 @@ def subrelation_transfer(m: Representation, q: Proset) -> Representation:
         if not p.leq(i, j):
             raise ValueError(
                 f"target relation is not a subrelation: ({i}, {j}) missing")
-    edges = tuple(m.map(i, j) for (i, j) in q.generating_edges)
+    edges = tuple(_maps(m, q.generating_edges))
     return Representation._trusted(q, m.field, m.dims, edges)

@@ -146,8 +146,8 @@ def test_barcode_reads_only_the_steps(monkeypatch):
     monkeypatch.setattr(exactlin, "mat_rank", no_rank)
     monkeypatch.setattr(zed, "mat_rank", no_rank, raising=False)
     assert barcode(m, w) == Barcode(bars)
-    # no composite map was built and cached
-    assert m._known is None
+    # a module keeps no memo of composite maps for a read to fill
+    assert Representation.__slots__ == ("proset", "field", "dims", "edges", "_pos", "_origin")
 
 
 def test_barcode_refuses_a_module_off_the_window_chain():

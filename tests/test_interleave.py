@@ -288,6 +288,33 @@ def test_pack_overlap_example():
     assert v.map(i, 6 + lam_i) == Matrix.identity(F2, 1)
 
 
+def test_pack_takes_a_component_itself_on_a_cross_edge_to_its_image(monkeypatch):
+    """On a cross edge i <= j' or i' <= j with lam(i) = j the factor is the
+    identity, so the edge is phi(i) or psi(i) itself, with no product: pack
+    multiplies only on the other cross edges without a zero-dimensional end."""
+    products = []
+
+    def counting_mul(a, b):
+        products.append(b)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(interleave_module, "mat_mul", counting_mul)
+    for field in (F2, F5):
+        x = _overlap_example(field)
+        products.clear()
+        v = pack(x)
+        lam, taken, other = x.lam.mapping, 0, 0
+        for (a, b), f in zip(v.proset.generating_edges, v.edges):
+            (i, ip), (j, jp) = v.proset.origin(a), v.proset.origin(b)
+            if ip != jp and v.dims[a] and v.dims[b]:
+                if lam[i] == j:
+                    assert f is (x.psi if ip else x.phi).components[i]
+                    taken += 1
+                else:
+                    other += 1
+        assert taken > 0 and len(products) == other
+
+
 def test_pack_with_identity_translation_duplicates_maps():
     w = Window(0, 2)
     m = interval_to_module(Interval(0, 2), w)

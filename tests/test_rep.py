@@ -34,6 +34,8 @@ from shoelace.rep import (
     validate_representation,
     zero_nat,
     zero_representation,
+    _maps,
+    _support_map,
 )
 from shoelace.selftest import (
     _rand_chain_rep,
@@ -370,6 +372,20 @@ def test_indicator_sum_reads_its_maps_off_the_supports(family, seed):
     for key in q.related_pairs:
         assert got[key] == walked.map(*key), key
     assert total == walked
+
+
+def test_indicator_sum_shares_equal_position_rows():
+    """A one-bar module on a 1024-point window holds two row tuples, one
+    per distinct row, while the lists returned stay the caller's own."""
+    m = interval_to_module(Interval(11, 30), Window(0, 1023), F2)
+    assert len(m._pos) == 1024 and len(set(map(id, m._pos))) == 2
+    q = chain(6)
+    total, positions = indicator_sum(q, [{1, 2, 3}, {2, 3, 4}, {1, 2, 3}], F5)
+    assert len({id(row) for row in total._pos}) == len(set(total._pos)) == 4
+    assert total._pos[0] is total._pos[5] and total._pos[2] is total._pos[3]
+    assert len({id(row) for row in positions}) == 6
+    positions[2][0] = 7
+    assert positions[3] == [0, 1, 2] == list(total._pos[2])
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -762,3 +778,179 @@ def test_generating_edges_agree_with_all_pairs(family):
             assert got == _natural_on_all_pairs(t)
             natural[got] += 1
     assert min(natural.values()) > 0
+
+
+class _MemoisedMaps:
+    """Representation.map as it was when a module memoised its maps, kept as
+    the reference: one dict per module, keyed by related pair, seeded with
+    the edge maps, that keeps every map taken, each intermediate product of
+    a path walk included."""
+
+    def __init__(self, m):
+        self.m = m
+        self.known = dict(zip(m.proset.generating_edges, m.edges))
+
+    def __call__(self, i, k):
+        m, known = self.m, self.known
+        got = known.get((i, k))
+        if got is not None:
+            return got
+        p = m.proset
+        if not (0 <= i < p.n and 0 <= k and p.leq(i, k)):
+            raise KeyError((i, k))
+        if i == k:
+            got = known[(i, k)] = Matrix.identity(m.field, m.dims[i])
+            return got
+        if m._pos is not None:
+            got = known[(i, k)] = _support_map(m.field, m.dims, m._pos, i, k)
+            return got
+        path, x = [], k
+        while (i, x) not in known:
+            path.append(x)
+            x = p.path_step(i, x)
+        got = known[(i, x)]
+        for y in reversed(path):
+            got = known[(i, y)] = mat_mul(known[(x, y)], got)
+            x = y
+        return got
+
+
+def _memoised_report(p, field, dims, maps):
+    """The public constructor's report on maps as it was with the memo:
+    the edge check of validate_representation, then the given maps off the
+    edges, both read through one _MemoisedMaps."""
+    ref = _MemoisedMaps(Representation._trusted(
+        p, field, tuple(dims), tuple(maps[e] for e in p.generating_edges)))
+    edge = set(p.generating_edges)
+    for (i, j) in p.related_pairs:
+        if i == j or dims[i] == 0:
+            continue
+        for (a, k), f in zip(p.generating_edges, ref.m.edges):
+            if a != j or dims[k] == 0:
+                continue
+            if k != i and (i, k) not in edge and p.path_step(i, k) == j:
+                continue
+            if mat_mul(f, ref(i, j)) != ref(i, k):
+                return (f"composition fails over {p.label(i)} <= {p.label(j)}"
+                        f" <= {p.label(k)}")
+    for (i, k), g in maps.items():
+        if dims[i] and dims[k] and g != ref(i, k):
+            return (f"map at ({p.label(i)}, {p.label(i)}) is not the identity"
+                    if i == k else
+                    f"composition fails over {p.label(i)} <= "
+                    f"{p.label(p.path_step(i, k))} <= {p.label(k)}")
+    return None
+
+
+def _public_report(p, field, dims, maps):
+    try:
+        Representation(p, field, dims, maps)
+    except ValueError as e:
+        assert str(e).startswith("invalid representation: ")
+        return str(e)[len("invalid representation: "):]
+    return None
+
+
+def _rand_module(rng, field):
+    """A random module over field: a chain, a scrambled module of a random
+    proset or of a shoelace carrier, or an indicator sum."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return _rand_chain_rep(rng, rng.randint(1, 8), field)
+    if kind == 1:
+        return _rand_rep(rng, _rand_proset(rng), field)
+    if kind == 2:
+        base = _rand_proset(rng, max_n=5)
+        return _rand_rep(rng, shoelace(base, _rand_translation(rng, base)), field, max_dim=2)
+    q = _rand_carrier(rng, rng.choice(FAMILIES))
+    return indicator_sum(q, [_rand_convex(rng, q) for _ in range(rng.randint(0, 3))], field)[0]
+
+
+def _moved(rng, g):
+    entries = [list(row) for row in g.entries]
+    entries[rng.randrange(g.rows)][rng.randrange(g.cols)] += rng.randrange(1, g.field.p)
+    return Matrix(g.field, g.rows, g.cols, entries)
+
+
+@pytest.mark.parametrize("field", [F2, F5])
+def test_map_without_a_memo_equals_the_memoised_walk(field):
+    """map, _maps, validate_representation and the public constructor, which
+    keep no memo, against the memoised reference: the same maps on every
+    related pair, and the same report on untouched modules, on one tampered edge
+    and on one tampered given map off the edges, whose report names the
+    path step."""
+    seen = {"edge": 0, "path step": 0}
+    for seed in range(120):
+        rng = random.Random(seed)
+        m = _rand_module(rng, field)
+        p, dims = m.proset, m.dims
+        ref = _MemoisedMaps(m)
+        for (i, k) in p.related_pairs:
+            assert m.map(i, k) == ref(i, k)
+        for pair in ((-1, -1), (p.n, p.n), (0, p.n), (-1, 0)):
+            with pytest.raises(KeyError):
+                m.map(*pair)
+        # the bulk reader, with sources in any order
+        pairs = rng.sample(p.related_pairs, len(p.related_pairs))
+        assert list(_maps(m, pairs)) == [ref(i, k) for (i, k) in pairs]
+        maps = _every_pair(m)
+        if seed % 3 == 0:
+            # the given maps need not come source by source
+            maps = dict(rng.sample(sorted(maps.items()), len(maps)))
+        assert validate_representation(m) is None
+        assert _public_report(p, field, dims, maps) is None
+        assert _memoised_report(p, field, dims, maps) is None
+        edges = [e for e in p.generating_edges if dims[e[0]] and dims[e[1]]]
+        if edges:
+            e = rng.choice(edges)
+            bad = dict(maps)
+            bad[e] = _moved(rng, bad[e])
+            want = _memoised_report(p, field, dims, bad)
+            assert _public_report(p, field, dims, bad) == want
+            trusted = Representation._trusted(
+                p, field, dims, tuple(bad[x] for x in p.generating_edges))
+            assert validate_representation(trusted) == _memoised_report(
+                p, field, dims, {x: bad[x] for x in p.generating_edges})
+            seen["edge"] += want is not None
+        off = [(i, k) for (i, k) in p.related_pairs
+               if i != k and (i, k) not in p.generating_edges and dims[i] and dims[k]]
+        if off:
+            # one or two tampered maps: the report names the first in order
+            bad = dict(maps)
+            for pair in rng.sample(off, min(len(off), rng.randint(1, 2))):
+                bad[pair] = _moved(rng, bad[pair])
+            i, k = next(pair for pair in bad if bad[pair] is not maps[pair])
+            want = _memoised_report(p, field, dims, bad)
+            assert want == (f"composition fails over {p.label(i)} <= "
+                            f"{p.label(p.path_step(i, k))} <= {p.label(k)}")
+            assert _public_report(p, field, dims, bad) == want
+            seen["path step"] += 1
+    assert min(seen.values()) > 0
+
+
+def test_the_public_constructor_takes_each_map_once(monkeypatch):
+    """Its check of the given maps off the edges shares validation's walks,
+    so building from every related pair takes the products that the
+    memoised reference takes, and validating the edges alone fewer."""
+    import shoelace.rep as rep_module
+
+    s = 4
+    p = proset_from_pairs(s * s, [(x * s + y, x * s + y + 1) for x in range(s) for y in range(s - 1)]
+                          + [(x * s + y, x * s + y + s) for x in range(s - 1) for y in range(s)])
+    a = Matrix(F5, 2, 2, [[1, 2], [3, 4]])
+    edges = Representation._trusted(p, F5, (2,) * p.n, (a,) * len(p.generating_edges))
+    maps = {pair: edges.map(*pair) for pair in p.related_pairs}
+    calls = []
+
+    def counting_mul(x, y, mul=mat_mul):
+        calls.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(rep_module, "mat_mul", counting_mul)
+    monkeypatch.setitem(globals(), "mat_mul", counting_mul)
+    assert _memoised_report(p, F5, (2,) * p.n, maps) is None
+    memoised = len(calls)
+    assert validate_representation(edges) is None
+    alone = len(calls) - memoised
+    assert Representation(p, F5, (2,) * p.n, maps) == edges
+    assert 0 < alone < memoised == len(calls) - memoised - alone

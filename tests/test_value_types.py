@@ -192,3 +192,46 @@ def test_a_second_equal_window_hits_the_window_chain_cache():
     hits = window_chain.cache_info().hits
     assert window_chain(Window(0, 3)) is first
     assert window_chain.cache_info().hits == hits + 1
+
+
+def _slots(obj):
+    return {a: getattr(obj, a) for c in type(obj).__mro__
+            for a in c.__dict__.get("__slots__", ())}
+
+
+def test_reading_every_map_changes_no_slot():
+    """map writes to no object: after a read of every related pair, each
+    slot of the module and of its proset holds the object it held before,
+    for a shared interval module, a shared shifted one and a loaded
+    general module."""
+    from shoelace.docio import load_document, save_document
+    from shoelace.rep import chain_representation
+    from shoelace.zed import _interval_after, interval_to_module
+
+    w = Window(0, 9)
+    steps = [Matrix(F2, 2, 2, [[1, k % 2], [0, 1]]) for k in range(9)]
+    _, loaded = load_document(save_document(
+        "representation", chain_representation(window_chain(w), F2, [2] * 10, steps)))
+    for m in (interval_to_module(Interval(2, 6), w, F2),
+              _interval_after(Interval(2, 6), w, 1, F2), loaded):
+        before = (_slots(m), _slots(m.proset))
+        for (i, k) in m.proset.related_pairs:
+            m.map(i, k)
+        after = (_slots(m), _slots(m.proset))
+        assert before[0].keys() == after[0].keys() and before[1].keys() == after[1].keys()
+        for old, new in zip(before, after):
+            assert all(new[a] is old[a] for a in old)
+
+
+def test_a_module_has_no_memo_and_its_edge_index_refuses_writes():
+    m = indicator_module(chain(3), {0, 1}, F2)
+    m.map(0, 2)
+    with pytest.raises(AttributeError):
+        m._known
+    index = m.proset._edge_index()
+    assert dict(index) == {(0, 1): 0, (1, 2): 1}
+    with pytest.raises(TypeError):
+        index[(0, 2)] = 2
+    with pytest.raises(TypeError):
+        del index[(0, 1)]
+    assert m.proset._edge_index() is index
